@@ -6,13 +6,9 @@ routes."""
 from .ring import (DEFAULT_CHAR, GREVLEX, LEX, MonomialOrder, Polynomial,
                    PrimeField, RingContext, elimination_order)
 from .groebner import ComputationLimitError, GroebnerBasis, groebner_basis
-from .ideals import (AlgebraWarning, Ideal, codimension, colon_ideal, contains,
-                     eliminate, ideal_equals, ideal_intersect, ideal_power,
-                     ideal_product, ideal_sum, krull_dimension, ring_dimension,
-                     saturate)
-from .lengths import (ContainmentError, LengthValue, TruncationPolicy,
-                      default_policy, gamma_length, loc_quotient_length,
-                      pair_length, standard_monomial_count, truncated_dim)
+from .ideals import AlgebraWarning, Ideal, eliminate, ring_dimension
+from .lengths import (ContainmentError, LengthValue, gamma_length,
+                      loc_quotient_length, pair_length, truncated_dim)
 from .oracle import (MonomialIdeal, OracleError, mon_pair_length,
                      mon_quotient_length, oracle_hilbert_coefficients)
 from .hilbert import (FitError, HilbertRecord, binomial, binomial_basis_convert,
@@ -27,8 +23,7 @@ from .reductions import (GeneralReduction, ReductionRing, ReductionSearchError,
                          residual_height_check, sample_general_elements,
                          valabrega_valla_check)
 from .omega import (MasterIdentityReport, OmegaBreakdown, OmegaEvaluator,
-                    delta_operator, j_one_depth_formula, j_via_sums,
-                    master_identity_check)
+                    j_one_depth_formula, j_via_sums, master_identity_check)
 from .northcott import (HypothesisFlags, NorthcottReport, assemble_northcott,
                         minimal_generator_count, northcott_bound)
 from .parser import (Options, ProblemError, ProblemSemanticError, ProblemSpec,

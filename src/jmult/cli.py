@@ -12,6 +12,7 @@ import argparse
 import sys
 
 from .parser import Options, ProblemError, parse_problem
+from .ring import DEFAULT_CAP_M
 from .runner import COMMANDS, PARSE_ERROR, emit_report, run_command
 
 EPILOG = """\
@@ -25,8 +26,9 @@ of all variables, so every reported length is local at the origin; components
 supported away from the origin are invisible by design.
 
 exit codes: 0 ok, 2 parse error, 3 hypothesis-surrogate failure (results
-still printed, marked), 4 non-stabilization or resource cap, 5 internal
-cross-check violation.
+still printed, marked), 4 non-stabilization, resource cap, or a compared value
+that degraded to a named non-finite term, 5 internal cross-check violation (a
+finite compared value that is wrong).
 """
 
 
@@ -46,8 +48,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="override the characteristic from the ring line")
     ap.add_argument("--nmax", type=int, default=None,
                     help="degree bound for per-n checks (default r + d + 2)")
-    ap.add_argument("--cap-m", type=int, default=200,
-                    help="truncation degree cap for length stabilization")
+    ap.add_argument("--cap-m", type=int, default=DEFAULT_CAP_M,
+                    help="truncation degree cap for every local length in the "
+                         "run (never below the start degree + 8)")
     ap.add_argument("--window", type=int, default=None,
                     help="constant-difference window for the polynomial fit "
                          "(default d + 2)")

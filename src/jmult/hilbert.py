@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .ideals import Ideal, ring_dimension
-from .lengths import LengthValue, TruncationPolicy, pair_length
+from .lengths import LengthValue, pair_length
 
 FIT_N_CAP = 40
 
@@ -148,23 +148,21 @@ class HilbertRecord:
                    for n in range(i - 1, stop + 1))
 
 
-def graded_torsion_length(ideal: Ideal, i: int,
-                          policy: TruncationPolicy | None = None) -> LengthValue:
+def graded_torsion_length(ideal: Ideal, i: int) -> LengthValue:
     """Length of the m-torsion of I^i / I^(i+1)."""
     ctx = ideal.ctx
     m = Ideal.maximal(ctx)
     high = ideal ** (i + 1)
     low = ideal ** i
     num = high.saturate(m).intersect(low)
-    return pair_length(num, high, policy)
+    return pair_length(num, high)
 
 
-def hilbert_function(ideal: Ideal, n: int,
-                     policy: TruncationPolicy | None = None) -> LengthValue:
+def hilbert_function(ideal: Ideal, n: int) -> LengthValue:
     """Partial sum of graded torsion lengths through i = n."""
     total = LengthValue.finite(0)
     for i in range(n + 1):
-        g = graded_torsion_length(ideal, i, policy)
+        g = graded_torsion_length(ideal, i)
         if not g.is_finite:
             return g
         total = LengthValue.finite(total.value + g.value)
@@ -173,7 +171,6 @@ def hilbert_function(ideal: Ideal, n: int,
 
 def fit_hilbert_polynomial(ideal: Ideal, window: int | None = None,
                            n_cap: int = FIT_N_CAP,
-                           policy: TruncationPolicy | None = None,
                            extend_to: int = 0) -> HilbertRecord:
     """Compute H until its d-th difference is constant over the window (plus
     two confirmation points), then read off the coefficients.
@@ -191,7 +188,7 @@ def fit_hilbert_polynomial(ideal: Ideal, window: int | None = None,
     region = None
     n = 0
     while True:
-        g = graded_torsion_length(ideal, n, policy)
+        g = graded_torsion_length(ideal, n)
         if not g.is_finite:
             raise FitError(f"graded torsion length at degree {n} "
                            f"is {g.to_json()}")

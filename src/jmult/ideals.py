@@ -177,44 +177,25 @@ class Ideal:
 
     def intersect(self, other: "Ideal") -> "Ideal":
         self._check(other)
-        cache = self.ctx._cache
-        k = ("intersect",) + tuple(sorted((self.key(), other.key())))
-        got = cache.get(k)
-        if got is None:
-            got = _intersect(self, other)
-            cache[k] = got
-        return got
+        return self.ctx.memo(
+            ("intersect",) + tuple(sorted((self.key(), other.key()))),
+            lambda: _intersect(self, other))
 
     def colon(self, other: "Ideal") -> "Ideal":
         """self : other, the transporter of other into self."""
         self._check(other)
-        cache = self.ctx._cache
-        k = ("colon", self.key(), other.key())
-        got = cache.get(k)
-        if got is None:
-            got = _colon(self, other)
-            cache[k] = got
-        return got
+        return self.ctx.memo(("colon", self.key(), other.key()),
+                             lambda: _colon(self, other))
 
     def colon_element(self, f: Polynomial) -> "Ideal":
-        cache = self.ctx._cache
-        k = ("colon_el", self.key(), f.canonical())
-        got = cache.get(k)
-        if got is None:
-            got = _colon_element(self, f)
-            cache[k] = got
-        return got
+        return self.ctx.memo(("colon_el", self.key(), f.canonical()),
+                             lambda: _colon_element(self, f))
 
     def saturate(self, other: "Ideal") -> "Ideal":
         """Stable value of the colon chain self : other^n."""
         self._check(other)
-        cache = self.ctx._cache
-        k = ("saturate", self.key(), other.key())
-        got = cache.get(k)
-        if got is None:
-            got = _saturate(self, other)
-            cache[k] = got
-        return got
+        return self.ctx.memo(("saturate", self.key(), other.key()),
+                             lambda: _saturate(self, other))
 
     def dimension(self) -> int:
         """Krull dimension of (ambient)/self; -1 for the unit ideal."""
@@ -232,70 +213,17 @@ class Ideal:
 
 
 # --------------------------------------------------------------------------
-# spec-level operation aliases
-
-
-def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
-    return a + b
-
-
-def ideal_product(a: Ideal, b: Ideal) -> Ideal:
-    return a * b
-
-
-def ideal_power(a: Ideal, n: int) -> Ideal:
-    return a ** n
-
-
-def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
-    return a.intersect(b)
-
-
-def colon_ideal(a: Ideal, b: Ideal) -> Ideal:
-    return a.colon(b)
-
-
-def saturate(a: Ideal, b: Ideal) -> Ideal:
-    return a.saturate(b)
-
-
-def ideal_equals(a: Ideal, b: Ideal) -> bool:
-    return a == b
-
-
-def contains(a: Ideal, f: Polynomial) -> bool:
-    return a.contains(f)
-
-
-def codimension(a: Ideal) -> int:
-    return a.codimension()
-
-
-def krull_dimension(a: Ideal) -> int:
-    return a.dimension()
+# ring-level data
 
 
 def ring_dimension(ctx: RingContext) -> int:
     """Krull dimension of the working ring itself."""
-    got = ctx._cache.get("ring_dim")
-    if got is None:
-        got = Ideal.zero(ctx).dimension()
-        ctx._cache["ring_dim"] = got
-    return got
+    return ctx.memo("ring_dim", lambda: Ideal.zero(ctx).dimension())
 
 
 def relations_gb(ctx: RingContext) -> GroebnerBasis:
     """Cached reduced basis of the context relations alone."""
-    got = ctx._cache.get("relations_gb")
-    if got is None:
-        got = Ideal.zero(ctx).gb()
-        ctx._cache["relations_gb"] = got
-    return got
-
-
-def standard_monomial_count(a: Ideal):
-    """dim_k of (ring)/a when the initial ideal is zero-dimensional, else None."""
-    return a.gb().standard_monomial_count()
+    return ctx.memo("relations_gb", lambda: Ideal.zero(ctx).gb())
 
 
 def eliminate(a: Ideal, drop_names) -> Ideal:

@@ -10,6 +10,13 @@ supported away from the origin are invisible to the truncation, which is
 exactly the localization the working ring demands; that behaviour is
 deliberate and tested.
 
+The sampling schedule lives here and nowhere else.  M starts at
+2 (d + the largest generator or relation degree of the operands), past every
+generator's own scale, and steps by ``STEP_M``; the difference is stable
+once ``WINDOW`` consecutive samples agree.  The cap is the context's
+``cap_m`` (``--cap-m``), raised to at least start + 8 so that a length is
+sampled five times before it is declared infinite or non-stabilized.
+
 No a-priori stopping bound is available, so stabilization is a heuristic
 backed by the cross-route identity checks higher up the stack: a premature
 answer surfaces as a cross-check failure, never silently.
@@ -23,9 +30,8 @@ from itertools import combinations_with_replacement
 from .groebner import buchberger_raw, count_standard_monomials
 from .ideals import Ideal, ring_dimension
 
-DEFAULT_CAP_M = 200
-DEFAULT_STEP_M = 2
-DEFAULT_WINDOW = 2
+STEP_M = 2
+WINDOW = 2
 
 
 class ContainmentError(ValueError):
@@ -75,15 +81,6 @@ class LengthValue:
         return f"LengthValue({self.kind}{':' + self.reason if self.reason else ''})"
 
 
-def lv_add(a: LengthValue, b: LengthValue) -> LengthValue:
-    for x in (a, b):
-        if x.kind == "non_stabilized":
-            return x
-    if a.is_finite and b.is_finite:
-        return LengthValue.finite(a.value + b.value)
-    return LengthValue.infinite()
-
-
 def lv_sub(a: LengthValue, b: LengthValue) -> LengthValue:
     for x in (a, b):
         if x.kind == "non_stabilized":
@@ -93,48 +90,6 @@ def lv_sub(a: LengthValue, b: LengthValue) -> LengthValue:
     if a.kind == "infinite" and b.is_finite:
         return LengthValue.infinite()
     return LengthValue.non_stabilized("indeterminate difference of lengths")
-
-
-def lv_sum(items) -> LengthValue:
-    total = LengthValue.finite(0)
-    for x in items:
-        total = lv_add(total, x)
-    return total
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Sampling schedule for the truncation degree M."""
-
-    start_m: int
-    step_m: int = DEFAULT_STEP_M
-    stability_window: int = DEFAULT_WINDOW
-    cap_m: int = DEFAULT_CAP_M
-
-    def __post_init__(self):
-        if self.start_m < 1 or self.stability_window < 2 or self.cap_m < self.start_m:
-            raise ValueError("invalid truncation policy")
-
-    def samples(self):
-        m = self.start_m
-        while m <= self.cap_m:
-            yield m
-            m += self.step_m
-
-
-def default_policy(*ideals, cap_m: int | None = None) -> TruncationPolicy:
-    """startM = 2 (d + max generator degree): past every generator's own scale,
-    so stabilization usually happens within the first window.  A context-level
-    ``cap_m_override`` (set by the CLI) adjusts the cap without freezing the
-    per-call start degree."""
-    ctx = ideals[0].ctx
-    if cap_m is None:
-        cap_m = ctx._cache.get("cap_m_override", DEFAULT_CAP_M)
-    d = ring_dimension(ctx)
-    deg = max([ctx.max_relation_degree()]
-              + [i.max_gen_degree() for i in ideals])
-    start = max(1, 2 * (d + deg))
-    return TruncationPolicy(start_m=start, cap_m=max(cap_m, start + 4 * DEFAULT_STEP_M))
 
 
 def degree_monomial_rows(nvars: int, m: int):
@@ -150,74 +105,59 @@ def degree_monomial_rows(nvars: int, m: int):
 
 def truncated_dim(ideal_: Ideal, m: int) -> int:
     """dim_k of R/(ideal + m^M): the Artinian snapshot, always finite."""
-    ctx = ideal_.ctx
-    cache = ctx._cache
-    key = ("truncdim", ideal_.key(), m)
-    got = cache.get(key)
-    if got is not None:
-        return got
+    return ideal_.ctx.memo(("truncdim", ideal_.key(), m),
+                           lambda: _artinian_dim(ideal_, m))
+
+
+def _artinian_dim(ideal_: Ideal, m: int) -> int:
     gb = ideal_.gb()
     if gb.is_unit():
-        cache[key] = 0
         return 0
+    ctx = ideal_.ctx
     rows = [g.terms for g in gb.polys]
     prefix = len(rows)
     rows += degree_monomial_rows(ctx.nvars, m)
     raw = buchberger_raw(rows, ctx.nvars, ctx.char, gb.order,
                          assume_gb_prefix=prefix)
     leads = [max(r, key=gb.order.key) for r in raw]
-    count = count_standard_monomials(leads, ctx.nvars)
-    cache[key] = count
-    return count
+    return count_standard_monomials(leads, ctx.nvars)
 
 
-def pair_length(a: Ideal, b: Ideal, policy: TruncationPolicy | None = None) -> LengthValue:
+def pair_length(a: Ideal, b: Ideal) -> LengthValue:
     """m-local length of A/B for B contained in A (containment is verified)."""
     gb_a = a.gb()
     for g in b.gens:
         if not gb_a.contains(g):
             raise ContainmentError(
                 f"generator {g} of the submodule side is not in the larger ideal")
-    if policy is None:
-        policy = default_policy(a, b)
-    cache = a.ctx._cache
-    key = ("pairlen", a.key(), b.key(), policy)
-    got = cache.get(key)
-    if got is not None:
-        return got
+    ctx = a.ctx
+    deg = max(ctx.max_relation_degree(), a.max_gen_degree(), b.max_gen_degree())
+    start = max(1, 2 * (ring_dimension(ctx) + deg))
+    # the start degree depends on the generators, not only on the bases
+    return ctx.memo(("pairlen", a.key(), b.key(), start),
+                    lambda: _stabilize(a, b, start))
+
+
+def _stabilize(a: Ideal, b: Ideal, start: int) -> LengthValue:
+    cap = max(a.ctx.cap_m, start + 4 * STEP_M)
     trace = []
-    result = None
-    for m in policy.samples():
-        d = truncated_dim(b, m) - truncated_dim(a, m)
-        trace.append(d)
-        w = policy.stability_window
-        if len(trace) >= w and len(set(trace[-w:])) == 1:
-            result = LengthValue.finite(d)
-            break
-    if result is None:
-        if all(x <= y for x, y in zip(trace, trace[1:])) and trace[-1] > trace[0]:
-            result = LengthValue.infinite(f"D(M) still growing at M={policy.cap_m}")
-        else:
-            result = LengthValue.non_stabilized(
-                f"truncation trace {trace} did not stabilize by M={policy.cap_m}")
-    cache[key] = result
-    return result
+    for m in range(start, cap + 1, STEP_M):
+        trace.append(truncated_dim(b, m) - truncated_dim(a, m))
+        if len(trace) >= WINDOW and len(set(trace[-WINDOW:])) == 1:
+            return LengthValue.finite(trace[-1])
+    if all(x <= y for x, y in zip(trace, trace[1:])) and trace[-1] > trace[0]:
+        return LengthValue.infinite(f"D(M) still growing at M={cap}")
+    return LengthValue.non_stabilized(
+        f"truncation trace {trace} did not stabilize by M={cap}")
 
 
-def loc_quotient_length(l: Ideal, policy: TruncationPolicy | None = None) -> LengthValue:
+def loc_quotient_length(l: Ideal) -> LengthValue:
     """m-local length of R/L; infinite when R/L has positive dimension at the
     origin.  Components of R/L supported away from the origin do not count."""
-    return pair_length(Ideal.unit(l.ctx), l, policy)
+    return pair_length(Ideal.unit(l.ctx), l)
 
 
-def gamma_length(l: Ideal, policy: TruncationPolicy | None = None) -> LengthValue:
+def gamma_length(l: Ideal) -> LengthValue:
     """Length of the m-torsion submodule of R/L; always finite."""
     sat = l.saturate(Ideal.maximal(l.ctx))
-    return pair_length(sat, l, policy)
-
-
-def standard_monomial_count(l: Ideal) -> LengthValue:
-    """dim_k of R/L when the initial ideal is zero-dimensional, else the
-    infinite marker."""
-    n = l.gb().standard_monomial_count()
-    return LengthValue.finite(n) if n is not None else LengthValue.infinite()
+    return pair_length(sat, l)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ideals import Ideal, ring_dimension
-from .lengths import LengthValue, TruncationPolicy, loc_quotient_length, pair_length
+from .lengths import LengthValue, loc_quotient_length, pair_length
 from .reductions import GeneralReduction
 
 
@@ -33,8 +33,7 @@ class HypothesisFlags:
                 "s2_asserted": self.s2_asserted}
 
 
-def northcott_bound(ideal: Ideal, red: GeneralReduction,
-                    policy: TruncationPolicy | None = None):
+def northcott_bound(ideal: Ideal, red: GeneralReduction):
     """(lambda(I/J), residual colength) for dimension at least two.
 
     The second term is the colength of (J_{d-1}:I) + ((J_{d-2}:I + I)
@@ -46,9 +45,9 @@ def northcott_bound(ideal: Ideal, red: GeneralReduction,
     if d < 2:
         raise ValueError("the bound is defined for dimension at least two")
     m = Ideal.maximal(ctx)
-    lam = pair_length(ideal, red.full, policy)
+    lam = pair_length(ideal, red.full)
     resid = red.j(d - 1).colon(ideal) + (red.j(d - 2).colon(ideal) + ideal).saturate(m)
-    second = loc_quotient_length(resid, policy)
+    second = loc_quotient_length(resid)
     return lam, second
 
 
@@ -105,18 +104,16 @@ def _lv_json(v):
     return v
 
 
-def minimal_generator_count(ideal: Ideal,
-                            policy: TruncationPolicy | None = None) -> LengthValue:
+def minimal_generator_count(ideal: Ideal) -> LengthValue:
     """mu(I) as the length of I/mI."""
     m = Ideal.maximal(ideal.ctx)
-    return pair_length(ideal, m * ideal, policy)
+    return pair_length(ideal, m * ideal)
 
 
 def assemble_northcott(ideal: Ideal, red: GeneralReduction, r: int | None,
                        j1: int | None, j1_route: str,
                        surrogate_passed: bool, m_primary: bool,
                        flags: HypothesisFlags,
-                       policy: TruncationPolicy | None = None,
                        extra_notes=()) -> NorthcottReport:
     """Build the report from precomputed pieces; the coefficient routes are
     resolved by the caller, which also owns the cross-route comparison."""
@@ -134,14 +131,14 @@ def assemble_northcott(ideal: Ideal, red: GeneralReduction, r: int | None,
         notes.append("dimension one: the second bound term involves J_{d-2} "
                      "and is undefined; reporting the summation decomposition "
                      "of j_1 instead of a bound")
-        lam = pair_length(ideal, red.full, policy) if red is not None else None
+        lam = pair_length(ideal, red.full) if red is not None else None
         from .reductions import fiber_length_sum
         from .lengths import gamma_length
         zero_colon = Ideal.zero(ctx).colon(ideal)
         parts = (
-            ("fiber_length_sum", fiber_length_sum(ideal, red.full, policy=policy).to_json()),
-            ("colength(0:I + I)", loc_quotient_length(zero_colon + ideal, policy).to_json()),
-            ("torsion(R/I)", gamma_length(ideal, policy).to_json()),
+            ("fiber_length_sum", fiber_length_sum(ideal, red.full).to_json()),
+            ("colength(0:I + I)", loc_quotient_length(zero_colon + ideal).to_json()),
+            ("torsion(R/I)", gamma_length(ideal).to_json()),
         )
         return NorthcottReport(
             dim=d, j1=j1, j1_route=j1_route, lambda_ij=lam, second_term=None,
@@ -152,7 +149,7 @@ def assemble_northcott(ideal: Ideal, red: GeneralReduction, r: int | None,
             flags=flags, hypotheses_effective=effective, notes=tuple(notes),
             decomposition=parts)
 
-    lam, second = northcott_bound(ideal, red, policy)
+    lam, second = northcott_bound(ideal, red)
     bound = None
     inequality = None
     equality = None
@@ -181,7 +178,7 @@ def assemble_northcott(ideal: Ideal, red: GeneralReduction, r: int | None,
         m_primary_impl = ideal.codimension() == d
     ci_impl = None
     if j1 is not None and j1 == 0:
-        mu = minimal_generator_count(ideal, policy)
+        mu = minimal_generator_count(ideal)
         ci_impl = (r == 0) and mu.is_finite and mu.value == d
 
     return NorthcottReport(

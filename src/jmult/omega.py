@@ -21,18 +21,13 @@ from math import comb
 
 from .hilbert import HilbertRecord, binomial
 from .ideals import Ideal, ring_dimension
-from .lengths import (ContainmentError, LengthValue, TruncationPolicy,
-                      gamma_length, loc_quotient_length, lv_sub, pair_length)
+from .lengths import (ContainmentError, LengthValue, gamma_length,
+                      loc_quotient_length, lv_sub, pair_length)
 from .reductions import GeneralReduction, fiber_length_term
 
 SUM_N_CAP = 40
 
 READINGS = ("x1", "xnext")
-
-
-def delta_operator(fn, k: int, n: int) -> int:
-    """k-th backward finite difference of an integer-valued function."""
-    return sum((-1) ** j * comb(k, j) * fn(n - j) for j in range(k + 1))
 
 
 def _delta_lv(fn, k: int, n: int) -> LengthValue:
@@ -76,13 +71,11 @@ class OmegaEvaluator:
     zeroth power of I is the unit ideal, so those quotients vanish).
     """
 
-    def __init__(self, ideal: Ideal, red: GeneralReduction,
-                 policy: TruncationPolicy | None = None, reading: str = "x1"):
+    def __init__(self, ideal: Ideal, red: GeneralReduction, reading: str = "x1"):
         if reading not in READINGS:
             raise ValueError(f"unknown colon reading {reading!r}")
         self.ideal = ideal
         self.red = red
-        self.policy = policy
         self.reading = reading
         self.ctx = ideal.ctx
         self.d = ring_dimension(self.ctx)
@@ -103,11 +96,11 @@ class OmegaEvaluator:
 
     def _length(self, name: str, num: Ideal, den: Ideal) -> LengthValue:
         try:
-            return pair_length(num, den, self.policy)
+            return pair_length(num, den)
         except ContainmentError as exc:
             return LengthValue.non_stabilized(f"{name}: {exc}")
 
-    def _cached(self, kind: str, i: int, n: int, build) -> LengthValue:
+    def _term(self, kind: str, i: int, n: int, build) -> LengthValue:
         key = (kind, i, n)
         got = self._lens.get(key)
         if got is None:
@@ -116,8 +109,8 @@ class OmegaEvaluator:
         return got
 
     def fiber(self, n: int) -> LengthValue:
-        return self._cached("fiber", -1, n, lambda: fiber_length_term(
-            self.ideal, self.red.full, n, self.policy))
+        return self._term("fiber", -1, n, lambda: fiber_length_term(
+            self.ideal, self.red.full, n))
 
     # -- displayed sub-terms ----------------------------------------------------
 
@@ -131,7 +124,7 @@ class OmegaEvaluator:
             den = self.jc(i) + self.ideal ** n
             return self._length(f"Ktilde^{i}_{n - 1}", num, den)
 
-        return self._cached("ktilde", i, n, build)
+        return self._term("ktilde", i, n, build)
 
     def ltilde(self, i: int, n: int) -> LengthValue:
         if n <= 0:
@@ -146,7 +139,7 @@ class OmegaEvaluator:
                    + (I ** (n - 1)).scaled_by(x_next))
             return self._length(f"Ltilde^{i}_{n}", num, den)
 
-        return self._cached("ltilde", i, n, build)
+        return self._term("ltilde", i, n, build)
 
     def l_term(self, i: int, n: int) -> LengthValue:
         if n <= 0:
@@ -164,7 +157,7 @@ class OmegaEvaluator:
                    + inner.scaled_by(x_next))
             return self._length(f"L^{i}_{n}", num, den)
 
-        return self._cached("l", i, n, build)
+        return self._term("l", i, n, build)
 
     def n_term(self, i: int, n: int) -> LengthValue:
         if n <= 0:
@@ -180,7 +173,7 @@ class OmegaEvaluator:
                 .intersect(I ** n)
             return self._length(f"N^{i}_{n}", num, den)
 
-        return self._cached("n", i, n, build)
+        return self._term("n", i, n, build)
 
     def lln(self, i: int, n: int) -> LengthValue:
         """Ltilde - L + N at one index."""
@@ -207,13 +200,13 @@ class OmegaEvaluator:
                 den = den + prev
             return self._length(f"colon_intersection^{i}_{n}", num, den)
 
-        return self._cached("colon_int", i, n, build)
+        return self._term("colon_int", i, n, build)
 
     def beta(self) -> LengthValue:
         if self._beta is None:
             zero_colon = Ideal.zero(self.ctx).colon(self.ideal)
-            a = gamma_length(self.ideal, self.policy)
-            b = gamma_length(zero_colon + self.ideal, self.policy)
+            a = gamma_length(self.ideal)
+            b = gamma_length(zero_colon + self.ideal)
             self._beta = lv_sub(a, b)
         return self._beta
 
@@ -229,8 +222,8 @@ class OmegaEvaluator:
             parts.append(v)
 
         if n == 0:
-            colength = loc_quotient_length(self.jc(d - 1) + self.ideal, self.policy)
-            torsion = gamma_length(self.ideal, self.policy)
+            colength = loc_quotient_length(self.jc(d - 1) + self.ideal)
+            torsion = gamma_length(self.ideal)
             push("colength(J[d-1]:I + I)", colength)
             push("-torsion(R/I)",
                  LengthValue.finite(-torsion.value) if torsion.is_finite
@@ -339,8 +332,7 @@ def j_via_sums(ev: OmegaEvaluator, i: int, r: int,
         f"summation route for j_{i} still active at n = {cap}")
 
 
-def j_one_depth_formula(ideal: Ideal, red: GeneralReduction,
-                        policy: TruncationPolicy | None = None) -> LengthValue:
+def j_one_depth_formula(ideal: Ideal, red: GeneralReduction) -> LengthValue:
     """Three-term value for j_1 under the user-asserted depth hypotheses:
     sum of fiber lengths + colength of (J_{d-1}:I + I) - torsion of R/(H+I),
     where H = 0 in dimension one and H = 0:I otherwise."""
@@ -349,9 +341,9 @@ def j_one_depth_formula(ideal: Ideal, red: GeneralReduction,
     ctx = ideal.ctx
     d = ring_dimension(ctx)
     h = Ideal.zero(ctx) if d == 1 else Ideal.zero(ctx).colon(ideal)
-    s = fiber_length_sum(ideal, red.full, policy=policy)
-    colength = loc_quotient_length(red.j(d - 1).colon(ideal) + ideal, policy)
-    torsion = gamma_length(h + ideal, policy)
+    s = fiber_length_sum(ideal, red.full)
+    colength = loc_quotient_length(red.j(d - 1).colon(ideal) + ideal)
+    torsion = gamma_length(h + ideal)
     for v in (s, colength, torsion):
         if v.kind == "non_stabilized":
             return v

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ideals import Ideal
-from .ring import Polynomial, RingContext, format_polynomial, is_prime
+from .ring import (DEFAULT_CAP_M, Polynomial, RingContext, format_polynomial,
+                   is_prime)
 
 
 class ProblemError(ValueError):
@@ -42,7 +43,7 @@ class Options:
     seed: int = 0
     char: int | None = None
     nmax: int | None = None
-    cap_m: int = 200
+    cap_m: int = DEFAULT_CAP_M
     window: int | None = None
     gd_asserted: bool = False
     an_asserted: bool = False
@@ -282,7 +283,7 @@ def parse_problem(text: str, options: Options | None = None) -> ProblemSpec:
     if head(toks) != "ideal":
         raise ProblemSyntaxError(f"expected 'ideal', got {toks[0].text!r}",
                                  no, toks[0].col)
-    ctx = RingContext(tuple(names), char, relations)
+    ctx = RingContext(tuple(names), char, relations, options.cap_m)
     cur = _Cursor(toks[1:], no, ln)
     if cur.peek() is None:
         raise ProblemSyntaxError("empty ideal", no, ln + 1)

@@ -13,8 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .ideals import Ideal, ring_dimension
-from .lengths import (LengthValue, TruncationPolicy, loc_quotient_length,
-                      pair_length)
+from .lengths import LengthValue, loc_quotient_length, pair_length
 from .ring import Polynomial, RingContext, extend_context, lift_poly
 
 REDUCTION_NUMBER_CAP = 30
@@ -75,12 +74,12 @@ def analytic_spread(ideal: Ideal) -> int:
     u, then set the ambient variables to zero."""
     if ideal.is_unit() or ideal.is_zero():
         raise ValueError("analytic spread needs a proper nonzero ideal")
-    ctx = ideal.ctx
-    key = ("spread", ideal.key())
-    got = ctx._cache.get(key)
-    if got is not None:
-        return got
+    return ideal.ctx.memo(("spread", ideal.key()),
+                          lambda: _fiber_dimension(ideal))
 
+
+def _fiber_dimension(ideal: Ideal) -> int:
+    ctx = ideal.ctx
     t = len(ideal.gens)
     t_names = tuple(f"@T{k}" for k in range(t))
     ctx_xt = extend_context(ctx, t_names)
@@ -103,9 +102,7 @@ def analytic_spread(ideal: Ideal) -> int:
         if not g0.is_zero():
             fiber_rows.append(Polynomial(ctx_t, {e[ctx.nvars:]: c
                                                  for e, c in g0.terms.items()}))
-    spread = Ideal(ctx_t, fiber_rows).dimension()
-    ctx._cache[key] = spread
-    return spread
+    return Ideal(ctx_t, fiber_rows).dimension()
 
 
 # --------------------------------------------------------------------------
@@ -116,15 +113,14 @@ def is_reduction(ideal: Ideal, j: Ideal, cap: int = REDUCTION_NUMBER_CAP) -> boo
     return reduction_number(ideal, j, cap) is not None
 
 
-def local_ideal_equal(a: Ideal, b: Ideal,
-                      policy: TruncationPolicy | None = None) -> bool:
+def local_ideal_equal(a: Ideal, b: Ideal) -> bool:
     """Equality of ideals in the local ring at the origin, for b ⊆ a: the
     m-local length of a/b vanishes.  General elements of an ideal may differ
     from it at points away from the origin, so the global basis comparison
     would be too strict here."""
     if a == b:
         return True
-    v = pair_length(a, b, policy)
+    v = pair_length(a, b)
     return v.is_finite and v.value == 0
 
 
@@ -231,29 +227,26 @@ def reduction_ring(ideal: Ideal, red: GeneralReduction) -> ReductionRing:
                          warnings=tuple(notes))
 
 
-def j_zero(ideal: Ideal, red: GeneralReduction,
-           policy: TruncationPolicy | None = None) -> LengthValue:
+def j_zero(ideal: Ideal, red: GeneralReduction) -> LengthValue:
     """Multiplicity of the reduction ring modulo the last general element;
     infinite signals analytic spread below d or a bad sample."""
     d = ring_dimension(ideal.ctx)
     ring = reduction_ring(ideal, red)
     x_last = red.elements[d - 1]
-    return loc_quotient_length(ring.kernel + Ideal(ideal.ctx, [x_last]), policy)
+    return loc_quotient_length(ring.kernel + Ideal(ideal.ctx, [x_last]))
 
 
-def fiber_length_term(ideal: Ideal, j: Ideal, n: int,
-                      policy: TruncationPolicy | None = None) -> LengthValue:
+def fiber_length_term(ideal: Ideal, j: Ideal, n: int) -> LengthValue:
     """Length of I^(n+1) / J I^n."""
-    return pair_length(ideal ** (n + 1), j * (ideal ** n), policy)
+    return pair_length(ideal ** (n + 1), j * (ideal ** n))
 
 
-def fiber_length_sum(ideal: Ideal, j: Ideal, cap: int = E1_TERM_CAP,
-                     policy: TruncationPolicy | None = None) -> LengthValue:
+def fiber_length_sum(ideal: Ideal, j: Ideal, cap: int = E1_TERM_CAP) -> LengthValue:
     """Sum of the lengths of I^(n+1)/J I^n; a zero term ends the sum because
     J I^n = I^(n+1) propagates to every later degree, locally included."""
     total = 0
     for n in range(cap):
-        term = fiber_length_term(ideal, j, n, policy)
+        term = fiber_length_term(ideal, j, n)
         if not term.is_finite:
             return term
         if term.value == 0:
@@ -264,8 +257,7 @@ def fiber_length_sum(ideal: Ideal, j: Ideal, cap: int = E1_TERM_CAP,
 
 
 def kernel_corrected_fiber_sum(ideal: Ideal, red: GeneralReduction,
-                               cap: int = E1_TERM_CAP,
-                               policy: TruncationPolicy | None = None) -> LengthValue:
+                               cap: int = E1_TERM_CAP) -> LengthValue:
     """Sum over n of length(I^(n+1)/J I^n) minus the part meeting
     K = J_{d-1} : I^infinity; the difference quotient embeds into the plain
     fiber quotient, so the first zero fiber term ends the sum."""
@@ -274,13 +266,13 @@ def kernel_corrected_fiber_sum(ideal: Ideal, red: GeneralReduction,
     j_full = red.full
     total = 0
     for n in range(cap):
-        fib = fiber_length_term(ideal, j_full, n, policy)
+        fib = fiber_length_term(ideal, j_full, n)
         if not fib.is_finite:
             return fib
         if fib.value == 0:
             return LengthValue.finite(total)
         meet = pair_length(kernel.intersect(ideal ** (n + 1)),
-                           kernel.intersect(j_full * (ideal ** n)), policy)
+                           kernel.intersect(j_full * (ideal ** n)))
         if not meet.is_finite:
             return meet
         total += fib.value - meet.value
@@ -288,8 +280,8 @@ def kernel_corrected_fiber_sum(ideal: Ideal, red: GeneralReduction,
         f"kernel-corrected fiber terms still nonzero at n = {cap}")
 
 
-def e_one_bar(ideal: Ideal, red: GeneralReduction, cap: int = E1_TERM_CAP,
-              policy: TruncationPolicy | None = None) -> LengthValue:
+def e_one_bar(ideal: Ideal, red: GeneralReduction,
+              cap: int = E1_TERM_CAP) -> LengthValue:
     """First Hilbert coefficient of the image of I in the reduction ring,
     computed as the sum of lengths of Ibar^(n+1)/xbar Ibar^n; the sum stops at
     the first zero term, which is final in dimension one."""
@@ -299,8 +291,8 @@ def e_one_bar(ideal: Ideal, red: GeneralReduction, cap: int = E1_TERM_CAP,
     x_last = Ideal(ctx, [red.elements[d - 1]])
     total = 0
     for n in range(cap):
-        upper = loc_quotient_length(x_last * (ideal ** n) + kernel, policy)
-        lower = loc_quotient_length(ideal ** (n + 1) + kernel, policy)
+        upper = loc_quotient_length(x_last * (ideal ** n) + kernel)
+        lower = loc_quotient_length(ideal ** (n + 1) + kernel)
         if not (upper.is_finite and lower.is_finite):
             return upper if not upper.is_finite else lower
         term = upper.value - lower.value
@@ -345,17 +337,16 @@ class ValabregaVallaReport:
 
 
 def valabrega_valla_check(ideal: Ideal, red: GeneralReduction, nmax: int,
-                          an_asserted: bool = False,
-                          policy: TruncationPolicy | None = None) -> ValabregaVallaReport:
+                          an_asserted: bool = False) -> ValabregaVallaReport:
     d = ring_dimension(ideal.ctx)
     j_small = red.j(d - 1)
     j_full = red.full
     per_n = tuple(
         local_ideal_equal(j_small.intersect(ideal ** (n + 1)),
-                          j_small * (ideal ** n), policy)
+                          j_small * (ideal ** n))
         for n in range(nmax + 1))
-    total = fiber_length_sum(ideal, j_full, policy=policy)
-    e1 = e_one_bar(ideal, red, policy=policy)
+    total = fiber_length_sum(ideal, j_full)
+    e1 = e_one_bar(ideal, red)
     if total.is_finite and e1.is_finite:
         cond_a = total.value == e1.value
         equivalent = cond_a == all(per_n)

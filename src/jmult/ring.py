@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 DEFAULT_CHAR = 32003
+DEFAULT_CAP_M = 200
 MAX_CHAR = 1 << 31
 
 Exponents = tuple  # tuple[int, ...], one slot per ambient variable
@@ -180,12 +181,16 @@ class RingContext:
     generated by all the variables; ideals built over this context implicitly
     contain the relations.  Relations are kept as canonical term data so that
     contexts compare and hash by value.
+
+    ``cap_m`` caps the truncation degree of every local length computed over
+    the context.  It is run configuration, not part of the value.
     """
 
-    __slots__ = ("var_names", "char", "field", "relations", "_sig", "_cache")
+    __slots__ = ("var_names", "char", "field", "relations", "cap_m", "_sig",
+                 "_memo")
 
     def __init__(self, var_names: Iterable[str], char: int = DEFAULT_CHAR,
-                 relations: Iterable = ()):
+                 relations: Iterable = (), cap_m: int = DEFAULT_CAP_M):
         names = tuple(var_names)
         if len(set(names)) != len(names) or not names:
             raise ValueError("variable names must be nonempty and distinct")
@@ -199,8 +204,9 @@ class RingContext:
             if data:
                 rel.append(data)
         self.relations = tuple(rel)
+        self.cap_m = cap_m
         self._sig = (self.var_names, self.char, self.relations)
-        self._cache = {}
+        self._memo = {}
 
     @property
     def nvars(self) -> int:
@@ -215,6 +221,14 @@ class RingContext:
     def __repr__(self):
         rel = f", {len(self.relations)} relations" if self.relations else ""
         return f"RingContext(vars={','.join(self.var_names)}, char={self.char}{rel})"
+
+    def memo(self, key, build):
+        """``build()``, computed once per key over this context; ``build``
+        never returns None."""
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = build()
+        return got
 
     # -- constructors ------------------------------------------------------
 
@@ -432,7 +446,7 @@ def extend_context(ctx: RingContext, extra_names: Iterable[str]) -> RingContext:
     extras = tuple(extra_names)
     pad = (0,) * len(extras)
     lifted = [{e + pad: c for e, c in dict(data).items()} for data in ctx.relations]
-    return RingContext(ctx.var_names + extras, ctx.char, lifted)
+    return RingContext(ctx.var_names + extras, ctx.char, lifted, ctx.cap_m)
 
 
 def lift_poly(f: Polynomial, big: RingContext) -> Polynomial:

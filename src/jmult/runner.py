@@ -7,8 +7,9 @@ dicts with a fixed key order, so identical (input, seed, config) runs emit
 byte-identical JSON.
 
 Exit codes: 0 clean, 2 parse error, 3 hypothesis-surrogate failure (results
-are still printed, marked), 4 non-stabilization or a resource cap, 5 internal
-cross-check violation.
+are still printed, marked), 4 non-stabilization, a resource cap, or a compared
+value that degraded to a named non-finite term, 5 internal cross-check
+violation: a compared value that is finite and wrong.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 from .groebner import ComputationLimitError
 from .hilbert import FitError, fit_hilbert_polynomial
 from .ideals import ring_dimension
-from .lengths import LengthValue, TruncationPolicy
+from .lengths import LengthValue
 from .northcott import HypothesisFlags, assemble_northcott
 from .omega import OmegaEvaluator, j_one_depth_formula, j_via_sums, master_identity_check
 from .oracle import MonomialIdeal, OracleError, mon_quotient_length, oracle_hilbert_coefficients
@@ -56,19 +57,31 @@ class Pipeline:
         if v.kind == "non_stabilized":
             self.flag(NON_STABILIZED, f"{name}: {v.to_json()}")
 
+    def _note_degraded(self, values_json):
+        """Compared route values that are not finite come from a named
+        per-term degradation, not a disagreement (exit 4).  The first reason
+        of a route is noted, once across routes."""
+        if values_json:
+            note = f"not-applicable: {values_json[0]}"
+            self.flag(NON_STABILIZED, None if note in self.diagnostics else note)
+
+    def _check_master(self, master):
+        """Under passing hypotheses a finite row that fails is a cross-check
+        violation; a row with a non-finite side is a degradation."""
+        if not self.hypotheses_effective:
+            return
+        if any(holds is False for *_, holds in master.rows):
+            self.flag(CROSS_CHECK, "master identity failed under passing "
+                                   f"hypotheses for reading {master.reading!r}")
+        self._note_degraded([lhs for _, lhs, _, holds in master.rows
+                             if holds is None])
+
     # -- lazy shared pieces -------------------------------------------------
 
     def _once(self, key, build):
         if key not in self._lazy:
             self._lazy[key] = build()
         return self._lazy[key]
-
-    @property
-    def policy(self) -> TruncationPolicy | None:
-        # policies stay per-call (start degrees track operand degrees); the
-        # cap override flows through the context
-        self.ctx._cache["cap_m_override"] = self.opt.cap_m
-        return None
 
     @property
     def dim(self) -> int:
@@ -109,7 +122,7 @@ class Pipeline:
     @property
     def record(self):
         return self._once("record", lambda: fit_hilbert_polynomial(
-            self.ideal, window=self.opt.window, policy=self.policy,
+            self.ideal, window=self.opt.window,
             extend_to=self.nmax + self.dim + 1))
 
     @property
@@ -141,7 +154,6 @@ class Pipeline:
         red, _ = self.reduction
         return self._once(("evaluator", self.opt.omega_colon),
                           lambda: OmegaEvaluator(self.ideal, red,
-                                                 policy=self.policy,
                                                  reading=self.opt.omega_colon))
 
     # -- envelope -------------------------------------------------------------
@@ -221,14 +233,14 @@ class Pipeline:
         master = None
         if r is not None:
             ev = self.evaluator()
-            jz = j_zero(self.ideal, red, self.policy)
+            jz = j_zero(self.ideal, red)
             routes["jzero"] = jz.to_json()
             self._note_value("jzero", jz)
-            e1 = e_one_bar(self.ideal, red, policy=self.policy)
+            e1 = e_one_bar(self.ideal, red)
             routes["e1_reduction_ring"] = e1.to_json()
             sums = [j_via_sums(ev, i, r) for i in range(1, d + 1)]
             routes["sums"] = [v.to_json() for v in sums]
-            depth_formula = j_one_depth_formula(self.ideal, red, self.policy)
+            depth_formula = j_one_depth_formula(self.ideal, red)
             routes["depth_formula"] = depth_formula.to_json()
 
             agreement["j0_vs_jzero"] = jz.is_finite and jz.value == j_fit[0]
@@ -244,10 +256,13 @@ class Pipeline:
                           for i, v in enumerate(sums))
             if self.hypotheses_effective:
                 agreement["fit_vs_sums"] = sums_ok
-                if not sums_ok:
+                if any(v.is_finite and v.value != j_fit[1 + i]
+                       for i, v in enumerate(sums)):
                     self.flag(CROSS_CHECK,
                               "summation route disagrees with the fitted "
                               "coefficients under passing hypotheses")
+                self._note_degraded([v.to_json() for v in sums
+                                     if not v.is_finite])
             else:
                 agreement["fit_vs_sums"] = ("diagnostic: "
                                             + ("agrees" if sums_ok else "differs")
@@ -255,10 +270,7 @@ class Pipeline:
             for n in range(self.nmax + 1):
                 omega_rows.append(ev.omega(n).to_json())
             master = master_identity_check(rec, ev, self.nmax)
-            if self.hypotheses_effective and not master.all_hold:
-                self.flag(CROSS_CHECK,
-                          "master identity failed under passing hypotheses "
-                          f"for reading {ev.reading!r}")
+            self._check_master(master)
         else:
             routes["jzero"] = "not-applicable (analytic spread below dim)"
 
@@ -300,7 +312,7 @@ class Pipeline:
             self.flag(CROSS_CHECK, "leading coefficient positivity disagrees "
                                    "with the analytic spread criterion")
         if r is not None:
-            jz = j_zero(self.ideal, red, self.policy)
+            jz = j_zero(self.ideal, red)
             out["jzero_route"] = jz.to_json()
             out["agrees"] = jz.is_finite and jz.value == rec.coefficients[0]
             if not out["agrees"]:
@@ -323,8 +335,7 @@ class Pipeline:
                              "(analytic spread must equal the dimension)"}
         rep = valabrega_valla_check(self.ideal, red, self.nmax,
                                     an_asserted=self.opt.an_asserted
-                                    or self.m_primary,
-                                    policy=self.policy)
+                                    or self.m_primary)
         self._note_value("fiber length sum", rep.sum_value)
         self._note_value("e1 of the reduction ring", rep.e1bar)
         if rep.equivalent is False:
@@ -339,9 +350,7 @@ class Pipeline:
         ev = self.evaluator()
         rows = [ev.omega(n).to_json() for n in range(self.nmax + 1)]
         master = master_identity_check(self.record, ev, self.nmax)
-        if self.hypotheses_effective and not master.all_hold:
-            self.flag(CROSS_CHECK, "master identity failed under passing "
-                                   f"hypotheses for reading {ev.reading!r}")
+        self._check_master(master)
         return {"omega": rows, "master_identity": master.to_json()}
 
     def cmd_northcott(self) -> dict:
@@ -361,8 +370,7 @@ class Pipeline:
         report = assemble_northcott(
             self.ideal, red, r, j1, "fit",
             surrogate_passed=self.surrogate.all_passed,
-            m_primary=self.m_primary, flags=self.flags, policy=self.policy,
-            extra_notes=notes)
+            m_primary=self.m_primary, flags=self.flags, extra_notes=notes)
         if report.equality_case_verdict == "violated":
             self.flag(CROSS_CHECK, "equality case and reduction number "
                                    "disagree under passing hypotheses")

@@ -1,8 +1,13 @@
+import dataclasses
 import io
 import json
 import sys
 
+import pytest
+
+import jmult.runner
 from jmult.cli import main
+from jmult.lengths import LengthValue
 
 M2 = "ring char=32003 vars=x,y\nideal x^2,x*y,y^2\n"
 FAMILY = "ring char=32003 vars=x,y\nmod x^3-x^2*y\nideal x*y\n"
@@ -116,3 +121,53 @@ def test_assert_flags_echoed(capsys, monkeypatch):
     rep = json.loads(out)
     assert rep["hypotheses"]["flags"]["an_asserted"] is True
     assert "holds" in rep["results"]["depth_verdict"]
+
+
+DEGRADED = "non-stabilized: Ktilde^0_1: stand-in containment failure"
+
+
+def test_sums_degradation_is_not_applicable(capsys, monkeypatch):
+    """Under passing hypotheses a non-finite summation entry is a named term
+    degradation (exit 4, noted once), not a disagreement (exit 5)."""
+    bad = LengthValue.non_stabilized(DEGRADED.split(": ", 1)[1])
+    monkeypatch.setattr(jmult.runner, "j_via_sums", lambda ev, i, r: bad)
+    code, out = run_cli(capsys, monkeypatch, "coeffs", M2)
+    rep = json.loads(out)
+    assert rep["results"]["j"] == [4, 1, 0]
+    assert rep["results"]["routes"]["sums"] == [DEGRADED, DEGRADED]
+    assert rep["diagnostics"] == [f"not-applicable: {DEGRADED}"]
+    assert code == 4
+
+
+def test_sums_finite_mismatch_is_cross_check(capsys, monkeypatch):
+    monkeypatch.setattr(jmult.runner, "j_via_sums",
+                        lambda ev, i, r: LengthValue.finite(99))
+    code, out = run_cli(capsys, monkeypatch, "coeffs", M2)
+    rep = json.loads(out)
+    assert ("summation route disagrees with the fitted coefficients under "
+            "passing hypotheses") in rep["diagnostics"]
+    assert code == 5
+
+
+@pytest.mark.parametrize("degraded, want", [(True, 4), (False, 5)])
+def test_master_identity_row_exit_code(capsys, monkeypatch, degraded, want):
+    """A master-identity row with a non-finite side is a degradation; a
+    finite row that fails is a cross-check violation."""
+    real = jmult.runner.master_identity_check
+
+    def one_bad_row(record, ev, nmax):
+        rep = real(record, ev, nmax)
+        n, _, rhs, _ = rep.rows[1]
+        row = (n, DEGRADED, rhs, None) if degraded else (n, rhs + 1, rhs, False)
+        rows = (rep.rows[0], row) + rep.rows[2:]
+        return dataclasses.replace(rep, rows=rows, all_hold=False)
+
+    monkeypatch.setattr(jmult.runner, "master_identity_check", one_bad_row)
+    code, out = run_cli(capsys, monkeypatch, "omega", M2)
+    diagnostics = json.loads(out)["diagnostics"]
+    if degraded:
+        assert diagnostics == [f"not-applicable: {DEGRADED}"]
+    else:
+        assert diagnostics == ["master identity failed under passing "
+                               "hypotheses for reading 'x1'"]
+    assert code == want

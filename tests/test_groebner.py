@@ -4,8 +4,8 @@ import pytest
 
 from jmult import Ideal, RingContext, groebner_basis
 from jmult.groebner import ComputationLimitError
-from jmult.ideals import eliminate, krull_dimension, standard_monomial_count
-from jmult.lengths import standard_monomial_count as smc_length
+from jmult.ideals import eliminate
+from jmult.lengths import loc_quotient_length
 
 from conftest import monomial_ideal, random_monomial_ideal
 
@@ -59,18 +59,19 @@ def test_certify_on_random_bases(ctx2, xy):
 
 def test_standard_monomial_count(ctx2, xy):
     x, y = xy
-    assert standard_monomial_count(monomial_ideal(ctx2, (2, 0), (1, 1), (0, 2))) == 3
-    assert standard_monomial_count(Ideal.unit(ctx2)) == 0
-    assert standard_monomial_count(Ideal(ctx2, [x])) is None
-    assert smc_length(Ideal(ctx2, [x])).kind == "infinite"
+    art = monomial_ideal(ctx2, (2, 0), (1, 1), (0, 2))
+    assert art.gb().standard_monomial_count() == 3
+    assert Ideal.unit(ctx2).gb().standard_monomial_count() == 0
+    assert Ideal(ctx2, [x]).gb().standard_monomial_count() is None
+    assert loc_quotient_length(Ideal(ctx2, [x])).kind == "infinite"
 
 
 def test_krull_dimension(ctx2, ctx_family, xy):
     x, y = xy
-    assert krull_dimension(Ideal(ctx2, [x])) == 1
-    assert krull_dimension(monomial_ideal(ctx2, (2, 0), (1, 1), (0, 2))) == 0
-    assert krull_dimension(Ideal.zero(ctx_family)) == 1
-    assert krull_dimension(Ideal.unit(ctx2)) == -1
+    assert Ideal(ctx2, [x]).dimension() == 1
+    assert monomial_ideal(ctx2, (2, 0), (1, 1), (0, 2)).dimension() == 0
+    assert Ideal.zero(ctx_family).dimension() == 1
+    assert Ideal.unit(ctx2).dimension() == -1
 
 
 def test_eliminate_examples():
@@ -117,6 +118,6 @@ def test_standard_count_matches_oracle_lattice(ctx2):
         if not ideal.gens:
             continue
         want = mon_quotient_length(MonomialIdeal.from_ideal(ideal))
-        got = standard_monomial_count(ideal)
+        got = ideal.gb().standard_monomial_count()
         assert got == want
         checked += 1

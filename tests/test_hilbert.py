@@ -3,7 +3,7 @@ import pytest
 from jmult import (FitError, Ideal, binomial, binomial_basis_convert,
                    fit_hilbert_polynomial, graded_torsion_length,
                    hilbert_function)
-from jmult.hilbert import detect_polynomial_window
+from jmult.hilbert import backward_difference, detect_polynomial_window
 
 from conftest import monomial_ideal
 
@@ -14,6 +14,12 @@ def test_binomial_generalized():
     assert binomial(-1, 1) == -1
     assert binomial(-2, 2) == 3
     assert binomial(7, 0) == 1
+
+
+def test_backward_difference_basics():
+    assert backward_difference(lambda n: 7, 1, 5) == 0
+    assert backward_difference(lambda n: n * n, 2, 5) == 2
+    assert backward_difference(lambda n: n * n * n, 0, 4) == 64
 
 
 def test_basis_convert_examples():

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from jmult import AlgebraWarning, Ideal, MonomialIdeal
-from jmult.ideals import codimension
 
 from conftest import monomial_ideal, random_monomial_ideal
 
@@ -56,11 +55,11 @@ def test_equality_and_membership(ctx2, xy):
 
 def test_codimension(ctx2, ctx_family, xy):
     x, y = xy
-    assert codimension(Ideal(ctx2, [x])) == 1
-    assert codimension(monomial_ideal(ctx2, (2, 0), (1, 1), (0, 2))) == 2
-    assert codimension(Ideal.maximal(ctx_family)) == 1
+    assert Ideal(ctx2, [x]).codimension() == 1
+    assert monomial_ideal(ctx2, (2, 0), (1, 1), (0, 2)).codimension() == 2
+    assert Ideal.maximal(ctx_family).codimension() == 1
     with pytest.warns(AlgebraWarning):
-        assert codimension(Ideal.unit(ctx2)) == 3
+        assert Ideal.unit(ctx2).codimension() == 3
 
 
 def test_colon_times_divisor_contained(ctx2):

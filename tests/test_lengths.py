@@ -3,8 +3,9 @@ import random
 import pytest
 
 from jmult import (ContainmentError, Ideal, LengthValue, MonomialIdeal,
-                   TruncationPolicy, gamma_length, loc_quotient_length,
-                   mon_pair_length, pair_length, truncated_dim)
+                   Options, gamma_length, loc_quotient_length,
+                   mon_pair_length, pair_length, parse_problem, truncated_dim)
+from jmult.ring import extend_context
 
 from conftest import monomial_ideal, random_monomial_ideal
 
@@ -48,11 +49,18 @@ def test_gamma_examples(ctx2, xy):
     assert gamma_length(monomial_ideal(ctx2, (2, 0), (1, 1), (0, 2))).value == 3
 
 
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        TruncationPolicy(start_m=0)
-    with pytest.raises(ValueError):
-        TruncationPolicy(start_m=10, cap_m=5)
+def test_cap_m_reaches_every_length():
+    """The parsed cap bounds the truncation degree of a length computed
+    straight after parsing, and of contexts derived from the parsed ring; it
+    never drops below start + 8 (start = 2 (d + 1) = 6 for the ideal (x))."""
+    text = "ring char=32003 vars=x,y\nideal x\n"
+    for cap, last in ((30, 30), (1, 14)):
+        spec = parse_problem(text, Options(cap_m=cap))
+        x = spec.ring.var("x")
+        v = loc_quotient_length(Ideal(spec.ring, [x]))
+        assert v.kind == "infinite"
+        assert v.reason == f"D(M) still growing at M={last}"
+        assert extend_context(spec.ring, ("t",)).cap_m == cap
 
 
 def _abcd_quadruple(ctx, rng):
@@ -120,7 +128,6 @@ def test_engine_matches_oracle_on_finite_pairs(ctx2):
 def test_monotone_stabilization_diagnostic(ctx2, xy):
     """D(M) should be non-decreasing up to stabilization; report violations."""
     x, y = xy
-    from jmult.lengths import default_policy
     m = Ideal.maximal(ctx2)
     rng = random.Random(67)
     violations = []
@@ -129,9 +136,9 @@ def test_monotone_stabilization_diagnostic(ctx2, xy):
         if not a.gens:
             continue
         b = a * m
-        policy = default_policy(a, b)
+        start = 2 * (2 + b.max_gen_degree())
         trace = [truncated_dim(b, mm) - truncated_dim(a, mm)
-                 for mm in list(policy.samples())[:6]]
+                 for mm in range(start, start + 12, 2)]
         if any(u > v for u, v in zip(trace, trace[1:])):
             violations.append((a, trace))
     if violations:  # diagnostic only, never a failure

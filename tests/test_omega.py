@@ -3,7 +3,6 @@ import pytest
 from jmult import (Ideal, OmegaEvaluator, fit_hilbert_polynomial,
                    general_minimal_reduction, j_one_depth_formula, j_via_sums,
                    master_identity_check, pair_length)
-from jmult.omega import delta_operator
 
 from conftest import monomial_ideal
 
@@ -15,12 +14,6 @@ def m2_pipeline(ctx2):
     rec = fit_hilbert_polynomial(ideal, extend_to=r + 7)
     ev = OmegaEvaluator(ideal, red)
     return ideal, red, r, rec, ev
-
-
-def test_delta_operator_basics():
-    assert delta_operator(lambda n: 7, 1, 5) == 0
-    assert delta_operator(lambda n: n * n, 2, 5) == 2
-    assert delta_operator(lambda n: n * n * n, 0, 4) == 64
 
 
 def test_omega_zero_dimension_one(ctx_family):
