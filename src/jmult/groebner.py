@@ -14,7 +14,8 @@ polynomial ring and its quotients.
 from __future__ import annotations
 
 import heapq
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from .ring import (GREVLEX, MonomialOrder, Polynomial, RingContext,
                    mono_degree, mono_div, mono_divides, mono_lcm, mono_mul)
@@ -98,18 +99,24 @@ def _spoly(f: dict, g: dict, order, p: int) -> dict:
 def buchberger_raw(gens, nvars: int, p: int, order: MonomialOrder,
                    pair_cap: int = DEFAULT_PAIR_CAP,
                    term_cap: int = DEFAULT_TERM_CAP,
-                   assume_gb_prefix: int = 0):
+                   below: int | None = None):
     """Reduced monic Groebner basis of the term dicts in ``gens``.
 
-    ``assume_gb_prefix`` marks an initial segment already known to be a
-    Groebner basis, whose internal S-pairs are skipped.  Returns a list of
-    term dicts sorted descending by leading monomial; the unit ideal comes
-    back as ``[{0-exponent: 1}]`` and the zero ideal as ``[]``.
+    With ``below = M`` the basis is taken in k[x]/m^M: input rows and
+    S-polynomials drop every term of degree >= M, and each row with a term
+    below its lead degree is also paired with every degree-M multiple u of
+    its lead (S-polynomial (u / lead) * row, truncated).  The rows returned
+    together with the degree-M monomials then form a Groebner basis of
+    (gens) + m^M.  This needs a degree-compatible order.
+
+    Returns a list of term dicts sorted descending by leading monomial; the
+    unit ideal comes back as ``[{0-exponent: 1}]`` and the zero ideal as
+    ``[]``.
     """
     keyf = order.key
     basis = []
     for g in gens:
-        g = {e: c % p for e, c in g.items() if c % p}
+        g = _truncate({e: c % p for e, c in g.items() if c % p}, below)
         if g:
             basis.append(g)
     one = (0,) * nvars
@@ -128,52 +135,81 @@ def buchberger_raw(gens, nvars: int, p: int, order: MonomialOrder,
                 kept.append(e)
         kept.sort(key=keyf, reverse=True)
         return [{e: 1} for e in kept]
-    leads = [max(g, key=keyf) for g in basis]
 
     heap = []
     done = set()
-    for i, j in combinations(range(len(basis)), 2):
-        if i < assume_gb_prefix and j < assume_gb_prefix:
-            done.add((i, j))
-            continue
-        _push_pair(heap, keyf, leads, i, j)
+    treated = set()  # boundary pairs (row, u) already popped
+    leads, low, prepped = [], [], []
 
-    prepped = _prepare(basis, order, p)
+    def add_row(g):
+        t = len(leads)
+        prepped.extend(_prepare([g], order, p))
+        le = prepped[t][0]
+        leads.append(le)
+        for i in range(t):
+            _push_pair(heap, keyf, leads, i, t)
+        # only terms below the lead degree survive a boundary S-polynomial
+        low.append(below is not None
+                   and min(map(mono_degree, g)) < mono_degree(le))
+        if low[t]:
+            # boundary pairs (row t, u); the -1 sorts them apart from row pairs
+            for u in _degree_multiples(le, below):
+                heapq.heappush(heap, (keyf(u), t, -1, u))
+
+    for g in basis:
+        add_row(g)
     processed = 0
     while heap:
-        _, i, j = heapq.heappop(heap)
-        if (i, j) in done:
-            continue
-        done.add((i, j))
+        _, i, j, *bound = heapq.heappop(heap)
         processed += 1
         if processed > pair_cap:
             raise ComputationLimitError(f"pair count exceeded {pair_cap}")
-        li, lj = leads[i], leads[j]
-        lcm = mono_lcm(li, lj)
-        # product criterion: coprime leads reduce to zero
-        if lcm == mono_mul(li, lj):
-            continue
-        # two monomials have a vanishing S-polynomial
-        if len(basis[i]) == 1 and len(basis[j]) == 1:
-            continue
-        # chain criterion over pairs already considered
-        if _chain_skip(leads, done, i, j, lcm):
-            continue
-        s = _spoly(basis[i], basis[j], order, p)
-        r = _reduce_raw(s, prepped, keyf, p, term_cap)
+        if bound:
+            u = bound[0]
+            treated.add((i, u))
+            if _boundary_chain_skip(leads, low, done, treated, i, u):
+                continue
+            shift = mono_div(u, leads[i])
+            s = {mono_mul(e, shift): c for e, c in basis[i].items()}
+        else:
+            done.add((i, j))
+            li, lj = leads[i], leads[j]
+            lcm = mono_lcm(li, lj)
+            # product criterion: coprime leads reduce to zero
+            if lcm == mono_mul(li, lj):
+                continue
+            # two monomials have a vanishing S-polynomial
+            if len(basis[i]) == 1 and len(basis[j]) == 1:
+                continue
+            # chain criterion over pairs already considered
+            if _chain_skip(leads, done, i, j, lcm):
+                continue
+            s = _spoly(basis[i], basis[j], order, p)
+        r = _reduce_raw(_truncate(s, below), prepped, keyf, p, term_cap)
         if not r:
             continue
         if max(r, key=keyf) == one:
             return [{one: 1}]
-        t = len(basis)
         basis.append(r)
-        leads.append(max(r, key=keyf))
-        le = leads[t]
-        prepped.append((le, pow(r[le], -1, p), [(e, c) for e, c in r.items() if e != le]))
-        for i2 in range(t):
-            _push_pair(heap, keyf, leads, i2, t)
+        add_row(r)
 
     return _interreduce(basis, order, p, term_cap)
+
+
+def _truncate(f: dict, below) -> dict:
+    if below is None:
+        return f
+    return {e: c for e, c in f.items() if mono_degree(e) < below}
+
+
+def _degree_multiples(le, m: int):
+    """Every monomial of total degree m divisible by ``le``."""
+    n = len(le)
+    for combo in combinations_with_replacement(range(n), m - mono_degree(le)):
+        e = list(le)
+        for k in combo:
+            e[k] += 1
+        yield tuple(e)
 
 
 def _push_pair(heap, keyf, leads, i, j):
@@ -189,6 +225,18 @@ def _chain_skip(leads, done, i, j, lcm) -> bool:
             b = (min(j, k), max(j, k))
             if a in done and b in done:
                 return True
+    return False
+
+
+def _boundary_chain_skip(leads, low, done, treated, i, u) -> bool:
+    """Chain criterion for the boundary pair (row i, monomial u): some row k
+    with lead dividing u has had (k, u) treated (trivially so when k has no
+    term below its lead degree) and (i, k) is done."""
+    for k in range(len(leads)):
+        if k == i or not mono_divides(leads[k], u):
+            continue
+        if (not low[k] or (k, u) in treated) and (min(i, k), max(i, k)) in done:
+            return True
     return False
 
 
@@ -220,30 +268,21 @@ def _interreduce(basis, order, p, term_cap):
 # staircase combinatorics on leading monomials
 
 
-def count_standard_monomials(leads, nvars: int):
-    """Number of monomials outside the monomial ideal generated by ``leads``;
-    None when infinite.  Finite exactly when every variable has a pure power
-    among the generators."""
-    leads = list(leads)
-    if any(not any(e) for e in leads):
+def count_standard_monomials(leads, nvars: int, below: int) -> int:
+    """Number of monomials of degree below ``below`` outside the monomial
+    ideal generated by ``leads``."""
+    if below <= 0 or any(not any(e) for e in leads):
         return 0
-    for i in range(nvars):
-        if not any(e[i] and all(x == 0 for j, x in enumerate(e) if j != i)
-                   for e in leads):
-            return None
-    return _count_staircase(leads, nvars)
-
-
-def _count_staircase(leads, nvars: int) -> int:
-    # every variable has a pure power in leads, so each slice stays finite
-    if any(not any(e) for e in leads):
-        return 0
-    if nvars == 1:
-        return min(e[0] for e in leads)
-    cap = min(e[0] for e in leads if not any(e[1:]))
+    if not leads:
+        return comb(below - 1 + nvars, nvars)
+    # x0^a times a monomial r: on each run lo <= a < hi the leads that can
+    # divide are fixed, and a slack last variable sums over a
+    cuts = sorted({0, below} | {e[0] for e in leads if e[0] < below})
     total = 0
-    for a in range(cap):
-        total += _count_staircase([e[1:] for e in leads if e[0] <= a], nvars - 1)
+    for lo, hi in zip(cuts, cuts[1:]):
+        rest = [e[1:] + (0,) for e in leads if e[0] <= lo]
+        total += (count_standard_monomials(rest, nvars, below - lo)
+                  - count_standard_monomials(rest, nvars, below - hi))
     return total
 
 
@@ -312,12 +351,6 @@ class GroebnerBasis:
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
 
-    def standard_monomial_count(self):
-        """dim_k of the quotient by this basis when finite, else None."""
-        if self.is_unit():
-            return 0
-        return count_standard_monomials(self.leads, self.ctx.nvars)
-
     def dimension(self) -> int:
         """Krull dimension of the quotient (global; -1 for the unit ideal)."""
         if self.is_unit():
@@ -339,14 +372,12 @@ class GroebnerBasis:
 def groebner_basis(ctx: RingContext, polys, order: MonomialOrder = GREVLEX,
                    include_relations: bool = True,
                    pair_cap: int = DEFAULT_PAIR_CAP,
-                   term_cap: int = DEFAULT_TERM_CAP,
-                   assume_gb_prefix: int = 0) -> GroebnerBasis:
+                   term_cap: int = DEFAULT_TERM_CAP) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``polys`` plus, by
     default, the context relations."""
     rows = [f.terms for f in polys if not f.is_zero()]
     if include_relations:
         rows.extend(dict(data) for data in ctx.relations)
     raw = buchberger_raw(rows, ctx.nvars, ctx.char, order,
-                         pair_cap=pair_cap, term_cap=term_cap,
-                         assume_gb_prefix=assume_gb_prefix)
+                         pair_cap=pair_cap, term_cap=term_cap)
     return GroebnerBasis(ctx, order, raw)

@@ -10,6 +10,13 @@ supported away from the origin are invisible to the truncation, which is
 exactly the localization the working ring demands; that behaviour is
 deliberate and tested.
 
+Each snapshot is one Groebner basis in k[x]/m^M: ``buchberger_raw(...,
+below=M)`` drops every term of degree >= M and pairs each row that has a term
+below its lead degree with the degree-M multiples of its lead (the boundary
+pairs).  Dropping terms alone is not exact on non-homogeneous rows: for
+(x - y^2) at M = 3 it would leave 5 standard monomials instead of 3.  The
+snapshot is the number of monomials of degree < M outside the leads.
+
 The sampling schedule lives here and nowhere else.  M starts at
 2 (d + the largest generator or relation degree of the operands), past every
 generator's own scale, and steps by ``STEP_M``; the difference is stable
@@ -25,7 +32,6 @@ answer surfaces as a cross-check failure, never silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .groebner import buchberger_raw, count_standard_monomials
 from .ideals import Ideal, ring_dimension
@@ -92,17 +98,6 @@ def lv_sub(a: LengthValue, b: LengthValue) -> LengthValue:
     return LengthValue.non_stabilized("indeterminate difference of lengths")
 
 
-def degree_monomial_rows(nvars: int, m: int):
-    """Term dicts of all monomials of total degree m."""
-    rows = []
-    for combo in combinations_with_replacement(range(nvars), m):
-        e = [0] * nvars
-        for i in combo:
-            e[i] += 1
-        rows.append({tuple(e): 1})
-    return rows
-
-
 def truncated_dim(ideal_: Ideal, m: int) -> int:
     """dim_k of R/(ideal + m^M): the Artinian snapshot, always finite."""
     return ideal_.ctx.memo(("truncdim", ideal_.key(), m),
@@ -114,13 +109,10 @@ def _artinian_dim(ideal_: Ideal, m: int) -> int:
     if gb.is_unit():
         return 0
     ctx = ideal_.ctx
-    rows = [g.terms for g in gb.polys]
-    prefix = len(rows)
-    rows += degree_monomial_rows(ctx.nvars, m)
-    raw = buchberger_raw(rows, ctx.nvars, ctx.char, gb.order,
-                         assume_gb_prefix=prefix)
+    raw = buchberger_raw([g.terms for g in gb.polys], ctx.nvars, ctx.char,
+                         gb.order, below=m)
     leads = [max(r, key=gb.order.key) for r in raw]
-    return count_standard_monomials(leads, ctx.nvars)
+    return count_standard_monomials(leads, ctx.nvars, m)
 
 
 def pair_length(a: Ideal, b: Ideal) -> LengthValue:

@@ -267,7 +267,15 @@ class MasterIdentityReport:
 
     reading: str
     rows: tuple   # (n, lhs json, rhs int, holds-or-None)
-    all_hold: bool
+
+    @property
+    def all_hold(self):
+        """False when a finite row fails; otherwise None when some row has a
+        non-finite side, else True."""
+        holds = [h for *_, h in self.rows]
+        if False in holds:
+            return False
+        return None if None in holds else True
 
     def to_json(self):
         return {
@@ -281,23 +289,17 @@ class MasterIdentityReport:
 def master_identity_check(record: HilbertRecord, ev: OmegaEvaluator,
                           nmax: int) -> MasterIdentityReport:
     rows = []
-    all_hold = True
     for n in range(nmax + 1):
         fib = ev.fiber(n)
         om = ev.omega(n).total
         rhs = record.delta_p_minus_h(n)
         if fib.is_finite and om.is_finite:
             lhs = fib.value + om.value
-            holds = lhs == rhs
-            rows.append((n, lhs, rhs, holds))
+            rows.append((n, lhs, rhs, lhs == rhs))
         else:
-            holds = None
             bad = fib if not fib.is_finite else om
             rows.append((n, bad.to_json(), rhs, None))
-        if holds is not True:
-            all_hold = False
-    return MasterIdentityReport(reading=ev.reading, rows=tuple(rows),
-                                all_hold=all_hold)
+    return MasterIdentityReport(reading=ev.reading, rows=tuple(rows))
 
 
 def j_via_sums(ev: OmegaEvaluator, i: int, r: int,

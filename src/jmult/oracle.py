@@ -51,10 +51,6 @@ class MonomialIdeal:
             exps.append(next(iter(g.terms)))
         return cls(ideal.ctx.nvars, exps)
 
-    def to_ideal(self, ctx):
-        from .ideals import Ideal
-        return Ideal(ctx, [ctx.monomial(e) for e in self.gens])
-
     # -- membership ----------------------------------------------------------
 
     def contains_exp(self, e) -> bool:

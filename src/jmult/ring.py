@@ -56,7 +56,7 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """Residue arithmetic mod an odd prime p < 2**31."""
+    """The prime field of an odd prime p < 2**31: validation and inverses."""
 
     __slots__ = ("p",)
 
@@ -67,28 +67,10 @@ class PrimeField:
             raise ValueError(f"characteristic {p} is not prime")
         self.p = p
 
-    def norm(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero residue")
         return pow(a, -1, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return a * self.inv(b) % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and self.p == other.p
@@ -297,9 +279,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(mono_degree(e) == 0 for e in self.terms)
-
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
@@ -350,11 +329,6 @@ class Polynomial:
         p = self.ctx.char
         c %= p
         return Polynomial(self.ctx, {e: c * v % p for e, v in self.terms.items()})
-
-    def mul_term(self, exps: Exponents, coef: int = 1) -> "Polynomial":
-        p = self.ctx.char
-        return Polynomial(self.ctx, {mono_mul(e, exps): c * coef % p
-                                     for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -439,7 +413,7 @@ def format_polynomial(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:
 
 
 # --------------------------------------------------------------------------
-# ring extension and projection (auxiliary variables go at the end)
+# ring extension (auxiliary variables go at the end)
 
 
 def extend_context(ctx: RingContext, extra_names: Iterable[str]) -> RingContext:
@@ -453,13 +427,3 @@ def lift_poly(f: Polynomial, big: RingContext) -> Polynomial:
     pad = (0,) * (big.nvars - f.ctx.nvars)
     return Polynomial(big, {e + pad: c for e, c in f.terms.items()})
 
-
-def project_poly(f: Polynomial, small: RingContext) -> Polynomial:
-    """Drop trailing coordinates, which must all be zero in every term."""
-    k = small.nvars
-    out = {}
-    for e, c in f.terms.items():
-        if any(e[k:]):
-            raise ValueError("polynomial mentions an auxiliary variable")
-        out[e[:k]] = c
-    return Polynomial(small, out)

@@ -255,9 +255,12 @@ class Pipeline:
             sums_ok = all(v.is_finite and v.value == j_fit[1 + i]
                           for i, v in enumerate(sums))
             if self.hypotheses_effective:
-                agreement["fit_vs_sums"] = sums_ok
-                if any(v.is_finite and v.value != j_fit[1 + i]
-                       for i, v in enumerate(sums)):
+                mismatch = any(v.is_finite and v.value != j_fit[1 + i]
+                               for i, v in enumerate(sums))
+                # a non-finite entry is a degradation, not a disagreement
+                agreement["fit_vs_sums"] = (False if mismatch
+                                            else True if sums_ok else None)
+                if mismatch:
                     self.flag(CROSS_CHECK,
                               "summation route disagrees with the fitted "
                               "coefficients under passing hypotheses")

@@ -135,6 +135,7 @@ def test_sums_degradation_is_not_applicable(capsys, monkeypatch):
     rep = json.loads(out)
     assert rep["results"]["j"] == [4, 1, 0]
     assert rep["results"]["routes"]["sums"] == [DEGRADED, DEGRADED]
+    assert rep["results"]["agreement"]["fit_vs_sums"] is None
     assert rep["diagnostics"] == [f"not-applicable: {DEGRADED}"]
     assert code == 4
 
@@ -144,6 +145,7 @@ def test_sums_finite_mismatch_is_cross_check(capsys, monkeypatch):
                         lambda ev, i, r: LengthValue.finite(99))
     code, out = run_cli(capsys, monkeypatch, "coeffs", M2)
     rep = json.loads(out)
+    assert rep["results"]["agreement"]["fit_vs_sums"] is False
     assert ("summation route disagrees with the fitted coefficients under "
             "passing hypotheses") in rep["diagnostics"]
     assert code == 5
@@ -160,11 +162,15 @@ def test_master_identity_row_exit_code(capsys, monkeypatch, degraded, want):
         n, _, rhs, _ = rep.rows[1]
         row = (n, DEGRADED, rhs, None) if degraded else (n, rhs + 1, rhs, False)
         rows = (rep.rows[0], row) + rep.rows[2:]
-        return dataclasses.replace(rep, rows=rows, all_hold=False)
+        return dataclasses.replace(rep, rows=rows)
 
     monkeypatch.setattr(jmult.runner, "master_identity_check", one_bad_row)
     code, out = run_cli(capsys, monkeypatch, "omega", M2)
-    diagnostics = json.loads(out)["diagnostics"]
+    rep = json.loads(out)
+    diagnostics = rep["diagnostics"]
+    # a non-finite row leaves the identity undecided, a failing one false
+    assert rep["results"]["master_identity"]["holds"] is (None if degraded
+                                                          else False)
     if degraded:
         assert diagnostics == [f"not-applicable: {DEGRADED}"]
     else:

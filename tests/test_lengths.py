@@ -3,8 +3,9 @@ import random
 import pytest
 
 from jmult import (ContainmentError, Ideal, LengthValue, MonomialIdeal,
-                   Options, gamma_length, loc_quotient_length,
-                   mon_pair_length, pair_length, parse_problem, truncated_dim)
+                   Options, RingContext, gamma_length, groebner_basis,
+                   loc_quotient_length, mon_pair_length, mon_quotient_length,
+                   pair_length, parse_problem, truncated_dim)
 from jmult.ring import extend_context
 
 from conftest import monomial_ideal, random_monomial_ideal
@@ -15,6 +16,45 @@ def test_truncated_dim_examples(ctx2, xy):
     assert truncated_dim(Ideal(ctx2, [x]), 3) == 3
     assert truncated_dim(Ideal.unit(ctx2), 7) == 0
     assert truncated_dim(Ideal.zero(ctx2), 2) == 3
+
+
+def _random_poly(ctx, rng, max_deg=3):
+    f = ctx.zero
+    for _ in range(rng.randrange(2, 4)):
+        e = [0] * ctx.nvars
+        for _ in range(rng.randrange(1, max_deg + 1)):
+            e[rng.randrange(ctx.nvars)] += 1
+        f = f + ctx.monomial(e, rng.randrange(1, ctx.char))
+    return f
+
+
+def _degree_exponents(n, m):
+    if n == 1:
+        return [(m,)]
+    return [(a,) + e for a in range(m + 1) for e in _degree_exponents(n - 1, m - a)]
+
+
+def test_truncated_dim_matches_definition(ctx2, xy):
+    """dim_k R/(I + m^M) from the truncated basis equals the literal
+    definition: a Groebner basis of I plus every degree-M monomial, its
+    staircase counted by the oracle.  Random non-homogeneous ideals, some in
+    a quotient ring."""
+    x, y = xy
+    # dropping terms alone would leave 1, x, y, x^2, x*y
+    assert truncated_dim(Ideal(ctx2, [x - y * y]), 3) == 3
+    rng = random.Random(71)
+    for _ in range(200):
+        names = ("x", "y", "z")[:rng.randrange(2, 4)]
+        ctx = RingContext(names, 32003)
+        if rng.random() < 0.3:
+            ctx = RingContext(names, 32003, relations=[_random_poly(ctx, rng)])
+        gens = [_random_poly(ctx, rng) for _ in range(rng.randrange(1, 4))]
+        ideal = Ideal(ctx, gens)
+        for m in rng.sample(range(1, 10), 2):
+            power = [ctx.monomial(e) for e in _degree_exponents(ctx.nvars, m)]
+            gb = groebner_basis(ctx, gens + power)
+            want = mon_quotient_length(MonomialIdeal(ctx.nvars, gb.leads))
+            assert truncated_dim(ideal, m) == want, (ctx, gens, m)
 
 
 def test_pair_length_examples(ctx2, xy):
