@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .parser import Options, ProblemError, parse_problem
+from .ideals import ring_dimension
+from .parser import Options, ProblemError, ProblemSpec, parse_problem
 from .ring import DEFAULT_CAP_M
 from .runner import COMMANDS, PARSE_ERROR, emit_report, run_command
 
@@ -25,10 +26,10 @@ semantics: the working ring is k[vars]/(mod relations) localized at the ideal
 of all variables, so every reported length is local at the origin; components
 supported away from the origin are invisible by design.
 
-exit codes: 0 ok, 2 parse error, 3 hypothesis-surrogate failure (results
-still printed, marked), 4 non-stabilization, resource cap, or a compared value
-that degraded to a named non-finite term, 5 internal cross-check violation (a
-finite compared value that is wrong).
+exit codes: 0 ok, 2 parse error or out-of-range flag, 3 hypothesis-surrogate
+failure (results still printed, marked), 4 non-stabilization, resource cap, or
+a compared value that degraded to a named non-finite term, 5 internal
+cross-check violation (a finite compared value that is wrong).
 """
 
 
@@ -77,6 +78,17 @@ def options_from_args(args) -> Options:
                    fmt=args.fmt, oracle=args.oracle)
 
 
+def _flag_error(spec: ProblemSpec) -> str | None:
+    """Why --nmax or --window is out of range for the problem, if it is."""
+    opt = spec.options
+    if opt.nmax is not None and opt.nmax < 0:
+        return f"--nmax must be at least 0, got {opt.nmax}"
+    if opt.window is not None and opt.window < ring_dimension(spec.ring) + 2:
+        return (f"--window must be at least d + 2 = "
+                f"{ring_dimension(spec.ring) + 2}, got {opt.window}")
+    return None
+
+
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     if args.problem == "-":
@@ -91,8 +103,11 @@ def main(argv=None) -> int:
     options = options_from_args(args)
     try:
         spec = parse_problem(text, options)
+        error = _flag_error(spec)
     except ProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        error = exc
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return PARSE_ERROR
     report, code = run_command(args.command, spec)
     sys.stdout.write(emit_report(report, options.fmt))

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import warnings
 
-from .groebner import ComputationLimitError, GroebnerBasis, groebner_basis
+from .groebner import GroebnerBasis, groebner_basis
 from .ring import (GREVLEX, ContextMismatchError, MonomialOrder, Polynomial,
                    RingContext, elimination_order, extend_context, lift_poly,
                    mono_degree, mono_div, mono_divides)
-
-SATURATION_EXPONENT_CAP = 1 << 14
 
 
 class AlgebraWarning(UserWarning):
@@ -192,7 +190,8 @@ class Ideal:
                              lambda: _colon_element(self, f))
 
     def saturate(self, other: "Ideal") -> "Ideal":
-        """Stable value of the colon chain self : other^n."""
+        """self : other^∞: the intersection, over the generators f of other,
+        of the chains self : f^k, grown by one colon by f per step."""
         self._check(other)
         return self.ctx.memo(("saturate", self.key(), other.key()),
                              lambda: _saturate(self, other))
@@ -245,15 +244,9 @@ def eliminate(a: Ideal, drop_names) -> Ideal:
                           {tuple(e[i] for i in perm): c for e, c in f.terms.items()})
 
     gens = [permute(g) for g in a.gens] + [permute(r) for r in ctx.relation_polys()]
-    order = elimination_order(len(dropped))
-    gb = groebner_basis(perm_ctx, gens, order=order, include_relations=False)
     sub_ctx = RingContext(tuple(ctx.var_names[i] for i in keep), ctx.char)
-    kept = []
-    for g in gb:
-        if not any(g.lead_exp(order)[len(keep):]):
-            kept.append(Polynomial(sub_ctx,
-                                   {e[:len(keep)]: c for e, c in g.terms.items()}))
-    return Ideal(sub_ctx, kept)
+    return _eliminate_trailing(perm_ctx, sub_ctx, gens, len(dropped),
+                               include_relations=False)
 
 
 # --------------------------------------------------------------------------
@@ -380,17 +373,12 @@ def _colon(a: Ideal, b: Ideal) -> Ideal:
 
 
 def _saturate_element(a: Ideal, f: Polynomial) -> Ideal:
-    """Stable value of a : f^(2^k), detected by equality of consecutive steps."""
-    prev = a
-    e = 1
-    while e <= SATURATION_EXPONENT_CAP:
-        cur = a.colon_element(f ** e)
-        if cur == prev:
-            return cur
-        prev = cur
-        e *= 2
-    raise ComputationLimitError(
-        f"saturation chain did not stabilize below exponent {SATURATION_EXPONENT_CAP}")
+    """a : f^∞ as the ascending chain a, a : f, (a : f) : f, ..., which stops;
+    once a step adds nothing every later step is equal, so no cap applies."""
+    prev, cur = a, a.colon_element(f)
+    while cur != prev:
+        prev, cur = cur, cur.colon_element(f)
+    return cur
 
 
 def _saturate(a: Ideal, b: Ideal) -> Ideal:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .ideals import Ideal, ring_dimension
+from .ideals import Ideal, eliminate, ring_dimension
 from .lengths import LengthValue, loc_quotient_length, pair_length
 from .ring import Polynomial, RingContext, extend_context, lift_poly
 
@@ -70,8 +70,9 @@ def sample_general_elements(ideal: Ideal, s: int, seed: int) -> GeneralReduction
 
 def analytic_spread(ideal: Ideal) -> int:
     """Krull dimension of the special fiber: present the blowup algebra with
-    one T-variable per generator and an auxiliary u, saturate by u, eliminate
-    u, then set the ambient variables to zero."""
+    one T-variable per generator and an auxiliary u, eliminate u, then set
+    the ambient variables to zero.  The graph ideal (T_k - u g_k) presents
+    R[u], on which u is a nonzerodivisor, so it needs no saturation by u."""
     if ideal.is_unit() or ideal.is_zero():
         raise ValueError("analytic spread needs a proper nonzero ideal")
     return ideal.ctx.memo(("spread", ideal.key()),
@@ -82,18 +83,12 @@ def _fiber_dimension(ideal: Ideal) -> int:
     ctx = ideal.ctx
     t = len(ideal.gens)
     t_names = tuple(f"@T{k}" for k in range(t))
-    ctx_xt = extend_context(ctx, t_names)
-    ext = extend_context(ctx_xt, ("@u",))
+    ext = extend_context(ctx, t_names + ("@u",))
     u = ext.var(ext.nvars - 1)
     rows = []
     for k, g in enumerate(ideal.gens):
         rows.append(ext.var(ctx.nvars + k) - u * lift_poly(g, ext))
-    graph = Ideal(ext, rows)
-    saturated = graph.saturate(Ideal(ext, [u]))
-
-    from .ideals import _eliminate_trailing
-    rees = _eliminate_trailing(ext, ctx_xt, list(saturated.gens), 1,
-                               include_relations=True)
+    rees = eliminate(Ideal(ext, rows), ("@u",))
 
     ctx_t = RingContext(t_names, ctx.char)
     fiber_rows = []

@@ -254,10 +254,10 @@ class Pipeline:
                           "finite despite matching analytic spread")
             sums_ok = all(v.is_finite and v.value == j_fit[1 + i]
                           for i, v in enumerate(sums))
+            # a non-finite entry is a degradation, not a disagreement
+            mismatch = any(v.is_finite and v.value != j_fit[1 + i]
+                           for i, v in enumerate(sums))
             if self.hypotheses_effective:
-                mismatch = any(v.is_finite and v.value != j_fit[1 + i]
-                               for i, v in enumerate(sums))
-                # a non-finite entry is a degradation, not a disagreement
                 agreement["fit_vs_sums"] = (False if mismatch
                                             else True if sums_ok else None)
                 if mismatch:
@@ -267,9 +267,10 @@ class Pipeline:
                 self._note_degraded([v.to_json() for v in sums
                                      if not v.is_finite])
             else:
-                agreement["fit_vs_sums"] = ("diagnostic: "
-                                            + ("agrees" if sums_ok else "differs")
-                                            + " (hypotheses not in force)")
+                verdict = ("differs" if mismatch else "agrees" if sums_ok
+                           else "not-applicable")
+                agreement["fit_vs_sums"] = (f"diagnostic: {verdict} "
+                                            "(hypotheses not in force)")
             for n in range(self.nmax + 1):
                 omega_rows.append(ev.omega(n).to_json())
             master = master_identity_check(rec, ev, self.nmax)

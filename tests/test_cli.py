@@ -116,6 +116,20 @@ def test_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("cmd,flags", [
+    ("hilbert", ["--window", "0"]),
+    ("hilbert", ["--window", "3"]),   # d + 2 = 4 for k[x,y]
+    ("coeffs", ["--nmax", "-3"]),
+])
+def test_out_of_range_flag_is_input_error(capsys, monkeypatch, cmd, flags):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(M2))
+    code = main([cmd, "-", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert flags[0] in captured.err
+
+
 def test_assert_flags_echoed(capsys, monkeypatch):
     code, out = run_cli(capsys, monkeypatch, "depthcheck", M2, "--assert-an")
     rep = json.loads(out)

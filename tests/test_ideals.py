@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from jmult import AlgebraWarning, Ideal, MonomialIdeal
+from jmult import AlgebraWarning, Ideal, MonomialIdeal, Polynomial, RingContext
+from jmult.ideals import eliminate
+from jmult.ring import extend_context, lift_poly
 
 from conftest import monomial_ideal, random_monomial_ideal
 
@@ -44,6 +46,48 @@ def test_saturate_examples(ctx2, xy):
     assert m.saturate(m).is_unit()
     a = monomial_ideal(ctx2, (2, 0), (0, 3))
     assert a.saturate(Ideal.unit(ctx2)) == a
+
+
+def _random_poly(ctx, rng, max_terms, max_deg):
+    f = ctx.zero
+    for _ in range(rng.randrange(1, max_terms + 1)):
+        e = [0] * ctx.nvars
+        for _ in range(rng.randrange(1, max_deg + 1)):
+            e[rng.randrange(ctx.nvars)] += 1
+        f = f + ctx.monomial(e, rng.randrange(1, ctx.char))
+    return f
+
+
+def _rabinowitsch(a, f):
+    """a : f^infinity as (a + (1 - s f)) ∩ R, mapped back to the ring of a."""
+    ctx = a.ctx
+    ext = extend_context(ctx, ("@s",))
+    s = ext.var(ext.nvars - 1)
+    rows = [lift_poly(g, ext) for g in a.gens] + [ext.one - s * lift_poly(f, ext)]
+    out = eliminate(Ideal(ext, rows), {"@s"})
+    return Ideal(ctx, [Polynomial(ctx, g.terms) for g in out.gens])
+
+
+def test_saturate_matches_rabinowitsch(ctx2, xy):
+    """Saturation by one element against the Rabinowitsch elimination, on
+    random non-homogeneous ideals, some in a quotient ring."""
+    x, y = xy
+    # the chain (x^9 y) : x^k needs ten colon steps to reach (y)
+    assert Ideal(ctx2, [x ** 9 * y]).saturate(Ideal(ctx2, [x])) == Ideal(ctx2, [y])
+    rng = random.Random(43)
+    for _ in range(150):
+        names = ("x", "y", "z")[:rng.randrange(2, 4)]
+        ctx = RingContext(names, 32003)
+        if rng.random() < 0.3:
+            v = ctx.var
+            rel = v("x") * v(names[-1]) - v("y") ** 2
+            ctx = RingContext(names, 32003, relations=[rel])
+        a = Ideal(ctx, [_random_poly(ctx, rng, 3, 3)
+                        for _ in range(rng.randrange(1, 4))])
+        f = _random_poly(ctx, rng, 2, 2)
+        while Ideal.zero(ctx).contains(f):
+            f = _random_poly(ctx, rng, 2, 2)
+        assert a.saturate(Ideal(ctx, [f])) == _rabinowitsch(a, f), (ctx, a, f)
 
 
 def test_equality_and_membership(ctx2, xy):

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from jmult import (Ideal, analytic_spread, e_one_bar, fiber_length_sum,
-                   general_minimal_reduction, is_reduction, j_zero,
-                   local_ideal_equal, reduction_number, reduction_ring,
-                   residual_height_check, sample_general_elements,
-                   valabrega_valla_check)
+from jmult import (Ideal, RingContext, analytic_spread, e_one_bar,
+                   fiber_length_sum, general_minimal_reduction, is_reduction,
+                   j_zero, local_ideal_equal, reduction_number,
+                   reduction_ring, residual_height_check,
+                   sample_general_elements, valabrega_valla_check)
 
 from conftest import monomial_ideal
 
@@ -40,6 +40,13 @@ def test_analytic_spread_examples(ctx2, ctx_family, xy):
     X, Y = ctx_family.var("x"), ctx_family.var("y")
     for t in range(3):
         assert analytic_spread(Ideal(ctx_family, [X * Y ** t])) == 1
+
+
+def test_analytic_spread_quotient_ring():
+    base = RingContext(("x", "y", "z"), 32003)
+    x, y, z = (base.var(v) for v in "xyz")
+    cone = RingContext(("x", "y", "z"), 32003, relations=[x * z - y * y])
+    assert analytic_spread(Ideal(cone, [cone.var("x"), cone.var("y")])) == 2
 
 
 def test_reduction_number_examples(ctx2):
