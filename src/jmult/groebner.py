@@ -1,10 +1,20 @@
 """Buchberger's algorithm, normal forms and staircase combinatorics.
 
-The engine works on raw term dicts ``{exponent_tuple: residue}`` for speed and
-is wrapped by :class:`GroebnerBasis` at the boundary.  Pair selection uses the
-normal strategy (smallest lcm in the active order); pairs are discarded by the
-product criterion and by the classical chain criterion, both of which are
-re-certified in the test suite by brute-force S-pair reduction.
+The engine takes raw term dicts ``{exponent_tuple: residue}`` and keeps each
+basis row as one monic record ``(lead, tail)``: the leading exponent and a
+tuple of the other ``(exponent, residue)`` terms, built once by
+:func:`_monic_row`.  :class:`GroebnerBasis` wraps the rows at the boundary.
+
+A pair is judged when it is made: coprime leads (product criterion) and two
+monomials have S-polynomials that reduce to zero, so such pairs never enter
+the heap and are done at once.  The heap hands out the rest by the normal
+strategy (smallest lcm in the active order), and the chain criterion skips a
+pair when the lead of a third row divides its lcm and both pairs of that row
+with the two sides are done; the one criterion and the one ``done`` set
+serve row pairs and the boundary pairs of a truncated basis alike.  The pair
+cap counts the S-polynomials reduced.  The test suite checks the criteria
+against a Buchberger that reduces every pair, and by brute-force S-pair
+reduction.
 
 Quotient rings are handled one level up: the ideal layer adjoins the context
 relations to every basis computation, so a single code path serves both the
@@ -32,30 +42,34 @@ class ComputationLimitError(RuntimeError):
 # raw engine
 
 
-def _reduce_raw(f: dict, basis, keyf, p: int, term_cap: int) -> dict:
-    """Full normal form of the term dict f against prepared basis rows
-    (lead_exp, lead_inv, items). No term of the result is divisible by any
-    basis lead."""
+def _monic_row(f: dict, keyf, p: int):
+    """The monic record (lead, tail) of a nonzero term dict: its leading
+    exponent and its other terms divided by the lead coefficient."""
+    le = max(f, key=keyf)
+    inv = pow(f[le], -1, p)
+    return le, tuple((e, c * inv % p) for e, c in f.items() if e != le)
+
+
+def _reduce_raw(f, rows, keyf, p: int, term_cap: int) -> dict:
+    """Full normal form of the terms f (a dict or (exponent, residue) pairs)
+    against monic rows (lead, tail).  No term of the result is divisible by
+    any row lead."""
     out = {}
     work = dict(f)
     while work:
         e = max(work, key=keyf)
         c = work.pop(e)
         deg_e = mono_degree(e)
-        hit = None
-        for le, linv, items in basis:
+        for le, tail in rows:
             if mono_degree(le) <= deg_e and mono_divides(le, e):
-                hit = (le, linv, items)
                 break
-        if hit is None:
+        else:
             out[e] = c
             continue
-        le, linv, items = hit
         shift = mono_div(e, le)
-        coef = c * linv % p
-        for ge, gc in items:
+        for ge, gc in tail:
             ne = mono_mul(ge, shift)
-            nc = (work.get(ne, 0) - coef * gc) % p
+            nc = (work.get(ne, 0) - c * gc) % p
             if nc:
                 work[ne] = nc
             else:
@@ -66,33 +80,21 @@ def _reduce_raw(f: dict, basis, keyf, p: int, term_cap: int) -> dict:
     return out
 
 
-def _prepare(rows, order, p):
-    prepped = []
-    for g in rows:
-        le = max(g, key=order.key)
-        linv = pow(g[le], -1, p)
-        items = [(e, c) for e, c in g.items() if e != le]
-        prepped.append((le, linv, items))
-    return prepped
-
-
-def _spoly(f: dict, g: dict, order, p: int) -> dict:
-    lf = max(f, key=order.key)
-    lg = max(g, key=order.key)
-    l = mono_lcm(lf, lg)
-    cf = pow(f[lf], -1, p)
-    cg = pow(g[lg], -1, p)
-    sf, sg = mono_div(l, lf), mono_div(l, lg)
-    out = {}
-    for e, c in f.items():
-        out[mono_mul(e, sf)] = c * cf % p
-    for e, c in g.items():
-        ne = mono_mul(e, sg)
-        nc = (out.get(ne, 0) - c * cg) % p
-        if nc:
-            out[ne] = nc
-        else:
-            out.pop(ne, None)
+def _spoly(f, g, lcm, p: int) -> dict:
+    """(lcm / lead f) f - (lcm / lead g) g for monic rows f and g: the leads
+    cancel, so only the shifted tails remain.  With g None the second term
+    is the monomial lcm itself, a multiple of the lead of f."""
+    shift = mono_div(lcm, f[0])
+    out = {mono_mul(e, shift): c for e, c in f[1]}
+    if g is not None:
+        shift = mono_div(lcm, g[0])
+        for e, c in g[1]:
+            ne = mono_mul(e, shift)
+            nc = (out.get(ne, 0) - c) % p
+            if nc:
+                out[ne] = nc
+            else:
+                out.pop(ne, None)
     return out
 
 
@@ -109,91 +111,75 @@ def buchberger_raw(gens, nvars: int, p: int, order: MonomialOrder,
     together with the degree-M monomials then form a Groebner basis of
     (gens) + m^M.  This needs a degree-compatible order.
 
-    Returns a list of term dicts sorted descending by leading monomial; the
-    unit ideal comes back as ``[{0-exponent: 1}]`` and the zero ideal as
-    ``[]``.
+    Returns monic rows (lead, tail) sorted descending by lead; the unit
+    ideal comes back as ``[(0-exponent, ())]`` and the zero ideal as ``[]``.
+    Raises :class:`ComputationLimitError` once more than ``pair_cap``
+    S-polynomials have been reduced.
     """
     keyf = order.key
-    basis = []
-    for g in gens:
-        g = _truncate({e: c % p for e, c in g.items() if c % p}, below)
-        if g:
-            basis.append(g)
     one = (0,) * nvars
-
-    def is_unit(b):
-        return any(max(g, key=keyf) == one for g in b)
-
-    if is_unit(basis):
-        return [{one: 1}]
-    if all(len(g) == 1 for g in basis):
-        # a monomial set is its own reduced basis after minimalization
-        exps = sorted({next(iter(g)) for g in basis}, key=mono_degree)
-        kept = []
-        for e in exps:
-            if not any(mono_divides(k, e) for k in kept):
-                kept.append(e)
-        kept.sort(key=keyf, reverse=True)
-        return [{e: 1} for e in kept]
-
+    rows = []
     heap = []
-    done = set()
-    treated = set()  # boundary pairs (row, u) already popped
-    leads, low, prepped = [], [], []
+    done = set()  # pairs no longer pending: rows (i, j), i < j; (i, u)
+    low = []      # row i has a term below its lead degree
 
-    def add_row(g):
-        t = len(leads)
-        prepped.extend(_prepare([g], order, p))
-        le = prepped[t][0]
-        leads.append(le)
-        for i in range(t):
-            _push_pair(heap, keyf, leads, i, t)
+    def add_row(row):
+        le, tail = row
+        t = len(rows)
+        for i, (li, ti) in enumerate(rows):
+            lcm = mono_lcm(li, le)
+            # coprime leads and two monomials give S-polynomials reducing to 0
+            if lcm == mono_mul(li, le) or not (ti or tail):
+                done.add((i, t))
+            else:
+                heapq.heappush(heap, (keyf(lcm), i, t, lcm))
+        rows.append(row)
         # only terms below the lead degree survive a boundary S-polynomial
+        deg = mono_degree(le)
         low.append(below is not None
-                   and min(map(mono_degree, g)) < mono_degree(le))
+                   and any(mono_degree(e) < deg for e, _ in tail))
         if low[t]:
             # boundary pairs (row t, u); the -1 sorts them apart from row pairs
             for u in _degree_multiples(le, below):
                 heapq.heappush(heap, (keyf(u), t, -1, u))
 
-    for g in basis:
-        add_row(g)
-    processed = 0
-    while heap:
-        _, i, j, *bound = heapq.heappop(heap)
-        processed += 1
-        if processed > pair_cap:
-            raise ComputationLimitError(f"pair count exceeded {pair_cap}")
-        if bound:
-            u = bound[0]
-            treated.add((i, u))
-            if _boundary_chain_skip(leads, low, done, treated, i, u):
-                continue
-            shift = mono_div(u, leads[i])
-            s = {mono_mul(e, shift): c for e, c in basis[i].items()}
-        else:
-            done.add((i, j))
-            li, lj = leads[i], leads[j]
-            lcm = mono_lcm(li, lj)
-            # product criterion: coprime leads reduce to zero
-            if lcm == mono_mul(li, lj):
-                continue
-            # two monomials have a vanishing S-polynomial
-            if len(basis[i]) == 1 and len(basis[j]) == 1:
-                continue
-            # chain criterion over pairs already considered
-            if _chain_skip(leads, done, i, j, lcm):
-                continue
-            s = _spoly(basis[i], basis[j], order, p)
-        r = _reduce_raw(_truncate(s, below), prepped, keyf, p, term_cap)
-        if not r:
-            continue
-        if max(r, key=keyf) == one:
-            return [{one: 1}]
-        basis.append(r)
-        add_row(r)
+    def settled(k, x):
+        """The pair of row k with row x, or with the monomial x, is done."""
+        if type(x) is int:
+            return (min(k, x), max(k, x)) in done
+        return not low[k] or (k, x) in done
 
-    return _interreduce(basis, order, p, term_cap)
+    for g in gens:
+        g = _truncate({e: c % p for e, c in g.items() if c % p}, below)
+        if g:
+            row = _monic_row(g, keyf, p)
+            if row[0] == one:
+                return [(one, ())]
+            add_row(row)
+    reduced = 0
+    while heap:
+        _, i, j, lcm = heapq.heappop(heap)
+        x = j if j >= 0 else lcm
+        done.add((i, x))
+        # chain criterion: a third row whose lead divides the lcm and whose
+        # pairs with both sides are done
+        if any(k != i and k != x and mono_divides(lk, lcm)
+               and settled(i, k) and settled(k, x)
+               for k, (lk, _) in enumerate(rows)):
+            continue
+        reduced += 1
+        if reduced > pair_cap:
+            raise ComputationLimitError(
+                f"S-polynomial reductions exceeded {pair_cap}")
+        s = _spoly(rows[i], rows[j] if j >= 0 else None, lcm, p)
+        r = _reduce_raw(_truncate(s, below), rows, keyf, p, term_cap)
+        if r:
+            row = _monic_row(r, keyf, p)
+            if row[0] == one:
+                return [(one, ())]
+            add_row(row)
+
+    return _interreduce(rows, keyf, p, term_cap)
 
 
 def _truncate(f: dict, below) -> dict:
@@ -212,56 +198,19 @@ def _degree_multiples(le, m: int):
         yield tuple(e)
 
 
-def _push_pair(heap, keyf, leads, i, j):
-    heapq.heappush(heap, (keyf(mono_lcm(leads[i], leads[j])), i, j))
-
-
-def _chain_skip(leads, done, i, j, lcm) -> bool:
-    for k in range(len(leads)):
-        if k in (i, j):
-            continue
-        if mono_divides(leads[k], lcm):
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in done and b in done:
-                return True
-    return False
-
-
-def _boundary_chain_skip(leads, low, done, treated, i, u) -> bool:
-    """Chain criterion for the boundary pair (row i, monomial u): some row k
-    with lead dividing u has had (k, u) treated (trivially so when k has no
-    term below its lead degree) and (i, k) is done."""
-    for k in range(len(leads)):
-        if k == i or not mono_divides(leads[k], u):
-            continue
-        if (not low[k] or (k, u) in treated) and (min(i, k), max(i, k)) in done:
-            return True
-    return False
-
-
-def _interreduce(basis, order, p, term_cap):
-    keyf = order.key
-    # minimalize: drop rows whose lead is divisible by another lead
-    rows = sorted(basis, key=lambda g: keyf(max(g, key=keyf)))
+def _interreduce(rows, keyf, p, term_cap):
+    """The reduced basis of monic rows that form a Groebner basis: drop each
+    row whose lead another lead divides, then reduce the tails."""
     kept = []
-    for g in rows:
-        lg = max(g, key=keyf)
-        if not any(mono_divides(max(h, key=keyf), lg) for h in kept):
-            kept.append(g)
-    # tail-reduce each against the others and normalize monic
+    for row in sorted(rows, key=lambda r: keyf(r[0])):
+        if not any(mono_divides(k[0], row[0]) for k in kept):
+            kept.append(row)
     out = []
-    for idx, g in enumerate(kept):
+    for idx, (le, tail) in enumerate(kept):
         others = kept[:idx] + kept[idx + 1:]
-        if others:
-            g = _reduce_raw(g, _prepare(others, order, p), keyf, p, term_cap)
-        if not g:
-            continue
-        le = max(g, key=keyf)
-        inv = pow(g[le], -1, p)
-        out.append({e: c * inv % p for e, c in g.items()})
-    out.sort(key=lambda g: keyf(max(g, key=keyf)), reverse=True)
-    return out
+        out.append((le, tuple(_reduce_raw(tail, others, keyf, p,
+                                          term_cap).items())))
+    return out[::-1]
 
 
 # --------------------------------------------------------------------------
@@ -311,14 +260,17 @@ class GroebnerBasis:
     reduces to zero (checked by :meth:`certify` in the tests).
     """
 
-    __slots__ = ("ctx", "order", "polys", "leads", "_prepped", "_key")
+    __slots__ = ("ctx", "order", "rows", "leads", "polys", "_key")
 
-    def __init__(self, ctx: RingContext, order: MonomialOrder, raw_rows):
+    def __init__(self, ctx: RingContext, order: MonomialOrder, rows):
+        """``rows`` are monic (lead, tail) records as :func:`buchberger_raw`
+        returns them, sorted descending by lead."""
         self.ctx = ctx
         self.order = order
-        self.polys = tuple(Polynomial(ctx, g) for g in raw_rows)
-        self.leads = tuple(max(g, key=order.key) for g in raw_rows)
-        self._prepped = _prepare(raw_rows, order, ctx.char) if raw_rows else []
+        self.rows = tuple(rows)
+        self.leads = tuple(le for le, _ in self.rows)
+        self.polys = tuple(Polynomial(ctx, dict(((le, 1),) + tail))
+                           for le, tail in self.rows)
         self._key = None
 
     def __len__(self):
@@ -342,9 +294,9 @@ class GroebnerBasis:
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ctx != self.ctx:
             raise ValueError("polynomial from a different context")
-        if not self._prepped:
+        if not self.rows:
             return f
-        r = _reduce_raw(f.terms, self._prepped, self.order.key, self.ctx.char,
+        r = _reduce_raw(f.terms, self.rows, self.order.key, self.ctx.char,
                         DEFAULT_TERM_CAP)
         return Polynomial(self.ctx, r)
 
@@ -360,10 +312,9 @@ class GroebnerBasis:
     def certify(self) -> bool:
         """Brute-force check that every S-pair reduces to zero."""
         p = self.ctx.char
-        rows = [g.terms for g in self.polys]
-        for f, g in combinations(rows, 2):
-            s = _spoly(f, g, self.order, p)
-            if s and _reduce_raw(s, self._prepped, self.order.key, p,
+        for f, g in combinations(self.rows, 2):
+            s = _spoly(f, g, mono_lcm(f[0], g[0]), p)
+            if s and _reduce_raw(s, self.rows, self.order.key, p,
                                  DEFAULT_TERM_CAP):
                 return False
         return True

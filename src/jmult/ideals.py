@@ -274,20 +274,15 @@ def _eliminate_trailing(ext_ctx: RingContext, base_ctx: RingContext, rows,
     """Groebner-eliminate the trailing n_aux variables and return the result
     as an ideal of the base context, seeding its grevlex basis from the
     restricted block-order basis."""
-    order = elimination_order(n_aux)
-    gb = groebner_basis(ext_ctx, rows, order=order,
+    gb = groebner_basis(ext_ctx, rows, order=elimination_order(n_aux),
                         include_relations=include_relations)
+    # a row whose block lead has no auxiliary variable has none at all, and
+    # the block order on the base variables is grevlex, so the kept rows are
+    # the reduced grevlex basis, already monic and sorted
     nbase = base_ctx.nvars
-    kept_rows = []
-    for g in gb.polys:
-        le = g.lead_exp(order)
-        if not any(le[nbase:]):
-            kept_rows.append({e[:nbase]: c for e, c in g.terms.items()})
-    seeded = GroebnerBasis(base_ctx, GREVLEX,
-                           sorted(kept_rows,
-                                  key=lambda r: GREVLEX.key(max(r, key=GREVLEX.key)),
-                                  reverse=True))
-    return Ideal._with_gb(base_ctx, seeded)
+    kept = [(le[:nbase], tuple((e[:nbase], c) for e, c in tail))
+            for le, tail in gb.rows if not any(le[nbase:])]
+    return Ideal._with_gb(base_ctx, GroebnerBasis(base_ctx, GREVLEX, kept))
 
 
 def _intersect(a: Ideal, b: Ideal) -> Ideal:

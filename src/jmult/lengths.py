@@ -109,10 +109,9 @@ def _artinian_dim(ideal_: Ideal, m: int) -> int:
     if gb.is_unit():
         return 0
     ctx = ideal_.ctx
-    raw = buchberger_raw([g.terms for g in gb.polys], ctx.nvars, ctx.char,
-                         gb.order, below=m)
-    leads = [max(r, key=gb.order.key) for r in raw]
-    return count_standard_monomials(leads, ctx.nvars, m)
+    rows = buchberger_raw([g.terms for g in gb.polys], ctx.nvars, ctx.char,
+                          gb.order, below=m)
+    return count_standard_monomials([le for le, _ in rows], ctx.nvars, m)
 
 
 def pair_length(a: Ideal, b: Ideal) -> LengthValue:

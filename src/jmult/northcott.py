@@ -112,16 +112,15 @@ def minimal_generator_count(ideal: Ideal) -> LengthValue:
 
 def assemble_northcott(ideal: Ideal, red: GeneralReduction, r: int | None,
                        j1: int | None, j1_route: str,
-                       surrogate_passed: bool, m_primary: bool,
+                       effective: bool, m_primary: bool,
                        flags: HypothesisFlags,
                        extra_notes=()) -> NorthcottReport:
-    """Build the report from precomputed pieces; the coefficient routes are
-    resolved by the caller, which also owns the cross-route comparison."""
+    """Build the report from precomputed pieces; the coefficient routes and
+    whether the hypotheses are in force are resolved by the caller, which
+    also owns the cross-route comparison."""
     ctx = ideal.ctx
     d = ring_dimension(ctx)
     notes = list(extra_notes)
-    effective = surrogate_passed and (m_primary or
-                                      (flags.gd_asserted and flags.an_asserted))
     if m_primary and not (flags.gd_asserted and flags.an_asserted):
         notes.append("ideal is primary to the maximal ideal, so the residual "
                      "hypotheses hold automatically")

@@ -373,7 +373,7 @@ class Pipeline:
                              "diagnostics")
         report = assemble_northcott(
             self.ideal, red, r, j1, "fit",
-            surrogate_passed=self.surrogate.all_passed,
+            effective=self.hypotheses_effective,
             m_primary=self.m_primary, flags=self.flags, extra_notes=notes)
         if report.equality_case_verdict == "violated":
             self.flag(CROSS_CHECK, "equality case and reduction number "

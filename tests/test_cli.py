@@ -137,6 +137,18 @@ def test_assert_flags_echoed(capsys, monkeypatch):
     assert "holds" in rep["results"]["depth_verdict"]
 
 
+def test_northcott_hypotheses_effective_agree(capsys, monkeypatch):
+    """Asserted hypotheses do not make up for an analytic spread below the
+    dimension: the envelope and the Northcott report say so alike."""
+    code, out = run_cli(capsys, monkeypatch, "northcott",
+                        "ring char=32003 vars=x,y\nideal x\n",
+                        "--assert-gd", "--assert-an")
+    rep = json.loads(out)
+    assert rep["hypotheses"]["spread_equals_dim"] is False
+    assert rep["hypotheses"]["effective"] is False
+    assert rep["results"]["hypotheses_effective"] is False
+
+
 DEGRADED = "non-stabilized: Ktilde^0_1: stand-in containment failure"
 
 

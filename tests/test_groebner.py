@@ -1,11 +1,15 @@
+import heapq
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
 from jmult import Ideal, RingContext, groebner_basis
-from jmult.groebner import ComputationLimitError
+from jmult.groebner import (ComputationLimitError, GroebnerBasis,
+                            buchberger_raw)
 from jmult.ideals import eliminate
 from jmult.lengths import loc_quotient_length, truncated_dim
+from jmult.ring import GREVLEX, LEX, elimination_order
 
 from conftest import monomial_ideal, random_monomial_ideal
 
@@ -124,3 +128,110 @@ def test_standard_count_matches_oracle_lattice(ctx2):
         else:
             assert truncated_dim(ideal, 6 * ctx.nvars) == want
         checked += 1
+
+
+P = 32003
+
+
+def _ref_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _ref_add_multiple(out, f, coef, shift):
+    """out += coef * x^shift * f, on term dicts mod P."""
+    for e, c in f.items():
+        ne = tuple(x + y for x, y in zip(e, shift))
+        nc = (out.get(ne, 0) + coef * c) % P
+        if nc:
+            out[ne] = nc
+        else:
+            out.pop(ne, None)
+
+
+def _ref_normal_form(f, basis, key):
+    """Remainder of f on division by the monic (lead, poly) pairs in basis."""
+    work, out = dict(f), {}
+    while work:
+        e = max(work, key=key)
+        hit = next(((l, g) for l, g in basis if _ref_divides(l, e)), None)
+        if hit is None:
+            out[e] = work.pop(e)
+        else:
+            _ref_add_multiple(work, hit[1], -work[e],
+                              tuple(x - y for x, y in zip(e, hit[0])))
+    return out
+
+
+def _ref_buchberger(gens, key):
+    """Reduced Groebner basis by Buchberger's algorithm with no criterion:
+    every S-polynomial is reduced, smallest lcm first.  Returned as a set
+    of frozen term sets."""
+    basis, pairs = [], []
+
+    def add(f):
+        lf = max(f, key=key)
+        inv = pow(f[lf], -1, P)
+        for i, (lg, _) in enumerate(basis):
+            lcm = tuple(max(x, y) for x, y in zip(lf, lg))
+            heapq.heappush(pairs, (key(lcm), i, len(basis), lcm))
+        basis.append((lf, {e: c * inv % P for e, c in f.items()}))
+
+    for g in gens:
+        add(g)
+    while pairs:
+        _, i, j, lcm = heapq.heappop(pairs)
+        s = {}
+        for k, sign in ((i, 1), (j, -1)):
+            lead, g = basis[k]
+            _ref_add_multiple(s, g, sign, tuple(x - y for x, y in zip(lcm, lead)))
+        r = _ref_normal_form(s, basis, key)
+        if r:
+            add(r)
+    minimal = [(l, g) for i, (l, g) in enumerate(basis)
+               if not any(_ref_divides(h, l) and (h != l or k < i)
+                          for k, (h, _) in enumerate(basis) if k != i)]
+    return {frozenset(_ref_normal_form(g, [b for b in minimal if b[0] != l],
+                                       key).items()) | {(l, 1)}
+            for l, g in minimal}
+
+
+def _random_terms(rng, nvars):
+    """At most three terms of degree at most 3 with nonzero coefficients."""
+    f = {}
+    for _ in range(rng.randrange(1, 4)):
+        e = [0] * nvars
+        for _ in range(rng.randrange(4)):
+            e[rng.randrange(nvars)] += 1
+        f[tuple(e)] = rng.randrange(1, P)
+    return f
+
+
+def _engine_basis(gens, nvars, order, below=None):
+    ctx = RingContext(("x", "y", "z")[:nvars], P)
+    rows = buchberger_raw(gens, nvars, P, order, below=below)
+    return {frozenset(f.terms.items()) for f in GroebnerBasis(ctx, order, rows)}
+
+
+def test_buchberger_matches_reference():
+    """The engine's reduced basis, built with its pair criteria, equals that
+    of a Buchberger that reduces every pair, on 300 random inputs under
+    grevlex, lex and an elimination order, and truncated below a random
+    degree M under grevlex, where the reference takes the gens together
+    with every degree-M monomial and keeps its rows of degree below M."""
+    rng = random.Random(5)
+    for draw in range(300):
+        nvars = rng.randrange(2, 4)
+        gens = [_random_terms(rng, nvars) for _ in range(rng.randrange(1, 4))]
+        for order in (GREVLEX, LEX, elimination_order(1)):
+            assert (_engine_basis(gens, nvars, order)
+                    == _ref_buchberger(gens, order.key)), (draw, order, gens)
+        m = rng.randrange(1, 6)
+        power = []
+        for combo in combinations_with_replacement(range(nvars), m):
+            e = [0] * nvars
+            for k in combo:
+                e[k] += 1
+            power.append({tuple(e): 1})
+        want = {g for g in _ref_buchberger(gens + power, GREVLEX.key)
+                if max(sum(e) for e, _ in g) < m}
+        assert _engine_basis(gens, nvars, GREVLEX, m) == want, (draw, m, gens)
