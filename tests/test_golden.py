@@ -24,6 +24,9 @@ EXITS = GOLDEN / "exit_codes.json"
 M2 = "ring char=32003 vars=x,y\nideal x^2,x*y,y^2\n"
 FAMILY_XY = "ring char=32003 vars=x,y\nmod x^3-x^2*y\nideal x*y\n"
 NOT_M_PRIMARY = "ring char=32003 vars=x,y\nideal x^2,x*y\n"
+CI_X2YZ = "ring char=32003 vars=x,y,z\nideal x^2,y,z\n"
+CONE_XY = "ring char=32003 vars=x,y,z\nmod x*z-y^2\nideal x,y\n"
+NONHOMOG = "ring char=32003 vars=x,y\nideal x-x^2,y\n"
 
 # name -> (argv without the problem argument, problem text)
 CASES = {
@@ -33,6 +36,9 @@ CASES = {
     "coeffs-family-xy": (["coeffs"], FAMILY_XY),
     "coeffs-not-m-primary": (["coeffs"], NOT_M_PRIMARY),
     "northcott-m2-table": (["northcott", "--format", "table"], M2),
+    "hilbert-x2yz": (["hilbert"], CI_X2YZ),
+    "coeffs-cone-xy": (["coeffs"], CONE_XY),
+    "coeffs-nonhomog": (["coeffs"], NONHOMOG),
 }
 
 
