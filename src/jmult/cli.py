@@ -13,7 +13,6 @@ import sys
 
 from .ideals import ring_dimension
 from .parser import Options, ProblemError, ProblemSpec, parse_problem
-from .ring import DEFAULT_CAP_M
 from .runner import COMMANDS, PARSE_ERROR, emit_report, run_command
 
 EPILOG = """\
@@ -29,7 +28,8 @@ supported away from the origin are invisible by design.
 exit codes: 0 ok, 2 parse error or out-of-range flag, 3 hypothesis-surrogate
 failure (results still printed, marked), 4 non-stabilization, resource cap, or
 a compared value that degraded to a named non-finite term, 5 internal
-cross-check violation (a finite compared value that is wrong).
+cross-check violation (a finite compared value that is wrong, or an internal
+inconsistency).
 """
 
 
@@ -49,9 +49,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="override the characteristic from the ring line")
     ap.add_argument("--nmax", type=int, default=None,
                     help="degree bound for per-n checks (default r + d + 2)")
-    ap.add_argument("--cap-m", type=int, default=DEFAULT_CAP_M,
-                    help="truncation degree cap for every local length in the "
-                         "run (never below the start degree + 8)")
     ap.add_argument("--window", type=int, default=None,
                     help="constant-difference window for the polynomial fit "
                          "(default d + 2)")
@@ -72,10 +69,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def options_from_args(args) -> Options:
     return Options(seed=args.seed, char=args.char, nmax=args.nmax,
-                   cap_m=args.cap_m, window=args.window,
-                   gd_asserted=args.assert_gd, an_asserted=args.assert_an,
-                   s2_asserted=args.assert_s2, omega_colon=args.omega_colon,
-                   fmt=args.fmt, oracle=args.oracle)
+                   window=args.window, gd_asserted=args.assert_gd,
+                   an_asserted=args.assert_an, s2_asserted=args.assert_s2,
+                   omega_colon=args.omega_colon, fmt=args.fmt,
+                   oracle=args.oracle)
 
 
 def _flag_error(spec: ProblemSpec) -> str | None:

@@ -10,11 +10,9 @@ monomials have S-polynomials that reduce to zero, so such pairs never enter
 the heap and are done at once.  The heap hands out the rest by the normal
 strategy (smallest lcm in the active order), and the chain criterion skips a
 pair when the lead of a third row divides its lcm and both pairs of that row
-with the two sides are done; the one criterion and the one ``done`` set
-serve row pairs and the boundary pairs of a truncated basis alike.  The pair
-cap counts the S-polynomials reduced.  The test suite checks the criteria
-against a Buchberger that reduces every pair, and by brute-force S-pair
-reduction.
+with the two sides are done.  The pair cap counts the S-polynomials reduced.
+The test suite checks the criteria against a Buchberger that reduces every
+pair, and by brute-force S-pair reduction.
 
 Quotient rings are handled one level up: the ideal layer adjoins the context
 relations to every basis computation, so a single code path serves both the
@@ -24,14 +22,14 @@ polynomial ring and its quotients.
 from __future__ import annotations
 
 import heapq
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb
 
 from .ring import (GREVLEX, MonomialOrder, Polynomial, RingContext,
                    mono_degree, mono_div, mono_divides, mono_lcm, mono_mul)
 
 DEFAULT_PAIR_CAP = 200_000
-DEFAULT_TERM_CAP = 100_000
+TERM_CAP = 100_000
 
 
 class ComputationLimitError(RuntimeError):
@@ -50,7 +48,7 @@ def _monic_row(f: dict, keyf, p: int):
     return le, tuple((e, c * inv % p) for e, c in f.items() if e != le)
 
 
-def _reduce_raw(f, rows, keyf, p: int, term_cap: int) -> dict:
+def _reduce_raw(f, rows, keyf, p: int) -> dict:
     """Full normal form of the terms f (a dict or (exponent, residue) pairs)
     against monic rows (lead, tail).  No term of the result is divisible by
     any row lead."""
@@ -74,42 +72,31 @@ def _reduce_raw(f, rows, keyf, p: int, term_cap: int) -> dict:
                 work[ne] = nc
             else:
                 work.pop(ne, None)
-        if len(work) > term_cap:
+        if len(work) > TERM_CAP:
             raise ComputationLimitError(
-                f"support exceeded {term_cap} terms during reduction")
+                f"support exceeded {TERM_CAP} terms during reduction")
     return out
 
 
 def _spoly(f, g, lcm, p: int) -> dict:
     """(lcm / lead f) f - (lcm / lead g) g for monic rows f and g: the leads
-    cancel, so only the shifted tails remain.  With g None the second term
-    is the monomial lcm itself, a multiple of the lead of f."""
+    cancel, so only the shifted tails remain."""
     shift = mono_div(lcm, f[0])
     out = {mono_mul(e, shift): c for e, c in f[1]}
-    if g is not None:
-        shift = mono_div(lcm, g[0])
-        for e, c in g[1]:
-            ne = mono_mul(e, shift)
-            nc = (out.get(ne, 0) - c) % p
-            if nc:
-                out[ne] = nc
-            else:
-                out.pop(ne, None)
+    shift = mono_div(lcm, g[0])
+    for e, c in g[1]:
+        ne = mono_mul(e, shift)
+        nc = (out.get(ne, 0) - c) % p
+        if nc:
+            out[ne] = nc
+        else:
+            out.pop(ne, None)
     return out
 
 
 def buchberger_raw(gens, nvars: int, p: int, order: MonomialOrder,
-                   pair_cap: int = DEFAULT_PAIR_CAP,
-                   term_cap: int = DEFAULT_TERM_CAP,
-                   below: int | None = None):
+                   pair_cap: int = DEFAULT_PAIR_CAP):
     """Reduced monic Groebner basis of the term dicts in ``gens``.
-
-    With ``below = M`` the basis is taken in k[x]/m^M: input rows and
-    S-polynomials drop every term of degree >= M, and each row with a term
-    below its lead degree is also paired with every degree-M multiple u of
-    its lead (S-polynomial (u / lead) * row, truncated).  The rows returned
-    together with the degree-M monomials then form a Groebner basis of
-    (gens) + m^M.  This needs a degree-compatible order.
 
     Returns monic rows (lead, tail) sorted descending by lead; the unit
     ideal comes back as ``[(0-exponent, ())]`` and the zero ideal as ``[]``.
@@ -120,8 +107,7 @@ def buchberger_raw(gens, nvars: int, p: int, order: MonomialOrder,
     one = (0,) * nvars
     rows = []
     heap = []
-    done = set()  # pairs no longer pending: rows (i, j), i < j; (i, u)
-    low = []      # row i has a term below its lead degree
+    done = set()  # row pairs (i, j), i < j, no longer pending
 
     def add_row(row):
         le, tail = row
@@ -134,23 +120,12 @@ def buchberger_raw(gens, nvars: int, p: int, order: MonomialOrder,
             else:
                 heapq.heappush(heap, (keyf(lcm), i, t, lcm))
         rows.append(row)
-        # only terms below the lead degree survive a boundary S-polynomial
-        deg = mono_degree(le)
-        low.append(below is not None
-                   and any(mono_degree(e) < deg for e, _ in tail))
-        if low[t]:
-            # boundary pairs (row t, u); the -1 sorts them apart from row pairs
-            for u in _degree_multiples(le, below):
-                heapq.heappush(heap, (keyf(u), t, -1, u))
 
-    def settled(k, x):
-        """The pair of row k with row x, or with the monomial x, is done."""
-        if type(x) is int:
-            return (min(k, x), max(k, x)) in done
-        return not low[k] or (k, x) in done
+    def settled(a, b):
+        return (min(a, b), max(a, b)) in done
 
     for g in gens:
-        g = _truncate({e: c % p for e, c in g.items() if c % p}, below)
+        g = {e: c % p for e, c in g.items() if c % p}
         if g:
             row = _monic_row(g, keyf, p)
             if row[0] == one:
@@ -159,46 +134,28 @@ def buchberger_raw(gens, nvars: int, p: int, order: MonomialOrder,
     reduced = 0
     while heap:
         _, i, j, lcm = heapq.heappop(heap)
-        x = j if j >= 0 else lcm
-        done.add((i, x))
+        done.add((i, j))
         # chain criterion: a third row whose lead divides the lcm and whose
         # pairs with both sides are done
-        if any(k != i and k != x and mono_divides(lk, lcm)
-               and settled(i, k) and settled(k, x)
+        if any(k != i and k != j and mono_divides(lk, lcm)
+               and settled(i, k) and settled(k, j)
                for k, (lk, _) in enumerate(rows)):
             continue
         reduced += 1
         if reduced > pair_cap:
             raise ComputationLimitError(
                 f"S-polynomial reductions exceeded {pair_cap}")
-        s = _spoly(rows[i], rows[j] if j >= 0 else None, lcm, p)
-        r = _reduce_raw(_truncate(s, below), rows, keyf, p, term_cap)
+        r = _reduce_raw(_spoly(rows[i], rows[j], lcm, p), rows, keyf, p)
         if r:
             row = _monic_row(r, keyf, p)
             if row[0] == one:
                 return [(one, ())]
             add_row(row)
 
-    return _interreduce(rows, keyf, p, term_cap)
+    return _interreduce(rows, keyf, p)
 
 
-def _truncate(f: dict, below) -> dict:
-    if below is None:
-        return f
-    return {e: c for e, c in f.items() if mono_degree(e) < below}
-
-
-def _degree_multiples(le, m: int):
-    """Every monomial of total degree m divisible by ``le``."""
-    n = len(le)
-    for combo in combinations_with_replacement(range(n), m - mono_degree(le)):
-        e = list(le)
-        for k in combo:
-            e[k] += 1
-        yield tuple(e)
-
-
-def _interreduce(rows, keyf, p, term_cap):
+def _interreduce(rows, keyf, p):
     """The reduced basis of monic rows that form a Groebner basis: drop each
     row whose lead another lead divides, then reduce the tails."""
     kept = []
@@ -208,8 +165,7 @@ def _interreduce(rows, keyf, p, term_cap):
     out = []
     for idx, (le, tail) in enumerate(kept):
         others = kept[:idx] + kept[idx + 1:]
-        out.append((le, tuple(_reduce_raw(tail, others, keyf, p,
-                                          term_cap).items())))
+        out.append((le, tuple(_reduce_raw(tail, others, keyf, p).items())))
     return out[::-1]
 
 
@@ -296,8 +252,7 @@ class GroebnerBasis:
             raise ValueError("polynomial from a different context")
         if not self.rows:
             return f
-        r = _reduce_raw(f.terms, self.rows, self.order.key, self.ctx.char,
-                        DEFAULT_TERM_CAP)
+        r = _reduce_raw(f.terms, self.rows, self.order.key, self.ctx.char)
         return Polynomial(self.ctx, r)
 
     def contains(self, f: Polynomial) -> bool:
@@ -314,21 +269,18 @@ class GroebnerBasis:
         p = self.ctx.char
         for f, g in combinations(self.rows, 2):
             s = _spoly(f, g, mono_lcm(f[0], g[0]), p)
-            if s and _reduce_raw(s, self.rows, self.order.key, p,
-                                 DEFAULT_TERM_CAP):
+            if s and _reduce_raw(s, self.rows, self.order.key, p):
                 return False
         return True
 
 
 def groebner_basis(ctx: RingContext, polys, order: MonomialOrder = GREVLEX,
                    include_relations: bool = True,
-                   pair_cap: int = DEFAULT_PAIR_CAP,
-                   term_cap: int = DEFAULT_TERM_CAP) -> GroebnerBasis:
+                   pair_cap: int = DEFAULT_PAIR_CAP) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``polys`` plus, by
     default, the context relations."""
     rows = [f.terms for f in polys if not f.is_zero()]
     if include_relations:
         rows.extend(dict(data) for data in ctx.relations)
-    raw = buchberger_raw(rows, ctx.nvars, ctx.char, order,
-                         pair_cap=pair_cap, term_cap=term_cap)
+    raw = buchberger_raw(rows, ctx.nvars, ctx.char, order, pair_cap=pair_cap)
     return GroebnerBasis(ctx, order, raw)

@@ -20,14 +20,14 @@ from dataclasses import dataclass
 from math import comb
 
 from .ideals import Ideal, ring_dimension
-from .lengths import LengthValue, pair_length
+from .lengths import LengthValue, torsion_length
 
 FIT_N_CAP = 40
 
 
 class FitError(RuntimeError):
-    """Hilbert values did not become polynomial below the n-cap, or a graded
-    piece failed to stabilize; carries the offending trace."""
+    """Hilbert values did not become polynomial below the n-cap; carries the
+    offending trace."""
 
 
 def binomial(n: int, k: int) -> int:
@@ -149,28 +149,17 @@ class HilbertRecord:
 
 
 def graded_torsion_length(ideal: Ideal, i: int) -> LengthValue:
-    """Length of the m-torsion of I^i / I^(i+1)."""
-    ctx = ideal.ctx
-    m = Ideal.maximal(ctx)
-    high = ideal ** (i + 1)
-    low = ideal ** i
-    num = high.saturate(m).intersect(low)
-    return pair_length(num, high)
+    """Length of the m-torsion of I^i / I^(i+1); always finite."""
+    return LengthValue.finite(torsion_length(ideal ** i, ideal ** (i + 1)))
 
 
 def hilbert_function(ideal: Ideal, n: int) -> LengthValue:
     """Partial sum of graded torsion lengths through i = n."""
-    total = LengthValue.finite(0)
-    for i in range(n + 1):
-        g = graded_torsion_length(ideal, i)
-        if not g.is_finite:
-            return g
-        total = LengthValue.finite(total.value + g.value)
-    return total
+    return LengthValue.finite(sum(graded_torsion_length(ideal, i).value
+                                  for i in range(n + 1)))
 
 
 def fit_hilbert_polynomial(ideal: Ideal, window: int | None = None,
-                           n_cap: int = FIT_N_CAP,
                            extend_to: int = 0) -> HilbertRecord:
     """Compute H until its d-th difference is constant over the window (plus
     two confirmation points), then read off the coefficients.
@@ -188,19 +177,15 @@ def fit_hilbert_polynomial(ideal: Ideal, window: int | None = None,
     region = None
     n = 0
     while True:
-        g = graded_torsion_length(ideal, n)
-        if not g.is_finite:
-            raise FitError(f"graded torsion length at degree {n} "
-                           f"is {g.to_json()}")
-        total += g.value
+        total += graded_torsion_length(ideal, n).value
         values.append(total)
         region = detect_polynomial_window(values, d, window)
         if region is not None and n >= extend_to:
             break
         n += 1
-        if n > n_cap:
+        if n > FIT_N_CAP:
             raise FitError(f"no polynomial window of size {window} "
-                           f"found up to n = {n_cap}")
+                           f"found up to n = {FIT_N_CAP}")
     s, e = region
     coeffs = binomial_basis_convert(values[s:e + 1], d, start=s)
     record = HilbertRecord(dim=d, values=tuple(values), coefficients=coeffs,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 
-from .groebner import GroebnerBasis, groebner_basis
+from .groebner import GroebnerBasis, buchberger_raw, groebner_basis
 from .ring import (GREVLEX, ContextMismatchError, MonomialOrder, Polynomial,
                    RingContext, elimination_order, extend_context, lift_poly,
                    mono_degree, mono_div, mono_divides)
@@ -190,8 +190,11 @@ class Ideal:
                              lambda: _colon_element(self, f))
 
     def saturate(self, other: "Ideal") -> "Ideal":
-        """self : other^∞: the intersection, over the generators f of other,
-        of the chains self : f^k, grown by one colon by f per step."""
+        """self : other^∞, the intersection over the generators f of other
+        of self : f^∞.  A variable saturates by one Groebner basis of the
+        homogenization (Bayer's method), a monomial one variable of its
+        support at a time, and any other f as ((self, t - f) : t^∞) ∩ R
+        with t a new variable."""
         self._check(other)
         return self.ctx.memo(("saturate", self.key(), other.key()),
                              lambda: _saturate(self, other))
@@ -335,7 +338,7 @@ def _colon_element(a: Ideal, f: Polynomial) -> Ideal:
     if relations_gb(a.ctx).contains(f):
         # f is zero in the working ring, so a : f is everything
         return Ideal.unit(a.ctx)
-    if a.is_unit():
+    if a.is_unit() or f.degree() == 0:
         return a
     ctx = a.ctx
     ext = _aux_context(ctx)
@@ -367,13 +370,52 @@ def _colon(a: Ideal, b: Ideal) -> Ideal:
     return out
 
 
+def _saturate_variable(a: Ideal, i: int) -> Ideal:
+    """a : x_i^∞ from one Groebner basis (Bayer-Stillman 1987; Eisenbud,
+    Prop. 15.12).  The grevlex basis of a, relations included, homogenized
+    with h, generates the homogenization of a.  In grevlex on the variables
+    ordered (others, h, x_i), x_i divides a homogeneous basis row exactly
+    when it divides its lead, so dividing each row by the x_i-power of its
+    lead saturates by x_i; h = 1 then gives generators of a : x_i^∞."""
+    gb = a.gb()
+    if gb.is_unit() or gb.is_zero():
+        return a
+    ctx = a.ctx
+    others = [j for j in range(ctx.nvars) if j != i]
+
+    def lift(e, top):
+        return tuple(e[j] for j in others) + (top - mono_degree(e), e[i])
+
+    rows = [{lift(e, mono_degree(le)): c for e, c in ((le, 1),) + tail}
+            for le, tail in gb.rows]
+    gens = []
+    for le, tail in buchberger_raw(rows, ctx.nvars + 1, ctx.char, GREVLEX):
+        k = le[-1]
+        terms = {}
+        for e, c in ((le, 1),) + tail:
+            x = list(e[:-2])
+            x.insert(i, e[-1] - k)
+            terms[tuple(x)] = c
+        gens.append(Polynomial(ctx, terms))
+    return Ideal(ctx, gens)
+
+
 def _saturate_element(a: Ideal, f: Polynomial) -> Ideal:
-    """a : f^∞ as the ascending chain a, a : f, (a : f) : f, ..., which stops;
-    once a step adds nothing every later step is equal, so no cap applies."""
-    prev, cur = a, a.colon_element(f)
-    while cur != prev:
-        prev, cur = cur, cur.colon_element(f)
-    return cur
+    """a : f^∞.  A monomial saturates by each variable of its support.
+    Otherwise R[t]/(t - f) = R with t acting as f, so a : f^∞ is
+    ((a, t - f) : t^∞) ∩ R."""
+    ctx = a.ctx
+    if f.is_monomial():
+        for i, k in enumerate(f.lead_exp()):
+            if k:
+                a = ctx.memo(("saturate_var", a.key(), i),
+                             lambda: _saturate_variable(a, i))
+        return a
+    ext = _aux_context(ctx)
+    t = ext.var(ext.nvars - 1)
+    rows = [lift_poly(g, ext) for g in a.gens] + [t - lift_poly(f, ext)]
+    sat = _saturate_variable(Ideal(ext, rows), ext.nvars - 1)
+    return _eliminate_trailing(ext, ctx, sat.gens, 1, include_relations=False)
 
 
 def _saturate(a: Ideal, b: Ideal) -> Ideal:

@@ -1,43 +1,30 @@
-"""The universal length primitive: finite local lengths of subquotients A/B
-of the working ring, computed by truncation stabilization.
+"""The universal length primitive: exact local lengths of subquotients A/B
+of the working ring, read off one saturation.
 
-``pair_length(A, B)`` measures the length of A/B supported at the ideal m of
-all variables.  It compares Artinian snapshots dim_k R/(B + m^M) and
-dim_k R/(A + m^M) for growing M and declares the difference stable once it is
-constant across a window of samples; for M large enough the difference equals
-the m-local length whenever that length is finite.  Components of A/B
-supported away from the origin are invisible to the truncation, which is
-exactly the localization the working ring demands; that behaviour is
-deliberate and tested.
+For B contained in A let C = (B : m^∞) ∩ A, with m the ideal of all
+variables.  Then C/B = H⁰_m(A/B), the m-torsion of A/B.  It is supported at
+the origin only, so its length is its dimension over k: the number of
+monomials in LT(C) outside LT(B).  Every such monomial is v u for a lead v
+of C and a monomial u outside (LT(B) : v), which holds a pure power x_i^s_i
+of each variable; so its degree is at most deg v + Σ_i (s_i - 1), and the
+count runs over the staircases below that degree.
 
-Each snapshot is one Groebner basis in k[x]/m^M: ``buchberger_raw(...,
-below=M)`` drops every term of degree >= M and pairs each row that has a term
-below its lead degree with the degree-M multiples of its lead (the boundary
-pairs).  Dropping terms alone is not exact on non-homogeneous rows: for
-(x - y^2) at M = 3 it would leave 5 standard monomials instead of 3.  The
-snapshot is the number of monomials of degree < M outside the leads.
-
-The sampling schedule lives here and nowhere else.  M starts at
-2 (d + the largest generator or relation degree of the operands), past every
-generator's own scale, and steps by ``STEP_M``; the difference is stable
-once ``WINDOW`` consecutive samples agree.  The cap is the context's
-``cap_m`` (``--cap-m``), raised to at least start + 8 so that a length is
-sampled five times before it is declared infinite or non-stabilized.
-
-No a-priori stopping bound is available, so stabilization is a heuristic
-backed by the cross-route identity checks higher up the stack: a premature
-answer surfaces as a cross-check failure, never silently.
+A/C has no m-torsion, so the localization of A/B at m has finite length
+exactly when that of A/C vanishes, that is when (C : A) + m is the unit
+ideal; the length is then dim_k C/B.  Otherwise it is infinite.  Components
+of A/B supported away from the origin are invisible, which is exactly the
+localization the working ring demands; that behaviour is deliberate and
+tested.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
-from .groebner import buchberger_raw, count_standard_monomials
-from .ideals import Ideal, ring_dimension
-
-STEP_M = 2
-WINDOW = 2
+from .groebner import count_standard_monomials, groebner_basis
+from .ideals import Ideal, InternalInconsistencyError
+from .ring import mono_degree, mono_divides
 
 
 class ContainmentError(ValueError):
@@ -47,7 +34,7 @@ class ContainmentError(ValueError):
 @dataclass(frozen=True)
 class LengthValue:
     """A length: an exact integer, an explicit infinite marker, or a
-    non-stabilizing marker carrying the truncation trace."""
+    non-stabilizing marker naming the sum or term that did not settle."""
 
     kind: str  # "finite" | "infinite" | "non_stabilized"
     value: int | None = None
@@ -58,8 +45,8 @@ class LengthValue:
         return LengthValue("finite", int(n))
 
     @staticmethod
-    def infinite(reason: str | None = None) -> "LengthValue":
-        return LengthValue("infinite", None, reason)
+    def infinite() -> "LengthValue":
+        return LengthValue("infinite")
 
     @staticmethod
     def non_stabilized(reason: str) -> "LengthValue":
@@ -99,19 +86,52 @@ def lv_sub(a: LengthValue, b: LengthValue) -> LengthValue:
 
 
 def truncated_dim(ideal_: Ideal, m: int) -> int:
-    """dim_k of R/(ideal + m^M): the Artinian snapshot, always finite."""
-    return ideal_.ctx.memo(("truncdim", ideal_.key(), m),
-                           lambda: _artinian_dim(ideal_, m))
-
-
-def _artinian_dim(ideal_: Ideal, m: int) -> int:
-    gb = ideal_.gb()
-    if gb.is_unit():
-        return 0
+    """dim_k of R/(ideal + m^M), from a Groebner basis of the generators
+    together with every monomial of degree M."""
     ctx = ideal_.ctx
-    rows = buchberger_raw([g.terms for g in gb.polys], ctx.nvars, ctx.char,
-                          gb.order, below=m)
-    return count_standard_monomials([le for le, _ in rows], ctx.nvars, m)
+    power = []
+    for combo in combinations_with_replacement(range(ctx.nvars), m):
+        e = [0] * ctx.nvars
+        for k in combo:
+            e[k] += 1
+        power.append(ctx.monomial(e))
+    gb = groebner_basis(ctx, list(ideal_.gens) + power)
+    return count_standard_monomials(gb.leads, ctx.nvars, m)
+
+
+def torsion(a: Ideal, b: Ideal) -> Ideal:
+    """C = (B : m^∞) ∩ A, so that C/B is the m-torsion of A/B."""
+    return b.saturate(Ideal.maximal(b.ctx)).intersect(a)
+
+
+def torsion_length(a: Ideal, b: Ideal) -> int:
+    """Length of the m-torsion of A/B, for B contained in A."""
+    return _gap(torsion(a, b), b)
+
+
+def _gap(c: Ideal, b: Ideal) -> int:
+    """dim_k C/B for B ⊆ C with C/B supported at the origin: the monomials
+    in LT(C) outside LT(B), all of degree at most the bound read off the
+    leads (module docstring)."""
+    lb, lc = b.gb().leads, c.gb().leads
+    n = b.ctx.nvars
+    top = -1
+    for v in lc:
+        if any(mono_divides(u, v) for u in lb):
+            continue
+        bound = mono_degree(v)
+        for i in range(n):
+            # x_i^s lies in (LT(B) : v) when a lead u agrees with v off x_i
+            s = min((u[i] - v[i] for u in lb
+                     if all(u[j] <= v[j] for j in range(n) if j != i)),
+                    default=None)
+            if s is None:
+                raise InternalInconsistencyError(
+                    "m-torsion quotient is not of finite length")
+            bound += s - 1
+        top = max(top, bound)
+    return (count_standard_monomials(lb, n, top + 1)
+            - count_standard_monomials(lc, n, top + 1))
 
 
 def pair_length(a: Ideal, b: Ideal) -> LengthValue:
@@ -121,25 +141,20 @@ def pair_length(a: Ideal, b: Ideal) -> LengthValue:
         if not gb_a.contains(g):
             raise ContainmentError(
                 f"generator {g} of the submodule side is not in the larger ideal")
-    ctx = a.ctx
-    deg = max(ctx.max_relation_degree(), a.max_gen_degree(), b.max_gen_degree())
-    start = max(1, 2 * (ring_dimension(ctx) + deg))
-    # the start degree depends on the generators, not only on the bases
-    return ctx.memo(("pairlen", a.key(), b.key(), start),
-                    lambda: _stabilize(a, b, start))
+    return a.ctx.memo(("pairlen", a.key(), b.key()),
+                      lambda: _pair_length(a, b))
 
 
-def _stabilize(a: Ideal, b: Ideal, start: int) -> LengthValue:
-    cap = max(a.ctx.cap_m, start + 4 * STEP_M)
-    trace = []
-    for m in range(start, cap + 1, STEP_M):
-        trace.append(truncated_dim(b, m) - truncated_dim(a, m))
-        if len(trace) >= WINDOW and len(set(trace[-WINDOW:])) == 1:
-            return LengthValue.finite(trace[-1])
-    if all(x <= y for x, y in zip(trace, trace[1:])) and trace[-1] > trace[0]:
-        return LengthValue.infinite(f"D(M) still growing at M={cap}")
-    return LengthValue.non_stabilized(
-        f"truncation trace {trace} did not stabilize by M={cap}")
+def _pair_length(a: Ideal, b: Ideal) -> LengthValue:
+    c = torsion(a, b)
+    if c != a:
+        # (C : A) = ∩ (C : g) over the generators g of A lies in the prime m
+        # exactly when one of the C : g does
+        m = Ideal.maximal(a.ctx)
+        if any(not c.contains(g) and not (c.colon_element(g) + m).is_unit()
+               for g in a.gens):
+            return LengthValue.infinite()
+    return LengthValue.finite(_gap(c, b))
 
 
 def loc_quotient_length(l: Ideal) -> LengthValue:
@@ -150,5 +165,4 @@ def loc_quotient_length(l: Ideal) -> LengthValue:
 
 def gamma_length(l: Ideal) -> LengthValue:
     """Length of the m-torsion submodule of R/L; always finite."""
-    sat = l.saturate(Ideal.maximal(l.ctx))
-    return pair_length(sat, l)
+    return LengthValue.finite(torsion_length(Ideal.unit(l.ctx), l))

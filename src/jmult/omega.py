@@ -223,11 +223,9 @@ class OmegaEvaluator:
 
         if n == 0:
             colength = loc_quotient_length(self.jc(d - 1) + self.ideal)
-            torsion = gamma_length(self.ideal)
             push("colength(J[d-1]:I + I)", colength)
             push("-torsion(R/I)",
-                 LengthValue.finite(-torsion.value) if torsion.is_finite
-                 else LengthValue.non_stabilized("torsion term not finite"))
+                 LengthValue.finite(-gamma_length(self.ideal).value))
         else:
             for i in range(d - 1):
                 push(f"delta^{d - 1 - i}[Ktilde^{i}]",
@@ -302,8 +300,7 @@ def master_identity_check(record: HilbertRecord, ev: OmegaEvaluator,
     return MasterIdentityReport(reading=ev.reading, rows=tuple(rows))
 
 
-def j_via_sums(ev: OmegaEvaluator, i: int, r: int,
-               cap: int = SUM_N_CAP) -> LengthValue:
+def j_via_sums(ev: OmegaEvaluator, i: int, r: int) -> LengthValue:
     """j_i as the sum over n of binom(n, i-1) (fiber length + omega_n).
 
     Terms must vanish on a window of max(d+1, 3) consecutive degrees past the
@@ -315,7 +312,7 @@ def j_via_sums(ev: OmegaEvaluator, i: int, r: int,
     window = max(d + 1, 3)
     total = 0
     zeros = 0
-    for n in range(i - 1, cap + 1):
+    for n in range(i - 1, SUM_N_CAP + 1):
         fib = ev.fiber(n)
         om = ev.omega(n).total
         if not fib.is_finite:
@@ -331,7 +328,7 @@ def j_via_sums(ev: OmegaEvaluator, i: int, r: int,
         else:
             zeros = 0
     return LengthValue.non_stabilized(
-        f"summation route for j_{i} still active at n = {cap}")
+        f"summation route for j_{i} still active at n = {SUM_N_CAP}")
 
 
 def j_one_depth_formula(ideal: Ideal, red: GeneralReduction) -> LengthValue:
@@ -346,11 +343,9 @@ def j_one_depth_formula(ideal: Ideal, red: GeneralReduction) -> LengthValue:
     s = fiber_length_sum(ideal, red.full)
     colength = loc_quotient_length(red.j(d - 1).colon(ideal) + ideal)
     torsion = gamma_length(h + ideal)
-    for v in (s, colength, torsion):
+    for v in (s, colength):
         if v.kind == "non_stabilized":
             return v
     if not (s.is_finite and colength.is_finite):
         return LengthValue.infinite()
-    if not torsion.is_finite:
-        return LengthValue.non_stabilized("torsion term is not finite")
     return LengthValue.finite(s.value + colength.value - torsion.value)

@@ -191,7 +191,7 @@ def mon_quotient_length(a: MonomialIdeal):
 # classical Hilbert-Samuel route for m-primary monomial ideals
 
 
-def oracle_hilbert_coefficients(a: MonomialIdeal, window: int = None):
+def oracle_hilbert_coefficients(a: MonomialIdeal):
     """Classical coefficients of n -> length(R/a^(n+1)), for m-primary a.
 
     Counts colengths directly, locates the region where the d-th difference
@@ -203,7 +203,6 @@ def oracle_hilbert_coefficients(a: MonomialIdeal, window: int = None):
     if not a.is_m_primary():
         raise OracleError("classical coefficients need an m-primary ideal")
     d = a.nvars
-    window = window if window is not None else d + 2
     values = []
     n_cap = 64
     region = None
@@ -212,6 +211,6 @@ def oracle_hilbert_coefficients(a: MonomialIdeal, window: int = None):
         if n > n_cap:
             raise OracleError("colength counts did not become polynomial")
         values.append(mon_quotient_length(a.power(n + 1)))
-        region = detect_polynomial_window(values, d, window)
+        region = detect_polynomial_window(values, d, d + 2)
     s, e = region
     return binomial_basis_convert(values[s:e + 1], d, start=s)

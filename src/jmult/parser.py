@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ideals import Ideal
-from .ring import (DEFAULT_CAP_M, Polynomial, RingContext, format_polynomial,
-                   is_prime)
+from .ring import Polynomial, RingContext, format_polynomial, is_prime
 
 
 class ProblemError(ValueError):
@@ -43,7 +42,6 @@ class Options:
     seed: int = 0
     char: int | None = None
     nmax: int | None = None
-    cap_m: int = DEFAULT_CAP_M
     window: int | None = None
     gd_asserted: bool = False
     an_asserted: bool = False
@@ -283,7 +281,7 @@ def parse_problem(text: str, options: Options | None = None) -> ProblemSpec:
     if head(toks) != "ideal":
         raise ProblemSyntaxError(f"expected 'ideal', got {toks[0].text!r}",
                                  no, toks[0].col)
-    ctx = RingContext(tuple(names), char, relations, options.cap_m)
+    ctx = RingContext(tuple(names), char, relations)
     cur = _Cursor(toks[1:], no, ln)
     if cur.peek() is None:
         raise ProblemSyntaxError("empty ideal", no, ln + 1)

@@ -104,8 +104,8 @@ def _fiber_dimension(ideal: Ideal) -> int:
 # reductions and reduction numbers
 
 
-def is_reduction(ideal: Ideal, j: Ideal, cap: int = REDUCTION_NUMBER_CAP) -> bool:
-    return reduction_number(ideal, j, cap) is not None
+def is_reduction(ideal: Ideal, j: Ideal) -> bool:
+    return reduction_number(ideal, j) is not None
 
 
 def local_ideal_equal(a: Ideal, b: Ideal) -> bool:
@@ -119,21 +119,18 @@ def local_ideal_equal(a: Ideal, b: Ideal) -> bool:
     return v.is_finite and v.value == 0
 
 
-def reduction_number(ideal: Ideal, j: Ideal,
-                     cap: int = REDUCTION_NUMBER_CAP):
+def reduction_number(ideal: Ideal, j: Ideal):
     """Least r with J I^r = I^(r+1) locally at the origin, or None when no
-    r <= cap works."""
+    r <= REDUCTION_NUMBER_CAP works."""
     if not ideal.contains_ideal(j):
         raise ValueError("candidate reduction is not contained in the ideal")
-    for r in range(cap + 1):
+    for r in range(REDUCTION_NUMBER_CAP + 1):
         if local_ideal_equal(ideal ** (r + 1), j * (ideal ** r)):
             return r
     return None
 
 
-def general_minimal_reduction(ideal: Ideal, seed: int = 0,
-                              retry_cap: int = RETRY_CAP,
-                              cap: int = REDUCTION_NUMBER_CAP):
+def general_minimal_reduction(ideal: Ideal, seed: int = 0):
     """Sample analytic-spread many general elements and verify they reduce the
     ideal; retries with fresh seeds are reported through the returned seed.
 
@@ -142,14 +139,14 @@ def general_minimal_reduction(ideal: Ideal, seed: int = 0,
     """
     spread = analytic_spread(ideal)
     last = None
-    for attempt in range(retry_cap):
+    for attempt in range(RETRY_CAP):
         red = sample_general_elements(ideal, spread, seed + attempt)
-        r = reduction_number(ideal, red.full, cap)
+        r = reduction_number(ideal, red.full)
         if r is not None:
             return red, r
         last = red
     raise ReductionSearchError(
-        f"no general {spread}-element reduction found in {retry_cap} attempts "
+        f"no general {spread}-element reduction found in {RETRY_CAP} attempts "
         f"from seed {seed} (last candidate {[str(e) for e in last.elements]})")
 
 
@@ -236,11 +233,11 @@ def fiber_length_term(ideal: Ideal, j: Ideal, n: int) -> LengthValue:
     return pair_length(ideal ** (n + 1), j * (ideal ** n))
 
 
-def fiber_length_sum(ideal: Ideal, j: Ideal, cap: int = E1_TERM_CAP) -> LengthValue:
+def fiber_length_sum(ideal: Ideal, j: Ideal) -> LengthValue:
     """Sum of the lengths of I^(n+1)/J I^n; a zero term ends the sum because
     J I^n = I^(n+1) propagates to every later degree, locally included."""
     total = 0
-    for n in range(cap):
+    for n in range(E1_TERM_CAP):
         term = fiber_length_term(ideal, j, n)
         if not term.is_finite:
             return term
@@ -248,11 +245,11 @@ def fiber_length_sum(ideal: Ideal, j: Ideal, cap: int = E1_TERM_CAP) -> LengthVa
             return LengthValue.finite(total)
         total += term.value
     return LengthValue.non_stabilized(
-        f"fiber-length terms still nonzero at n = {cap}")
+        f"fiber-length terms still nonzero at n = {E1_TERM_CAP}")
 
 
-def kernel_corrected_fiber_sum(ideal: Ideal, red: GeneralReduction,
-                               cap: int = E1_TERM_CAP) -> LengthValue:
+def kernel_corrected_fiber_sum(ideal: Ideal,
+                               red: GeneralReduction) -> LengthValue:
     """Sum over n of length(I^(n+1)/J I^n) minus the part meeting
     K = J_{d-1} : I^infinity; the difference quotient embeds into the plain
     fiber quotient, so the first zero fiber term ends the sum."""
@@ -260,7 +257,7 @@ def kernel_corrected_fiber_sum(ideal: Ideal, red: GeneralReduction,
     kernel = red.j(d - 1).saturate(ideal)
     j_full = red.full
     total = 0
-    for n in range(cap):
+    for n in range(E1_TERM_CAP):
         fib = fiber_length_term(ideal, j_full, n)
         if not fib.is_finite:
             return fib
@@ -272,11 +269,10 @@ def kernel_corrected_fiber_sum(ideal: Ideal, red: GeneralReduction,
             return meet
         total += fib.value - meet.value
     return LengthValue.non_stabilized(
-        f"kernel-corrected fiber terms still nonzero at n = {cap}")
+        f"kernel-corrected fiber terms still nonzero at n = {E1_TERM_CAP}")
 
 
-def e_one_bar(ideal: Ideal, red: GeneralReduction,
-              cap: int = E1_TERM_CAP) -> LengthValue:
+def e_one_bar(ideal: Ideal, red: GeneralReduction) -> LengthValue:
     """First Hilbert coefficient of the image of I in the reduction ring,
     computed as the sum of lengths of Ibar^(n+1)/xbar Ibar^n; the sum stops at
     the first zero term, which is final in dimension one."""
@@ -285,7 +281,7 @@ def e_one_bar(ideal: Ideal, red: GeneralReduction,
     kernel = reduction_ring(ideal, red).kernel
     x_last = Ideal(ctx, [red.elements[d - 1]])
     total = 0
-    for n in range(cap):
+    for n in range(E1_TERM_CAP):
         upper = loc_quotient_length(x_last * (ideal ** n) + kernel)
         lower = loc_quotient_length(ideal ** (n + 1) + kernel)
         if not (upper.is_finite and lower.is_finite):
@@ -295,7 +291,7 @@ def e_one_bar(ideal: Ideal, red: GeneralReduction,
             return LengthValue.finite(total)
         total += term
     return LengthValue.non_stabilized(
-        f"reduction-ring Hilbert terms still nonzero at n = {cap}")
+        f"reduction-ring Hilbert terms still nonzero at n = {E1_TERM_CAP}")
 
 
 # --------------------------------------------------------------------------

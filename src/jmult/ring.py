@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 DEFAULT_CHAR = 32003
-DEFAULT_CAP_M = 200
 MAX_CHAR = 1 << 31
 
 Exponents = tuple  # tuple[int, ...], one slot per ambient variable
@@ -163,16 +162,12 @@ class RingContext:
     generated by all the variables; ideals built over this context implicitly
     contain the relations.  Relations are kept as canonical term data so that
     contexts compare and hash by value.
-
-    ``cap_m`` caps the truncation degree of every local length computed over
-    the context.  It is run configuration, not part of the value.
     """
 
-    __slots__ = ("var_names", "char", "field", "relations", "cap_m", "_sig",
-                 "_memo")
+    __slots__ = ("var_names", "char", "field", "relations", "_sig", "_memo")
 
     def __init__(self, var_names: Iterable[str], char: int = DEFAULT_CHAR,
-                 relations: Iterable = (), cap_m: int = DEFAULT_CAP_M):
+                 relations: Iterable = ()):
         names = tuple(var_names)
         if len(set(names)) != len(names) or not names:
             raise ValueError("variable names must be nonempty and distinct")
@@ -186,7 +181,6 @@ class RingContext:
             if data:
                 rel.append(data)
         self.relations = tuple(rel)
-        self.cap_m = cap_m
         self._sig = (self.var_names, self.char, self.relations)
         self._memo = {}
 
@@ -420,7 +414,7 @@ def extend_context(ctx: RingContext, extra_names: Iterable[str]) -> RingContext:
     extras = tuple(extra_names)
     pad = (0,) * len(extras)
     lifted = [{e + pad: c for e, c in dict(data).items()} for data in ctx.relations]
-    return RingContext(ctx.var_names + extras, ctx.char, lifted, ctx.cap_m)
+    return RingContext(ctx.var_names + extras, ctx.char, lifted)
 
 
 def lift_poly(f: Polynomial, big: RingContext) -> Polynomial:

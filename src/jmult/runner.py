@@ -9,7 +9,8 @@ byte-identical JSON.
 Exit codes: 0 clean, 2 parse error, 3 hypothesis-surrogate failure (results
 are still printed, marked), 4 non-stabilization, a resource cap, or a compared
 value that degraded to a named non-finite term, 5 internal cross-check
-violation: a compared value that is finite and wrong.
+violation: a compared value that is finite and wrong, or an internal
+inconsistency such as an exact division that failed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 
 from .groebner import ComputationLimitError
 from .hilbert import FitError, fit_hilbert_polynomial
-from .ideals import ring_dimension
+from .ideals import InternalInconsistencyError, ring_dimension
 from .lengths import LengthValue
 from .northcott import HypothesisFlags, assemble_northcott
 from .omega import OmegaEvaluator, j_one_depth_formula, j_via_sums, master_identity_check
@@ -200,6 +201,9 @@ class Pipeline:
                 self._lazy["hyp_json"] = self.hypotheses_json()
         except (ComputationLimitError, FitError) as exc:
             self.flag(NON_STABILIZED, str(exc))
+            results = {"error": str(exc)}
+        except InternalInconsistencyError as exc:
+            self.flag(CROSS_CHECK, f"internal inconsistency: {exc}")
             results = {"error": str(exc)}
         return self.envelope(results)
 

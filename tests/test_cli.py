@@ -7,6 +7,7 @@ import pytest
 
 import jmult.runner
 from jmult.cli import main
+from jmult.ideals import InternalInconsistencyError
 from jmult.lengths import LengthValue
 
 M2 = "ring char=32003 vars=x,y\nideal x^2,x*y,y^2\n"
@@ -203,3 +204,25 @@ def test_master_identity_row_exit_code(capsys, monkeypatch, degraded, want):
         assert diagnostics == ["master identity failed under passing "
                                "hypotheses for reading 'x1'"]
     assert code == want
+
+
+def test_internal_inconsistency_exits_5(capsys, monkeypatch):
+    """An internal bug is reported with exit 5, never as a traceback."""
+    def broken(ideal, red):
+        raise InternalInconsistencyError("inexact division in colon computation")
+
+    monkeypatch.setattr(jmult.runner, "j_zero", broken)
+    code, out = run_cli(capsys, monkeypatch, "coeffs", M2)
+    rep = json.loads(out)
+    assert rep["results"] == {"error": "inexact division in colon computation"}
+    assert rep["diagnostics"] == ["internal inconsistency: inexact division "
+                                  "in colon computation"]
+    assert code == 5
+
+
+def test_cap_m_flag_is_rejected(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(M2))
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", "-", "--cap-m", "30"])
+    assert exc.value.code == 2
+    assert "--cap-m" in capsys.readouterr().err
