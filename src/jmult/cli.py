@@ -58,8 +58,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="assert the Artin-Nagata hypothesis")
     ap.add_argument("--assert-s2", action="store_true",
                     help="assert the weak residual (S2) hypothesis")
-    ap.add_argument("--omega-colon", choices=("x1", "xnext"), default="x1",
-                    help="colon-element reading inside the correction terms")
     ap.add_argument("--format", dest="fmt", choices=("json", "table"),
                     default="json")
     ap.add_argument("--oracle", action="store_true",
@@ -71,8 +69,7 @@ def options_from_args(args) -> Options:
     return Options(seed=args.seed, char=args.char, nmax=args.nmax,
                    window=args.window, gd_asserted=args.assert_gd,
                    an_asserted=args.assert_an, s2_asserted=args.assert_s2,
-                   omega_colon=args.omega_colon, fmt=args.fmt,
-                   oracle=args.oracle)
+                   fmt=args.fmt, oracle=args.oracle)
 
 
 def _flag_error(spec: ProblemSpec) -> str | None:

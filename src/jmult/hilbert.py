@@ -16,8 +16,8 @@ with a larger window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .ideals import Ideal, ring_dimension
 from .lengths import LengthValue, torsion_length
@@ -107,8 +107,7 @@ def binomial_basis_convert(values, d: int, start: int = 0):
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class HilbertRecord:
+class HilbertRecord(NamedTuple):
     """Fitted generalized Hilbert-Samuel data for one ideal."""
 
     dim: int

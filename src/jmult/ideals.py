@@ -130,9 +130,6 @@ class Ideal:
         gb = self.gb()
         return all(gb.contains(g) for g in other.gens)
 
-    def max_gen_degree(self) -> int:
-        return max((g.degree() for g in self.gens), default=0)
-
     # -- generator-level operations ----------------------------------------------
 
     def _check(self, other: "Ideal"):

@@ -19,8 +19,8 @@ tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 from .groebner import count_standard_monomials, groebner_basis
 from .ideals import Ideal, InternalInconsistencyError
@@ -31,8 +31,7 @@ class ContainmentError(ValueError):
     """pair_length(A, B) requires B to be contained in A."""
 
 
-@dataclass(frozen=True)
-class LengthValue:
+class LengthValue(NamedTuple):
     """A length: an exact integer, an explicit infinite marker, or a
     non-stabilizing marker naming the sum or term that did not settle."""
 

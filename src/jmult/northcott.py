@@ -12,15 +12,14 @@ averaged away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ideals import Ideal, ring_dimension
 from .lengths import LengthValue, loc_quotient_length, pair_length
 from .reductions import GeneralReduction
 
 
-@dataclass(frozen=True)
-class HypothesisFlags:
+class HypothesisFlags(NamedTuple):
     """User-asserted hypotheses; they are echoed in every dependent output."""
 
     gd_asserted: bool = False
@@ -51,8 +50,7 @@ def northcott_bound(ideal: Ideal, red: GeneralReduction):
     return lam, second
 
 
-@dataclass(frozen=True)
-class NorthcottReport:
+class NorthcottReport(NamedTuple):
     """Inequality verdicts for one ideal; ``bound = lambda_ij + second_term``
     whenever both are finite, and equality forces the inequality."""
 

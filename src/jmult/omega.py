@@ -4,10 +4,14 @@ Hilbert coefficients.
 Every displayed module is evaluated literally in the working ring as a length
 of a quotient of ideal expressions built from sums, products, intersections,
 colons and m-saturations; a relative colon (A :_X m^infinity) is read as
-(A : m^infinity) ∩ X.  Two readings of the colon element inside the Ktilde
-terms are provided behind a switch (``x1`` uses the first general element for
-every index, ``xnext`` uses x_{i+1}); route-agreement checks report which
-reading satisfies the master identity, and nothing picks silently.
+(A : m^infinity) ∩ X.  The colon element of Ktilde^i is the general element
+x_{i+1}, and its display is ((J_i : I) + I^(n+1)) : x_{i+1} over
+(J_i : I) + I^n, which is well-formed by construction.  In dimension up to two
+only i = 0 occurs.
+
+The summation route stops at N = max(r, postulation + d): past N the d-th
+difference of P - H is zero, so a wrong term shows up as a finite
+disagreement with the fit.
 
 Containment failures inside a term are diagnostics for hypothesis failure:
 the term is marked by name and the total degrades to a non-finite marker
@@ -16,18 +20,14 @@ instead of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .hilbert import HilbertRecord, binomial
 from .ideals import Ideal, ring_dimension
 from .lengths import (ContainmentError, LengthValue, gamma_length,
                       loc_quotient_length, lv_sub, pair_length)
 from .reductions import GeneralReduction, fiber_length_term
-
-SUM_N_CAP = 40
-
-READINGS = ("x1", "xnext")
 
 
 def _delta_lv(fn, k: int, n: int) -> LengthValue:
@@ -42,22 +42,19 @@ def _delta_lv(fn, k: int, n: int) -> LengthValue:
     return LengthValue.finite(total)
 
 
-@dataclass(frozen=True)
-class OmegaBreakdown:
+class OmegaBreakdown(NamedTuple):
     """One correction value with its named sub-terms in display order.
 
     Term values are signed contributions, so the total is exactly the sum of
     the finite entries; any non-finite marker wins and becomes the total."""
 
     n: int
-    reading: str
     terms: tuple          # (name, signed-contribution-or-marker) pairs
     total: LengthValue
 
     def to_json(self):
         return {
             "n": self.n,
-            "reading": self.reading,
             "terms": {name: val for name, val in self.terms},
             "total": self.total.to_json(),
         }
@@ -68,15 +65,15 @@ class OmegaEvaluator:
 
     Sub-term lengths are cached per (kind, i, n); sequences are extended by
     zero at non-positive indices, which matches the literal displays (the
-    zeroth power of I is the unit ideal, so those quotients vanish).
+    zeroth power of I is the unit ideal, so those quotients vanish).  The
+    fitted Hilbert record of the ideal bounds the summation route.
     """
 
-    def __init__(self, ideal: Ideal, red: GeneralReduction, reading: str = "x1"):
-        if reading not in READINGS:
-            raise ValueError(f"unknown colon reading {reading!r}")
+    def __init__(self, ideal: Ideal, red: GeneralReduction,
+                 record: HilbertRecord):
         self.ideal = ideal
         self.red = red
-        self.reading = reading
+        self.record = record
         self.ctx = ideal.ctx
         self.d = ring_dimension(self.ctx)
         self.m = Ideal.maximal(self.ctx)
@@ -85,6 +82,11 @@ class OmegaEvaluator:
         self._beta = None
 
     # -- building blocks -----------------------------------------------------
+
+    def last_sum_degree(self, r: int) -> int:
+        """N = max(r, postulation + d): the fiber lengths vanish from r on and
+        the d-th difference of P - H past postulation + d."""
+        return max(r, self.record.postulation + self.d)
 
     def jc(self, i: int) -> Ideal:
         """The residual ideal J_i : I."""
@@ -119,8 +121,8 @@ class OmegaEvaluator:
             return LengthValue.finite(0)
 
         def build():
-            x = self.red.elements[0] if self.reading == "x1" else self.red.elements[i]
-            num = (self.ideal ** (n + 1)).colon_element(x)
+            num = (self.jc(i) + self.ideal ** (n + 1)).colon_element(
+                self.red.elements[i])
             den = self.jc(i) + self.ideal ** n
             return self._length(f"Ktilde^{i}_{n - 1}", num, den)
 
@@ -250,20 +252,17 @@ class OmegaEvaluator:
                 total = v
                 break
             total = LengthValue.finite(total.value + v.value)
-        return OmegaBreakdown(n=n, reading=self.reading, terms=tuple(terms),
-                              total=total)
+        return OmegaBreakdown(n=n, terms=tuple(terms), total=total)
 
 
 # --------------------------------------------------------------------------
 # identity checks and coefficient routes
 
 
-@dataclass(frozen=True)
-class MasterIdentityReport:
+class MasterIdentityReport(NamedTuple):
     """Per-degree comparison of fiber length + correction against the d-th
     difference of (polynomial - function)."""
 
-    reading: str
     rows: tuple   # (n, lhs json, rhs int, holds-or-None)
 
     @property
@@ -277,58 +276,42 @@ class MasterIdentityReport:
 
     def to_json(self):
         return {
-            "reading": self.reading,
             "rows": [{"n": n, "lhs": l, "rhs": r, "holds": h}
                      for (n, l, r, h) in self.rows],
             "holds": self.all_hold,
         }
 
 
-def master_identity_check(record: HilbertRecord, ev: OmegaEvaluator,
-                          nmax: int) -> MasterIdentityReport:
+def master_identity_check(ev: OmegaEvaluator, nmax: int) -> MasterIdentityReport:
     rows = []
     for n in range(nmax + 1):
         fib = ev.fiber(n)
         om = ev.omega(n).total
-        rhs = record.delta_p_minus_h(n)
+        rhs = ev.record.delta_p_minus_h(n)
         if fib.is_finite and om.is_finite:
             lhs = fib.value + om.value
             rows.append((n, lhs, rhs, lhs == rhs))
         else:
             bad = fib if not fib.is_finite else om
             rows.append((n, bad.to_json(), rhs, None))
-    return MasterIdentityReport(reading=ev.reading, rows=tuple(rows))
+    return MasterIdentityReport(rows=tuple(rows))
 
 
 def j_via_sums(ev: OmegaEvaluator, i: int, r: int) -> LengthValue:
-    """j_i as the sum over n of binom(n, i-1) (fiber length + omega_n).
-
-    Terms must vanish on a window of max(d+1, 3) consecutive degrees past the
-    reduction number before the total is declared stable.
-    """
-    d = ev.d
-    if not 1 <= i <= d:
+    """j_i as the sum over n = i-1 .. N of binom(n, i-1) (fiber length +
+    omega_n), with N = ``ev.last_sum_degree(r)``."""
+    if not 1 <= i <= ev.d:
         raise ValueError("coefficient index must be between 1 and d")
-    window = max(d + 1, 3)
     total = 0
-    zeros = 0
-    for n in range(i - 1, SUM_N_CAP + 1):
+    for n in range(i - 1, ev.last_sum_degree(r) + 1):
         fib = ev.fiber(n)
         om = ev.omega(n).total
         if not fib.is_finite:
             return fib
         if not om.is_finite:
             return om
-        term = binomial(n, i - 1) * (fib.value + om.value)
-        total += term
-        if term == 0 and n > r:
-            zeros += 1
-            if zeros >= window:
-                return LengthValue.finite(total)
-        else:
-            zeros = 0
-    return LengthValue.non_stabilized(
-        f"summation route for j_{i} still active at n = {SUM_N_CAP}")
+        total += binomial(n, i - 1) * (fib.value + om.value)
+    return LengthValue.finite(total)
 
 
 def j_one_depth_formula(ideal: Ideal, red: GeneralReduction) -> LengthValue:

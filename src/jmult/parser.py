@@ -13,7 +13,7 @@ reported with line and column, as distinct error types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ideals import Ideal
 from .ring import Polynomial, RingContext, format_polynomial, is_prime
@@ -35,8 +35,7 @@ class ProblemSemanticError(ProblemError):
     pass
 
 
-@dataclass(frozen=True)
-class Options:
+class Options(NamedTuple):
     """Run configuration shared by the CLI and the report pipeline."""
 
     seed: int = 0
@@ -46,28 +45,33 @@ class Options:
     gd_asserted: bool = False
     an_asserted: bool = False
     s2_asserted: bool = False
-    omega_colon: str = "x1"
     fmt: str = "json"
     oracle: bool = False
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
+    """A parsed problem; equality and hashing ignore the run options."""
+
     ring: RingContext
     ideal: Ideal
-    options: Options = field(default_factory=Options)
+    options: Options = Options()
 
     def __eq__(self, other):
         return (isinstance(other, ProblemSpec) and self.ring == other.ring
                 and self.ideal == other.ideal)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((self.ring, self.ideal))
 
 
 # --------------------------------------------------------------------------
 # tokenizer
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str      # IDENT | INT | SYM | END
     text: str
     line: int

@@ -10,7 +10,7 @@ order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ideals import Ideal, eliminate, ring_dimension
 from .lengths import LengthValue, loc_quotient_length, pair_length
@@ -26,8 +26,7 @@ class ReductionSearchError(RuntimeError):
     bad luck over a large field, or the analytic spread is misreported."""
 
 
-@dataclass(frozen=True)
-class GeneralReduction:
+class GeneralReduction(NamedTuple):
     """A sampled sequence of general elements of I and its partial ideals
     J_i = (x_1, ..., x_i); J_0 is the zero ideal."""
 
@@ -154,8 +153,7 @@ def general_minimal_reduction(ideal: Ideal, seed: int = 0):
 # residual-height surrogate for the G_d condition
 
 
-@dataclass(frozen=True)
-class ResidualHeightReport:
+class ResidualHeightReport(NamedTuple):
     """Per-index verdicts of the computable residual-intersection surrogate:
     codim(J_i : I) >= i and codim((J_i : I) + I) >= i + 1."""
 
@@ -191,8 +189,7 @@ def residual_height_check(ideal: Ideal, red: GeneralReduction) -> ResidualHeight
 # the one-dimensional reduction ring R/(J_{d-1} : I^infinity)
 
 
-@dataclass(frozen=True)
-class ReductionRing:
+class ReductionRing(NamedTuple):
     """K = J_{d-1} : I^infinity together with sanity verdicts: the quotient
     should be one-dimensional and I should become primary to its maximal
     ideal.  Failures are hypothesis warnings, not fatal."""
@@ -298,8 +295,7 @@ def e_one_bar(ideal: Ideal, red: GeneralReduction) -> LengthValue:
 # intersection-condition check (regular-sequence criterion on partial ideals)
 
 
-@dataclass(frozen=True)
-class ValabregaVallaReport:
+class ValabregaVallaReport(NamedTuple):
     """Bounded-n verdict for the intersection condition
     J_{d-1} ∩ I^(n+1) = J_{d-1} I^n together with the equivalent summation
     condition; the depth conclusion is only reported when the user asserts

@@ -9,8 +9,7 @@ that intermediate products fit comfortably in 64 bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 DEFAULT_CHAR = 32003
 MAX_CHAR = 1 << 31
@@ -109,8 +108,7 @@ def mono_degree(a: Exponents) -> int:
     return sum(a)
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(NamedTuple):
     """A multiplicative well-order on monomials.
 
     kind is one of ``grevlex``, ``lex`` or ``block``.  A block order compares
@@ -239,10 +237,6 @@ class RingContext:
 
     def relation_polys(self) -> list:
         return [Polynomial(self, dict(data)) for data in self.relations]
-
-    def max_relation_degree(self) -> int:
-        degs = [max(mono_degree(e) for e, _ in data) for data in self.relations]
-        return max(degs, default=0)
 
 
 class Polynomial:

@@ -73,7 +73,7 @@ class Pipeline:
             return
         if any(holds is False for *_, holds in master.rows):
             self.flag(CROSS_CHECK, "master identity failed under passing "
-                                   f"hypotheses for reading {master.reading!r}")
+                                   "hypotheses")
         self._note_degraded([lhs for _, lhs, _, holds in master.rows
                              if holds is None])
 
@@ -153,9 +153,8 @@ class Pipeline:
 
     def evaluator(self) -> OmegaEvaluator:
         red, _ = self.reduction
-        return self._once(("evaluator", self.opt.omega_colon),
-                          lambda: OmegaEvaluator(self.ideal, red,
-                                                 reading=self.opt.omega_colon))
+        return self._once("evaluator", lambda: OmegaEvaluator(
+            self.ideal, red, self.record))
 
     # -- envelope -------------------------------------------------------------
 
@@ -178,12 +177,12 @@ class Pipeline:
             "effective": self.hypotheses_effective,
         }
 
-    def envelope(self, results: dict) -> dict:
+    def envelope(self, results: dict, hypotheses: dict | None) -> dict:
         return {
             "input": print_problem(self.spec),
             "seed": self.opt.seed,
             "char": self.ctx.char,
-            "hypotheses": self._lazy.get("hyp_json"),
+            "hypotheses": hypotheses,
             "results": results,
             "diagnostics": list(self.diagnostics),
         }
@@ -194,18 +193,19 @@ class Pipeline:
         if command != "oracle" and (self.ideal.is_zero() or self.ideal.is_unit()):
             msg = "the ideal must be proper and nonzero"
             self.flag(PARSE_ERROR, msg)
-            return self.envelope({"error": msg})
+            return self.envelope({"error": msg}, None)
+        hypotheses = None
         try:
             results = getattr(self, f"cmd_{command}")()
             if command != "oracle":
-                self._lazy["hyp_json"] = self.hypotheses_json()
+                hypotheses = self.hypotheses_json()
         except (ComputationLimitError, FitError) as exc:
             self.flag(NON_STABILIZED, str(exc))
             results = {"error": str(exc)}
         except InternalInconsistencyError as exc:
             self.flag(CROSS_CHECK, f"internal inconsistency: {exc}")
             results = {"error": str(exc)}
-        return self.envelope(results)
+        return self.envelope(results, hypotheses)
 
     # -- commands ----------------------------------------------------------------
 
@@ -277,7 +277,7 @@ class Pipeline:
                                             "(hypotheses not in force)")
             for n in range(self.nmax + 1):
                 omega_rows.append(ev.omega(n).to_json())
-            master = master_identity_check(rec, ev, self.nmax)
+            master = master_identity_check(ev, self.nmax)
             self._check_master(master)
         else:
             routes["jzero"] = "not-applicable (analytic spread below dim)"
@@ -357,7 +357,7 @@ class Pipeline:
             return {"error": "correction terms need a general minimal reduction"}
         ev = self.evaluator()
         rows = [ev.omega(n).to_json() for n in range(self.nmax + 1)]
-        master = master_identity_check(self.record, ev, self.nmax)
+        master = master_identity_check(ev, self.nmax)
         self._check_master(master)
         return {"omega": rows, "master_identity": master.to_json()}
 

@@ -98,22 +98,17 @@ def test_criterion_2_classical_coincidence(ctx, suite):
 
 def test_criterion_3_master_identity(ctx, suite):
     ok = True
-    readings = []
+    checked = 0
     for item in suite:
         if not item["surrogate"].all_passed:
             continue
-        passing = None
-        for reading in ("x1", "xnext"):
-            ev = OmegaEvaluator(item["ideal"], item["red"], reading=reading)
-            rep = master_identity_check(item["record"], ev, item["nmax"])
-            if rep.all_hold:
-                passing = reading
-                break
-        if passing is None:
+        ev = OmegaEvaluator(item["ideal"], item["red"], item["record"])
+        rep = master_identity_check(ev, item["nmax"])
+        checked += 1
+        if not rep.all_hold:
             ok = False
-            print(f"  master identity failed for {item['exps']} in both readings")
-        readings.append(f"{item['exps']}→{passing}")
-    report(3, ok, f"readings: {readings}")
+            print(f"  master identity failed for {item['exps']}")
+    report(3, ok, f"{checked} ideals with passing surrogate")
 
 
 def test_criterion_4_route_agreement(ctx, suite):
@@ -126,7 +121,7 @@ def test_criterion_4_route_agreement(ctx, suite):
                 ok = False
                 print(f"  difference-sum route broke at {item['exps']} i={i}")
         if item["surrogate"].all_passed:
-            ev = OmegaEvaluator(item["ideal"], red)
+            ev = OmegaEvaluator(item["ideal"], red, rec)
             for i in range(1, d + 1):
                 v = j_via_sums(ev, i, r)
                 if not (v.is_finite and v.value == rec.coefficients[i]):

@@ -1,6 +1,6 @@
 import pytest
 
-from jmult import (Ideal, OmegaEvaluator, fit_hilbert_polynomial,
+from jmult import (Ideal, OmegaEvaluator, RingContext, fit_hilbert_polynomial,
                    general_minimal_reduction, j_one_depth_formula, j_via_sums,
                    master_identity_check, pair_length)
 
@@ -12,7 +12,7 @@ def m2_pipeline(ctx2):
     ideal = monomial_ideal(ctx2, (2, 0), (1, 1), (0, 2))
     red, r = general_minimal_reduction(ideal, seed=0)
     rec = fit_hilbert_polynomial(ideal, extend_to=r + 7)
-    ev = OmegaEvaluator(ideal, red)
+    ev = OmegaEvaluator(ideal, red, rec)
     return ideal, red, r, rec, ev
 
 
@@ -22,7 +22,7 @@ def test_omega_zero_dimension_one(ctx_family):
     X = ctx_family.var("x")
     m = Ideal.maximal(ctx_family)
     red, r = general_minimal_reduction(m, seed=0)
-    ev = OmegaEvaluator(m, red)
+    ev = OmegaEvaluator(m, red, fit_hilbert_polynomial(m))
     om = ev.omega(0)
     assert om.total.as_int() == 0
     assert ev.omega(1).total.as_int() == 0
@@ -56,8 +56,8 @@ def test_master_identity_m_primary_suite(ctx2):
         red, r = general_minimal_reduction(ideal, seed=0)
         nmax = r + 4
         rec = fit_hilbert_polynomial(ideal, extend_to=nmax + 3)
-        ev = OmegaEvaluator(ideal, red)
-        rep = master_identity_check(rec, ev, nmax)
+        ev = OmegaEvaluator(ideal, red, rec)
+        rep = master_identity_check(ev, nmax)
         assert rep.all_hold, (exps, rep.rows)
 
 
@@ -68,8 +68,8 @@ def test_master_identity_failure_visible_without_hypotheses(ctx_family):
     ideal = Ideal(ctx_family, [X * Y])
     red, r = general_minimal_reduction(ideal, seed=0)
     rec = fit_hilbert_polynomial(ideal, extend_to=r + 5)
-    ev = OmegaEvaluator(ideal, red)
-    rep = master_identity_check(rec, ev, r + 3)
+    ev = OmegaEvaluator(ideal, red, rec)
+    rep = master_identity_check(ev, r + 3)
     assert not rep.all_hold
 
 
@@ -79,7 +79,7 @@ def test_j_via_sums_routes(ctx2, m2_pipeline):
     assert j_via_sums(ev, 2, r).as_int() == 0 == rec.coefficients[2]
     param = monomial_ideal(ctx2, (1, 0), (0, 1))
     redp, rp = general_minimal_reduction(param, seed=0)
-    evp = OmegaEvaluator(param, redp)
+    evp = OmegaEvaluator(param, redp, fit_hilbert_polynomial(param))
     assert j_via_sums(evp, 1, rp).as_int() == 0
 
 
@@ -91,15 +91,19 @@ def test_j_one_depth_formula(ctx2, m2_pipeline):
     assert j_one_depth_formula(m, redm).as_int() == 0
 
 
-def test_readings_coincide_in_low_dimension(m2_pipeline):
-    ideal, red, r, rec, _ = m2_pipeline
-    ev1 = OmegaEvaluator(ideal, red, reading="x1")
-    ev2 = OmegaEvaluator(ideal, red, reading="xnext")
-    for n in range(r + 3):
-        assert ev1.omega(n).total == ev2.omega(n).total
-
-
-def test_unknown_reading_rejected(m2_pipeline):
-    ideal, red, *_ = m2_pipeline
-    with pytest.raises(ValueError):
-        OmegaEvaluator(ideal, red, reading="x2")
+@pytest.mark.parametrize("gens", [((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                                  ((2, 0, 0), (0, 1, 0), (0, 0, 1))],
+                         ids=["x,y,z", "x^2,y,z"])
+def test_sums_and_master_identity_dimension_three(gens):
+    """In k[x,y,z] every Ktilde^i term is well-formed, the summation route
+    gives every fitted coefficient and the master identity holds."""
+    ctx3 = RingContext(("x", "y", "z"), 32003)
+    ideal = monomial_ideal(ctx3, *gens)
+    red, r = general_minimal_reduction(ideal, seed=0)
+    nmax = r + 5
+    rec = fit_hilbert_polynomial(ideal, extend_to=nmax + 4)
+    ev = OmegaEvaluator(ideal, red, rec)
+    assert [j_via_sums(ev, i, r).to_json() for i in (1, 2, 3)] \
+        == list(rec.coefficients[1:])
+    rep = master_identity_check(ev, nmax)
+    assert rep.all_hold is True, rep.rows
