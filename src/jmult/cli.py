@@ -25,11 +25,11 @@ semantics: the working ring is k[vars]/(mod relations) localized at the ideal
 of all variables, so every reported length is local at the origin; components
 supported away from the origin are invisible by design.
 
-exit codes: 0 ok, 2 parse error or out-of-range flag, 3 hypothesis-surrogate
-failure (results still printed, marked), 4 non-stabilization, resource cap, or
-a compared value that degraded to a named non-finite term, 5 internal
-cross-check violation (a finite compared value that is wrong, or an internal
-inconsistency).
+exit codes: 0 ok, 2 input error (parse error, out-of-range flag, zero or unit
+ideal, ring of dimension 0), 3 hypothesis-surrogate failure (results still
+printed, marked), 4 resource cap, or a compared value that is infinite, 5
+internal cross-check violation (a finite compared value that is wrong, or an
+internal inconsistency).
 """
 
 

@@ -32,12 +32,10 @@ class ContainmentError(ValueError):
 
 
 class LengthValue(NamedTuple):
-    """A length: an exact integer, an explicit infinite marker, or a
-    non-stabilizing marker naming the sum or term that did not settle."""
+    """A length: an exact integer, or an explicit infinite marker."""
 
-    kind: str  # "finite" | "infinite" | "non_stabilized"
+    kind: str  # "finite" | "infinite"
     value: int | None = None
-    reason: str | None = None
 
     @staticmethod
     def finite(n: int) -> "LengthValue":
@@ -46,10 +44,6 @@ class LengthValue(NamedTuple):
     @staticmethod
     def infinite() -> "LengthValue":
         return LengthValue("infinite")
-
-    @staticmethod
-    def non_stabilized(reason: str) -> "LengthValue":
-        return LengthValue("non_stabilized", None, reason)
 
     @property
     def is_finite(self) -> bool:
@@ -61,27 +55,22 @@ class LengthValue(NamedTuple):
         return self.value
 
     def to_json(self):
-        if self.is_finite:
-            return self.value
-        if self.kind == "infinite":
-            return "infinite"
-        return f"non-stabilized: {self.reason}" if self.reason else "non-stabilized"
+        return self.value if self.is_finite else "infinite"
 
     def __repr__(self):
-        if self.is_finite:
-            return f"LengthValue({self.value})"
-        return f"LengthValue({self.kind}{':' + self.reason if self.reason else ''})"
+        return f"LengthValue({self.value if self.is_finite else self.kind})"
 
 
-def lv_sub(a: LengthValue, b: LengthValue) -> LengthValue:
-    for x in (a, b):
-        if x.kind == "non_stabilized":
-            return x
-    if a.is_finite and b.is_finite:
-        return LengthValue.finite(a.value - b.value)
-    if a.kind == "infinite" and b.is_finite:
-        return LengthValue.infinite()
-    return LengthValue.non_stabilized("indeterminate difference of lengths")
+def signed_sum(pairs) -> LengthValue:
+    """Σ c·v over (coefficient, LengthValue) pairs.  The first non-finite
+    value wins, and the pairs after it are not drawn, so a generator of
+    pairs evaluates no length past it."""
+    total = 0
+    for c, v in pairs:
+        if not v.is_finite:
+            return v
+        total += c * v.value
+    return LengthValue.finite(total)
 
 
 def truncated_dim(ideal_: Ideal, m: int) -> int:

@@ -15,8 +15,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .ideals import Ideal, ring_dimension
-from .lengths import LengthValue, loc_quotient_length, pair_length
-from .reductions import GeneralReduction
+from .lengths import (LengthValue, gamma_length, loc_quotient_length,
+                      pair_length)
+from .reductions import GeneralReduction, fiber_length_sum
 
 
 class HypothesisFlags(NamedTuple):
@@ -128,12 +129,12 @@ def assemble_northcott(ideal: Ideal, red: GeneralReduction, r: int | None,
         notes.append("dimension one: the second bound term involves J_{d-2} "
                      "and is undefined; reporting the summation decomposition "
                      "of j_1 instead of a bound")
-        lam = pair_length(ideal, red.full) if red is not None else None
-        from .reductions import fiber_length_sum
-        from .lengths import gamma_length
+        lam = pair_length(ideal, red.full)
         zero_colon = Ideal.zero(ctx).colon(ideal)
         parts = (
-            ("fiber_length_sum", fiber_length_sum(ideal, red.full).to_json()),
+            ("fiber_length_sum",
+             fiber_length_sum(ideal, red.full, r).to_json() if r is not None
+             else "not-applicable (no general minimal reduction)"),
             ("colength(0:I + I)", loc_quotient_length(zero_colon + ideal).to_json()),
             ("torsion(R/I)", gamma_length(ideal).to_json()),
         )

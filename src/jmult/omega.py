@@ -13,9 +13,10 @@ The summation route stops at N = max(r, postulation + d): past N the d-th
 difference of P - H is zero, so a wrong term shows up as a finite
 disagreement with the fit.
 
-Containment failures inside a term are diagnostics for hypothesis failure:
-the term is marked by name and the total degrades to a non-finite marker
-instead of raising.
+Every display is contained by construction: J_i ⊆ J_(i+1), x_(i+1) ∈ I and
+x_(i+1) (J_i : I) ⊆ J_i : I.  A containment failure is therefore a bug, and
+``pair_length`` raises it as such; an infinite length is the only non-finite
+value a term can take.
 """
 
 from __future__ import annotations
@@ -25,28 +26,23 @@ from typing import NamedTuple
 
 from .hilbert import HilbertRecord, binomial
 from .ideals import Ideal, ring_dimension
-from .lengths import (ContainmentError, LengthValue, gamma_length,
-                      loc_quotient_length, lv_sub, pair_length)
-from .reductions import GeneralReduction, fiber_length_term
+from .lengths import (LengthValue, gamma_length, loc_quotient_length,
+                      pair_length, signed_sum)
+from .reductions import GeneralReduction, fiber_length_sum, fiber_length_term
 
 
 def _delta_lv(fn, k: int, n: int) -> LengthValue:
     """Backward difference over LengthValue sequences; any non-finite entry
     wins."""
-    total = 0
-    for j in range(k + 1):
-        v = fn(n - j)
-        if not v.is_finite:
-            return v
-        total += (-1) ** j * comb(k, j) * v.value
-    return LengthValue.finite(total)
+    return signed_sum(((-1) ** j * comb(k, j), fn(n - j))
+                      for j in range(k + 1))
 
 
 class OmegaBreakdown(NamedTuple):
     """One correction value with its named sub-terms in display order.
 
     Term values are signed contributions, so the total is exactly the sum of
-    the finite entries; any non-finite marker wins and becomes the total."""
+    the finite entries; an infinite entry makes the total infinite."""
 
     n: int
     terms: tuple          # (name, signed-contribution-or-marker) pairs
@@ -96,12 +92,6 @@ class OmegaEvaluator:
             self._jc[i] = got
         return got
 
-    def _length(self, name: str, num: Ideal, den: Ideal) -> LengthValue:
-        try:
-            return pair_length(num, den)
-        except ContainmentError as exc:
-            return LengthValue.non_stabilized(f"{name}: {exc}")
-
     def _term(self, kind: str, i: int, n: int, build) -> LengthValue:
         key = (kind, i, n)
         got = self._lens.get(key)
@@ -124,7 +114,7 @@ class OmegaEvaluator:
             num = (self.jc(i) + self.ideal ** (n + 1)).colon_element(
                 self.red.elements[i])
             den = self.jc(i) + self.ideal ** n
-            return self._length(f"Ktilde^{i}_{n - 1}", num, den)
+            return pair_length(num, den)
 
         return self._term("ktilde", i, n, build)
 
@@ -139,7 +129,7 @@ class OmegaEvaluator:
             num = ji1.intersect(I ** n)
             den = (ji.intersect(I ** n) + ji1.intersect(I ** (n + 1))
                    + (I ** (n - 1)).scaled_by(x_next))
-            return self._length(f"Ltilde^{i}_{n}", num, den)
+            return pair_length(num, den)
 
         return self._term("ltilde", i, n, build)
 
@@ -157,7 +147,7 @@ class OmegaEvaluator:
                 .intersect(I ** (n - 1))
             den = (jci.intersect(I ** n) + jci1.intersect(I ** (n + 1))
                    + inner.scaled_by(x_next))
-            return self._length(f"L^{i}_{n}", num, den)
+            return pair_length(num, den)
 
         return self._term("l", i, n, build)
 
@@ -173,7 +163,7 @@ class OmegaEvaluator:
             den = jci1.intersect(I ** n) \
                 + (jci.intersect(I ** n) + I ** (n + 1)).saturate(self.m) \
                 .intersect(I ** n)
-            return self._length(f"N^{i}_{n}", num, den)
+            return pair_length(num, den)
 
         return self._term("n", i, n, build)
 
@@ -181,11 +171,8 @@ class OmegaEvaluator:
         """Ltilde - L + N at one index."""
         if n <= 0:
             return LengthValue.finite(0)
-        a, b, c = self.ltilde(i, n), self.l_term(i, n), self.n_term(i, n)
-        for v in (a, b, c):
-            if not v.is_finite:
-                return v
-        return LengthValue.finite(a.value - b.value + c.value)
+        return signed_sum(((1, self.ltilde(i, n)), (-1, self.l_term(i, n)),
+                           (1, self.n_term(i, n))))
 
     def colon_intersection(self, i: int, n: int) -> LengthValue:
         if n <= 0:
@@ -200,59 +187,45 @@ class OmegaEvaluator:
                 prev = self.jc(i - 1)
                 num = num + prev
                 den = den + prev
-            return self._length(f"colon_intersection^{i}_{n}", num, den)
+            return pair_length(num, den)
 
         return self._term("colon_int", i, n, build)
 
     def beta(self) -> LengthValue:
         if self._beta is None:
             zero_colon = Ideal.zero(self.ctx).colon(self.ideal)
-            a = gamma_length(self.ideal)
-            b = gamma_length(zero_colon + self.ideal)
-            self._beta = lv_sub(a, b)
+            self._beta = signed_sum(((1, gamma_length(self.ideal)),
+                                     (-1, gamma_length(zero_colon + self.ideal))))
         return self._beta
 
     # -- the correction itself -----------------------------------------------
 
     def omega(self, n: int) -> OmegaBreakdown:
         d = self.d
-        terms = []
-        parts = []
-
-        def push(name: str, v: LengthValue):
-            terms.append((name, v.to_json()))
-            parts.append(v)
-
+        parts = []  # (name, coefficient, length)
         if n == 0:
-            colength = loc_quotient_length(self.jc(d - 1) + self.ideal)
-            push("colength(J[d-1]:I + I)", colength)
-            push("-torsion(R/I)",
-                 LengthValue.finite(-gamma_length(self.ideal).value))
+            parts.append(("colength(J[d-1]:I + I)", 1,
+                          loc_quotient_length(self.jc(d - 1) + self.ideal)))
+            parts.append(("-torsion(R/I)", -1, gamma_length(self.ideal)))
         else:
             for i in range(d - 1):
-                push(f"delta^{d - 1 - i}[Ktilde^{i}]",
-                     _delta_lv(lambda t, i=i: self.ktilde(i, t), d - 1 - i, n))
+                parts.append((f"delta^{d - 1 - i}[Ktilde^{i}]", 1, _delta_lv(
+                    lambda t, i=i: self.ktilde(i, t), d - 1 - i, n)))
             for i in range(d - 1):
-                push(f"delta^{d - 2 - i}[Ltilde^{i}-L^{i}+N^{i}]",
-                     _delta_lv(lambda t, i=i: self.lln(i, t), d - 2 - i, n))
+                parts.append((f"delta^{d - 2 - i}[Ltilde^{i}-L^{i}+N^{i}]", 1,
+                              _delta_lv(lambda t, i=i: self.lln(i, t),
+                                        d - 2 - i, n)))
             for i in range(1, d):
-                v = self.colon_intersection(i, n)
-                push(f"-colon_intersection^{i}",
-                     LengthValue.finite(-v.value) if v.is_finite else v)
+                parts.append((f"-colon_intersection^{i}", -1,
+                              self.colon_intersection(i, n)))
             coeff = binomial(d - 1, n) if n < d else 0
             if coeff:
-                b = self.beta()
-                push("beta_term",
-                     LengthValue.finite(-((-1) ** n) * coeff * b.value)
-                     if b.is_finite else b)
+                parts.append(("beta_term", -((-1) ** n) * coeff, self.beta()))
 
-        total = LengthValue.finite(0)
-        for v in parts:
-            if not v.is_finite:
-                total = v
-                break
-            total = LengthValue.finite(total.value + v.value)
-        return OmegaBreakdown(n=n, terms=tuple(terms), total=total)
+        terms = tuple((name, signed_sum([(c, v)]).to_json())
+                      for name, c, v in parts)
+        total = signed_sum((c, v) for _, c, v in parts)
+        return OmegaBreakdown(n=n, terms=terms, total=total)
 
 
 # --------------------------------------------------------------------------
@@ -302,33 +275,25 @@ def j_via_sums(ev: OmegaEvaluator, i: int, r: int) -> LengthValue:
     omega_n), with N = ``ev.last_sum_degree(r)``."""
     if not 1 <= i <= ev.d:
         raise ValueError("coefficient index must be between 1 and d")
-    total = 0
-    for n in range(i - 1, ev.last_sum_degree(r) + 1):
-        fib = ev.fiber(n)
-        om = ev.omega(n).total
-        if not fib.is_finite:
-            return fib
-        if not om.is_finite:
-            return om
-        total += binomial(n, i - 1) * (fib.value + om.value)
-    return LengthValue.finite(total)
+
+    def pairs():
+        for n in range(i - 1, ev.last_sum_degree(r) + 1):
+            yield binomial(n, i - 1), ev.fiber(n)
+            yield binomial(n, i - 1), ev.omega(n).total
+
+    return signed_sum(pairs())
 
 
-def j_one_depth_formula(ideal: Ideal, red: GeneralReduction) -> LengthValue:
+def j_one_depth_formula(ideal: Ideal, red: GeneralReduction,
+                        r: int) -> LengthValue:
     """Three-term value for j_1 under the user-asserted depth hypotheses:
     sum of fiber lengths + colength of (J_{d-1}:I + I) - torsion of R/(H+I),
-    where H = 0 in dimension one and H = 0:I otherwise."""
-    from .reductions import fiber_length_sum
-
+    where H = 0 in dimension one and H = 0:I otherwise, and r is the
+    reduction number that bounds the fiber sum."""
     ctx = ideal.ctx
     d = ring_dimension(ctx)
     h = Ideal.zero(ctx) if d == 1 else Ideal.zero(ctx).colon(ideal)
-    s = fiber_length_sum(ideal, red.full)
-    colength = loc_quotient_length(red.j(d - 1).colon(ideal) + ideal)
-    torsion = gamma_length(h + ideal)
-    for v in (s, colength):
-        if v.kind == "non_stabilized":
-            return v
-    if not (s.is_finite and colength.is_finite):
-        return LengthValue.infinite()
-    return LengthValue.finite(s.value + colength.value - torsion.value)
+    return signed_sum((
+        (1, fiber_length_sum(ideal, red.full, r)),
+        (1, loc_quotient_length(red.j(d - 1).colon(ideal) + ideal)),
+        (-1, gamma_length(h + ideal))))

@@ -13,12 +13,12 @@ import random
 from typing import NamedTuple
 
 from .ideals import Ideal, eliminate, ring_dimension
-from .lengths import LengthValue, loc_quotient_length, pair_length
+from .lengths import (LengthValue, loc_quotient_length, pair_length,
+                      signed_sum)
 from .ring import Polynomial, RingContext, extend_context, lift_poly
 
 REDUCTION_NUMBER_CAP = 30
 RETRY_CAP = 8
-E1_TERM_CAP = 64
 
 
 class ReductionSearchError(RuntimeError):
@@ -230,65 +230,47 @@ def fiber_length_term(ideal: Ideal, j: Ideal, n: int) -> LengthValue:
     return pair_length(ideal ** (n + 1), j * (ideal ** n))
 
 
-def fiber_length_sum(ideal: Ideal, j: Ideal) -> LengthValue:
-    """Sum of the lengths of I^(n+1)/J I^n; a zero term ends the sum because
-    J I^n = I^(n+1) propagates to every later degree, locally included."""
-    total = 0
-    for n in range(E1_TERM_CAP):
-        term = fiber_length_term(ideal, j, n)
-        if not term.is_finite:
-            return term
-        if term.value == 0:
-            return LengthValue.finite(total)
-        total += term.value
-    return LengthValue.non_stabilized(
-        f"fiber-length terms still nonzero at n = {E1_TERM_CAP}")
+def fiber_length_sum(ideal: Ideal, j: Ideal, r: int) -> LengthValue:
+    """Sum of the lengths of I^(n+1)/J I^n over n = 0 .. r - 1, where r is
+    the reduction number of I with respect to J: the terms are nonzero below
+    r and vanish from r on."""
+    return signed_sum((1, fiber_length_term(ideal, j, n)) for n in range(r))
 
 
-def kernel_corrected_fiber_sum(ideal: Ideal,
-                               red: GeneralReduction) -> LengthValue:
-    """Sum over n of length(I^(n+1)/J I^n) minus the part meeting
+def kernel_corrected_fiber_sum(ideal: Ideal, red: GeneralReduction,
+                               r: int) -> LengthValue:
+    """Sum over n < r of length(I^(n+1)/J I^n) minus the part meeting
     K = J_{d-1} : I^infinity; the difference quotient embeds into the plain
-    fiber quotient, so the first zero fiber term ends the sum."""
+    fiber quotient, which vanishes from the reduction number r on."""
     d = ring_dimension(ideal.ctx)
     kernel = red.j(d - 1).saturate(ideal)
     j_full = red.full
-    total = 0
-    for n in range(E1_TERM_CAP):
-        fib = fiber_length_term(ideal, j_full, n)
-        if not fib.is_finite:
-            return fib
-        if fib.value == 0:
-            return LengthValue.finite(total)
-        meet = pair_length(kernel.intersect(ideal ** (n + 1)),
-                           kernel.intersect(j_full * (ideal ** n)))
-        if not meet.is_finite:
-            return meet
-        total += fib.value - meet.value
-    return LengthValue.non_stabilized(
-        f"kernel-corrected fiber terms still nonzero at n = {E1_TERM_CAP}")
+
+    def pairs():
+        for n in range(r):
+            yield 1, fiber_length_term(ideal, j_full, n)
+            yield -1, pair_length(kernel.intersect(ideal ** (n + 1)),
+                                  kernel.intersect(j_full * (ideal ** n)))
+
+    return signed_sum(pairs())
 
 
-def e_one_bar(ideal: Ideal, red: GeneralReduction) -> LengthValue:
+def e_one_bar(ideal: Ideal, red: GeneralReduction, r: int) -> LengthValue:
     """First Hilbert coefficient of the image of I in the reduction ring,
-    computed as the sum of lengths of Ibar^(n+1)/xbar Ibar^n; the sum stops at
-    the first zero term, which is final in dimension one."""
+    computed as the sum of lengths of Ibar^(n+1)/xbar Ibar^n over n < r; the
+    image of J I^r = I^(r+1) is xbar Ibar^r = Ibar^(r+1), so the later terms
+    vanish."""
     ctx = ideal.ctx
     d = ring_dimension(ctx)
     kernel = reduction_ring(ideal, red).kernel
     x_last = Ideal(ctx, [red.elements[d - 1]])
-    total = 0
-    for n in range(E1_TERM_CAP):
-        upper = loc_quotient_length(x_last * (ideal ** n) + kernel)
-        lower = loc_quotient_length(ideal ** (n + 1) + kernel)
-        if not (upper.is_finite and lower.is_finite):
-            return upper if not upper.is_finite else lower
-        term = upper.value - lower.value
-        if term == 0:
-            return LengthValue.finite(total)
-        total += term
-    return LengthValue.non_stabilized(
-        f"reduction-ring Hilbert terms still nonzero at n = {E1_TERM_CAP}")
+
+    def pairs():
+        for n in range(r):
+            yield 1, loc_quotient_length(x_last * (ideal ** n) + kernel)
+            yield -1, loc_quotient_length(ideal ** (n + 1) + kernel)
+
+    return signed_sum(pairs())
 
 
 # --------------------------------------------------------------------------
@@ -323,7 +305,8 @@ class ValabregaVallaReport(NamedTuple):
         }
 
 
-def valabrega_valla_check(ideal: Ideal, red: GeneralReduction, nmax: int,
+def valabrega_valla_check(ideal: Ideal, red: GeneralReduction, r: int,
+                          nmax: int,
                           an_asserted: bool = False) -> ValabregaVallaReport:
     d = ring_dimension(ideal.ctx)
     j_small = red.j(d - 1)
@@ -332,8 +315,8 @@ def valabrega_valla_check(ideal: Ideal, red: GeneralReduction, nmax: int,
         local_ideal_equal(j_small.intersect(ideal ** (n + 1)),
                           j_small * (ideal ** n))
         for n in range(nmax + 1))
-    total = fiber_length_sum(ideal, j_full)
-    e1 = e_one_bar(ideal, red)
+    total = fiber_length_sum(ideal, j_full, r)
+    e1 = e_one_bar(ideal, red, r)
     if total.is_finite and e1.is_finite:
         cond_a = total.value == e1.value
         equivalent = cond_a == all(per_n)

@@ -6,21 +6,23 @@ most once and shared by whichever command is running.  Reports are plain
 dicts with a fixed key order, so identical (input, seed, config) runs emit
 byte-identical JSON.
 
-Exit codes: 0 clean, 2 parse error, 3 hypothesis-surrogate failure (results
-are still printed, marked), 4 non-stabilization, a resource cap, or a compared
-value that degraded to a named non-finite term, 5 internal cross-check
-violation: a compared value that is finite and wrong, or an internal
-inconsistency such as an exact division that failed.
+Exit codes: 0 clean, 2 input error (parse error, zero or unit ideal, ring of
+dimension 0), 3 hypothesis-surrogate failure (results are still printed,
+marked), 4 a resource cap, or a compared value that is infinite, 5 internal
+cross-check violation: a compared value that is finite and wrong, or an
+internal inconsistency such as an exact division that failed or a length
+display whose smaller ideal is not contained in the larger one.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 from .groebner import ComputationLimitError
 from .hilbert import FitError, fit_hilbert_polynomial
 from .ideals import InternalInconsistencyError, ring_dimension
-from .lengths import LengthValue
+from .lengths import ContainmentError, LengthValue
 from .northcott import HypothesisFlags, assemble_northcott
 from .omega import OmegaEvaluator, j_one_depth_formula, j_via_sums, master_identity_check
 from .oracle import MonomialIdeal, OracleError, mon_quotient_length, oracle_hilbert_coefficients
@@ -32,7 +34,7 @@ from .reductions import (ReductionSearchError, general_minimal_reduction,
 COMMANDS = ("hilbert", "coeffs", "jmult", "reduction", "depthcheck", "omega",
             "northcott", "oracle")
 
-OK, PARSE_ERROR, HYPOTHESIS_FAIL, NON_STABILIZED, CROSS_CHECK = 0, 2, 3, 4, 5
+OK, PARSE_ERROR, HYPOTHESIS_FAIL, CAP_OR_INFINITE, CROSS_CHECK = 0, 2, 3, 4, 5
 
 
 class Pipeline:
@@ -45,7 +47,6 @@ class Pipeline:
         self.opt = spec.options
         self.diagnostics: list[str] = []
         self.severity = OK
-        self._lazy = {}
 
     # -- severity ----------------------------------------------------------
 
@@ -54,21 +55,17 @@ class Pipeline:
         if note:
             self.diagnostics.append(note)
 
-    def _note_value(self, name: str, v: LengthValue):
-        if v.kind == "non_stabilized":
-            self.flag(NON_STABILIZED, f"{name}: {v.to_json()}")
-
     def _note_degraded(self, values_json):
-        """Compared route values that are not finite come from a named
-        per-term degradation, not a disagreement (exit 4).  The first reason
-        of a route is noted, once across routes."""
+        """Compared route values that are infinite leave the comparison
+        undecided, which is not a disagreement (exit 4).  The first value of
+        a route is noted, once across routes."""
         if values_json:
             note = f"not-applicable: {values_json[0]}"
-            self.flag(NON_STABILIZED, None if note in self.diagnostics else note)
+            self.flag(CAP_OR_INFINITE, None if note in self.diagnostics else note)
 
     def _check_master(self, master):
         """Under passing hypotheses a finite row that fails is a cross-check
-        violation; a row with a non-finite side is a degradation."""
+        violation; a row with an infinite side leaves it undecided."""
         if not self.hypotheses_effective:
             return
         if any(holds is False for *_, holds in master.rows):
@@ -79,39 +76,31 @@ class Pipeline:
 
     # -- lazy shared pieces -------------------------------------------------
 
-    def _once(self, key, build):
-        if key not in self._lazy:
-            self._lazy[key] = build()
-        return self._lazy[key]
-
-    @property
+    @cached_property
     def dim(self) -> int:
-        return self._once("dim", lambda: ring_dimension(self.ctx))
+        return ring_dimension(self.ctx)
 
-    @property
+    @cached_property
     def spread(self) -> int:
         from .reductions import analytic_spread
-        return self._once("spread", lambda: analytic_spread(self.ideal))
+        return analytic_spread(self.ideal)
 
-    @property
+    @cached_property
     def reduction(self):
         """(red, r) with r None when the spread falls short of the dimension,
         in which case d elements are still sampled for the surrogate."""
-        def build():
-            if self.spread == self.dim:
-                try:
-                    return general_minimal_reduction(self.ideal, self.opt.seed)
-                except ReductionSearchError as exc:
-                    self.flag(NON_STABILIZED, str(exc))
-                    return sample_general_elements(self.ideal, self.dim,
-                                                   self.opt.seed), None
-            red = sample_general_elements(self.ideal, max(self.dim, 1),
-                                          self.opt.seed)
-            self.diagnostics.append(
-                f"analytic spread {self.spread} is below the ring dimension "
-                f"{self.dim}; reduction-based routes are unavailable")
-            return red, None
-        return self._once("reduction", build)
+        if self.spread == self.dim:
+            try:
+                return general_minimal_reduction(self.ideal, self.opt.seed)
+            except ReductionSearchError as exc:
+                self.flag(CAP_OR_INFINITE, str(exc))
+                return sample_general_elements(self.ideal, self.dim,
+                                               self.opt.seed), None
+        red = sample_general_elements(self.ideal, self.dim, self.opt.seed)
+        self.diagnostics.append(
+            f"analytic spread {self.spread} is below the ring dimension "
+            f"{self.dim}; reduction-based routes are unavailable")
+        return red, None
 
     @property
     def nmax(self) -> int:
@@ -120,17 +109,15 @@ class Pipeline:
             return self.opt.nmax
         return (r if r is not None else 0) + self.dim + 2
 
-    @property
+    @cached_property
     def record(self):
-        return self._once("record", lambda: fit_hilbert_polynomial(
-            self.ideal, window=self.opt.window,
-            extend_to=self.nmax + self.dim + 1))
+        return fit_hilbert_polynomial(self.ideal, window=self.opt.window,
+                                      extend_to=self.nmax + self.dim + 1)
 
-    @property
+    @cached_property
     def surrogate(self):
         red, _ = self.reduction
-        return self._once("surrogate",
-                          lambda: residual_height_check(self.ideal, red))
+        return residual_height_check(self.ideal, red)
 
     @property
     def flags(self) -> HypothesisFlags:
@@ -138,12 +125,10 @@ class Pipeline:
                                an_asserted=self.opt.an_asserted,
                                s2_asserted=self.opt.s2_asserted)
 
-    @property
+    @cached_property
     def m_primary(self) -> bool:
-        return self._once("m_primary",
-                          lambda: self.ideal.is_proper()
-                          and not self.ideal.is_zero()
-                          and self.ideal.codimension() == self.dim)
+        return (self.ideal.is_proper() and not self.ideal.is_zero()
+                and self.ideal.codimension() == self.dim)
 
     @property
     def hypotheses_effective(self) -> bool:
@@ -151,10 +136,10 @@ class Pipeline:
         return (self.spread == self.dim and self.surrogate.all_passed
                 and (self.m_primary or asserted))
 
+    @cached_property
     def evaluator(self) -> OmegaEvaluator:
         red, _ = self.reduction
-        return self._once("evaluator", lambda: OmegaEvaluator(
-            self.ideal, red, self.record))
+        return OmegaEvaluator(self.ideal, red, self.record)
 
     # -- envelope -------------------------------------------------------------
 
@@ -190,19 +175,24 @@ class Pipeline:
     def run(self, command: str) -> dict:
         if command not in COMMANDS:
             raise ValueError(f"unknown command {command!r}")
-        if command != "oracle" and (self.ideal.is_zero() or self.ideal.is_unit()):
-            msg = "the ideal must be proper and nonzero"
-            self.flag(PARSE_ERROR, msg)
-            return self.envelope({"error": msg}, None)
+        if command != "oracle":
+            msg = None
+            if self.ideal.is_zero() or self.ideal.is_unit():
+                msg = "the ideal must be proper and nonzero"
+            elif self.dim == 0:
+                msg = "the working ring must have positive dimension"
+            if msg:
+                self.flag(PARSE_ERROR, msg)
+                return self.envelope({"error": msg}, None)
         hypotheses = None
         try:
             results = getattr(self, f"cmd_{command}")()
             if command != "oracle":
                 hypotheses = self.hypotheses_json()
         except (ComputationLimitError, FitError) as exc:
-            self.flag(NON_STABILIZED, str(exc))
+            self.flag(CAP_OR_INFINITE, str(exc))
             results = {"error": str(exc)}
-        except InternalInconsistencyError as exc:
+        except (InternalInconsistencyError, ContainmentError) as exc:
             self.flag(CROSS_CHECK, f"internal inconsistency: {exc}")
             results = {"error": str(exc)}
         return self.envelope(results, hypotheses)
@@ -236,29 +226,20 @@ class Pipeline:
         omega_rows = []
         master = None
         if r is not None:
-            ev = self.evaluator()
+            ev = self.evaluator
             jz = j_zero(self.ideal, red)
             routes["jzero"] = jz.to_json()
-            self._note_value("jzero", jz)
-            e1 = e_one_bar(self.ideal, red)
+            e1 = e_one_bar(self.ideal, red, r)
             routes["e1_reduction_ring"] = e1.to_json()
             sums = [j_via_sums(ev, i, r) for i in range(1, d + 1)]
             routes["sums"] = [v.to_json() for v in sums]
-            depth_formula = j_one_depth_formula(self.ideal, red)
+            depth_formula = j_one_depth_formula(self.ideal, red, r)
             routes["depth_formula"] = depth_formula.to_json()
 
-            agreement["j0_vs_jzero"] = jz.is_finite and jz.value == j_fit[0]
-            if jz.is_finite and jz.value != j_fit[0]:
-                self.flag(CROSS_CHECK,
-                          "fitted leading coefficient disagrees with the "
-                          "reduction-ring multiplicity")
-            elif not jz.is_finite:
-                self.flag(NON_STABILIZED,
-                          "reduction-ring multiplicity did not come out "
-                          "finite despite matching analytic spread")
+            agreement["j0_vs_jzero"] = self._jzero_agrees(jz, j_fit[0])
             sums_ok = all(v.is_finite and v.value == j_fit[1 + i]
                           for i, v in enumerate(sums))
-            # a non-finite entry is a degradation, not a disagreement
+            # an infinite entry leaves the route undecided, not disagreeing
             mismatch = any(v.is_finite and v.value != j_fit[1 + i]
                            for i, v in enumerate(sums))
             if self.hypotheses_effective:
@@ -298,6 +279,22 @@ class Pipeline:
             results["oracle"] = self._oracle_cross_check(j_fit)
         return results
 
+    def _jzero_agrees(self, jz: LengthValue, j0: int):
+        """The reduction-ring multiplicity against the fitted j_0: a finite
+        mismatch is a cross-check violation (False, exit 5); an infinite value
+        leaves the comparison undecided (None, exit 4) and is noted once."""
+        if not jz.is_finite:
+            note = ("reduction-ring multiplicity did not come out finite "
+                    "despite matching analytic spread")
+            self.flag(CAP_OR_INFINITE,
+                      None if note in self.diagnostics else note)
+            return None
+        if jz.value != j0:
+            self.flag(CROSS_CHECK, "fitted leading coefficient disagrees with "
+                                   "the reduction-ring multiplicity")
+            return False
+        return True
+
     def _reduction_json(self):
         red, r = self.reduction
         return {
@@ -322,10 +319,7 @@ class Pipeline:
         if r is not None:
             jz = j_zero(self.ideal, red)
             out["jzero_route"] = jz.to_json()
-            out["agrees"] = jz.is_finite and jz.value == rec.coefficients[0]
-            if not out["agrees"]:
-                self.flag(CROSS_CHECK, "reduction-ring multiplicity route "
-                                       "disagrees with the fitted value")
+            out["agrees"] = self._jzero_agrees(jz, rec.coefficients[0])
         return out
 
     def cmd_reduction(self) -> dict:
@@ -333,7 +327,7 @@ class Pipeline:
         out = self._reduction_json()
         out["analytic_spread"] = self.spread
         if r is None and self.spread == self.dim:
-            self.flag(NON_STABILIZED, "no reduction found below the cap")
+            self.flag(CAP_OR_INFINITE, "no reduction found below the cap")
         return out
 
     def cmd_depthcheck(self) -> dict:
@@ -341,11 +335,9 @@ class Pipeline:
         if r is None:
             return {"error": "depth check needs a general minimal reduction "
                              "(analytic spread must equal the dimension)"}
-        rep = valabrega_valla_check(self.ideal, red, self.nmax,
+        rep = valabrega_valla_check(self.ideal, red, r, self.nmax,
                                     an_asserted=self.opt.an_asserted
                                     or self.m_primary)
-        self._note_value("fiber length sum", rep.sum_value)
-        self._note_value("e1 of the reduction ring", rep.e1bar)
         if rep.equivalent is False:
             self.flag(CROSS_CHECK, "summation and intersection conditions "
                                    "disagree; bug or hypothesis failure")
@@ -355,7 +347,7 @@ class Pipeline:
         red, r = self.reduction
         if r is None:
             return {"error": "correction terms need a general minimal reduction"}
-        ev = self.evaluator()
+        ev = self.evaluator
         rows = [ev.omega(n).to_json() for n in range(self.nmax + 1)]
         master = master_identity_check(ev, self.nmax)
         self._check_master(master)
@@ -364,13 +356,11 @@ class Pipeline:
     def cmd_northcott(self) -> dict:
         rec = self.record
         red, r = self.reduction
-        d = self.dim
-        j1 = rec.coefficients[1] if d >= 1 else None
+        j1 = rec.coefficients[1]
         notes = []
         if r is not None and self.hypotheses_effective:
-            ev = self.evaluator()
-            cross = j_via_sums(ev, 1, r) if d >= 1 else None
-            if cross is not None and cross.is_finite and cross.value != j1:
+            cross = j_via_sums(self.evaluator, 1, r)
+            if cross.is_finite and cross.value != j1:
                 self.flag(CROSS_CHECK, "summation route for the first "
                                        "coefficient disagrees with the fit")
                 notes.append("route disagreement: fitted value kept, see "

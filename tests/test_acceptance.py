@@ -199,13 +199,14 @@ def test_criterion_7_reduction_ring_sum_and_depth_consistency(ctx, suite):
     failing_seen = 0
     for item in suite:
         ideal, red, r = item["ideal"], item["red"], item["r"]
-        lhs = kernel_corrected_fiber_sum(ideal, red)
-        rhs = e_one_bar(ideal, red)
+        lhs = kernel_corrected_fiber_sum(ideal, red, r)
+        rhs = e_one_bar(ideal, red, r)
         if not (lhs.is_finite and rhs.is_finite and lhs.value == rhs.value):
             ok = False
             print(f"  corrected sum mismatch at {item['exps']}: "
                   f"{lhs.to_json()} vs {rhs.to_json()}")
-        vv = valabrega_valla_check(ideal, red, item["nmax"], an_asserted=True)
+        vv = valabrega_valla_check(ideal, red, r, item["nmax"],
+                                   an_asserted=True)
         if vv.equivalent is not True:
             ok = False
             print(f"  condition equivalence broke at {item['exps']}")

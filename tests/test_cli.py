@@ -4,10 +4,11 @@ import sys
 
 import pytest
 
+import jmult.omega
 import jmult.runner
 from jmult.cli import main
 from jmult.ideals import InternalInconsistencyError
-from jmult.lengths import LengthValue
+from jmult.lengths import ContainmentError, LengthValue
 
 M2 = "ring char=32003 vars=x,y\nideal x^2,x*y,y^2\n"
 FAMILY = "ring char=32003 vars=x,y\nmod x^3-x^2*y\nideal x*y\n"
@@ -149,13 +150,13 @@ def test_northcott_hypotheses_effective_agree(capsys, monkeypatch):
     assert rep["results"]["hypotheses_effective"] is False
 
 
-DEGRADED = "non-stabilized: Ktilde^0_1: stand-in containment failure"
+DEGRADED = "infinite"
 
 
 def test_sums_degradation_is_not_applicable(capsys, monkeypatch):
     """Under passing hypotheses a non-finite summation entry is a named term
     degradation (exit 4, noted once), not a disagreement (exit 5)."""
-    bad = LengthValue.non_stabilized(DEGRADED.split(": ", 1)[1])
+    bad = LengthValue.infinite()
     monkeypatch.setattr(jmult.runner, "j_via_sums", lambda ev, i, r: bad)
     code, out = run_cli(capsys, monkeypatch, "coeffs", M2)
     rep = json.loads(out)
@@ -233,3 +234,61 @@ def test_omega_colon_flag_is_rejected(capsys, monkeypatch):
         main(["coeffs", "-", "--omega-colon", "x1"])
     assert exc.value.code == 2
     assert "--omega-colon" in capsys.readouterr().err
+
+
+def test_containment_failure_exits_5(capsys, monkeypatch):
+    """Every correction-term display is contained by construction, so a
+    containment failure is an internal bug: exit 5, never a degraded term."""
+    def broken(a, b):
+        raise ContainmentError("stand-in containment failure")
+
+    monkeypatch.setattr(jmult.omega, "pair_length", broken)
+    code, out = run_cli(capsys, monkeypatch, "coeffs", M2)
+    rep = json.loads(out)
+    assert rep["results"] == {"error": "stand-in containment failure"}
+    assert rep["diagnostics"] == ["internal inconsistency: stand-in "
+                                  "containment failure"]
+    assert code == 5
+
+
+@pytest.mark.parametrize("cmd", ["hilbert", "coeffs", "jmult", "reduction",
+                                 "depthcheck", "omega", "northcott"])
+def test_zero_dimensional_ring_is_input_error(capsys, monkeypatch, cmd):
+    code, out = run_cli(capsys, monkeypatch, cmd,
+                        "ring char=32003 vars=x,y\nmod x^2,y^2\nideal x\n")
+    rep = json.loads(out)
+    msg = "the working ring must have positive dimension"
+    assert rep["hypotheses"] is None
+    assert rep["results"] == {"error": msg}
+    assert rep["diagnostics"] == [msg]
+    assert code == 2
+
+
+@pytest.mark.parametrize("cmd, path", [("jmult", ("agrees",)),
+                                       ("coeffs", ("agreement", "j0_vs_jzero"))])
+def test_infinite_jzero_is_not_applicable(capsys, monkeypatch, cmd, path):
+    """An infinite reduction-ring multiplicity leaves the comparison with the
+    fitted j_0 undecided in both commands: exit 4, noted once."""
+    monkeypatch.setattr(jmult.runner, "j_zero",
+                        lambda ideal, red: LengthValue.infinite())
+    code, out = run_cli(capsys, monkeypatch, cmd, M2)
+    rep = json.loads(out)
+    value = rep["results"]
+    for key in path:
+        value = value[key]
+    assert value is None
+    assert rep["diagnostics"] == ["reduction-ring multiplicity did not come "
+                                  "out finite despite matching analytic spread"]
+    assert code == 4
+
+
+def test_northcott_dimension_one_without_reduction(capsys, monkeypatch):
+    """With no reduction number the fiber sum has no bound, so the d = 1
+    decomposition does not report it as 0."""
+    code, out = run_cli(capsys, monkeypatch, "northcott",
+                        "ring char=32003 vars=x,y\nmod y^2\nideal y\n")
+    rep = json.loads(out)
+    assert rep["results"]["reduction_number"] is None
+    assert rep["results"]["decomposition"]["fiber_length_sum"] == \
+        "not-applicable (no general minimal reduction)"
+    assert code == 3

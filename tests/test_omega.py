@@ -85,10 +85,10 @@ def test_j_via_sums_routes(ctx2, m2_pipeline):
 
 def test_j_one_depth_formula(ctx2, m2_pipeline):
     ideal, red, r, rec, ev = m2_pipeline
-    assert j_one_depth_formula(ideal, red).as_int() == 1
+    assert j_one_depth_formula(ideal, red, r).as_int() == 1
     m = Ideal.maximal(ctx2)
-    redm, _ = general_minimal_reduction(m, seed=0)
-    assert j_one_depth_formula(m, redm).as_int() == 0
+    redm, rm = general_minimal_reduction(m, seed=0)
+    assert j_one_depth_formula(m, redm, rm).as_int() == 0
 
 
 @pytest.mark.parametrize("gens", [((1, 0, 0), (0, 1, 0), (0, 0, 1)),

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from jmult import (Ideal, RingContext, analytic_spread, e_one_bar,
-                   fiber_length_sum, general_minimal_reduction, is_reduction,
-                   j_zero, local_ideal_equal, reduction_number,
-                   reduction_ring, residual_height_check,
+from jmult import (Ideal, LengthValue, Options, RingContext,
+                   analytic_spread, e_one_bar, fiber_length_sum,
+                   fiber_length_term, general_minimal_reduction, is_reduction,
+                   j_zero, local_ideal_equal, loc_quotient_length,
+                   parse_problem, reduction_number, reduction_ring,
+                   residual_height_check, ring_dimension,
                    sample_general_elements, valabrega_valla_check)
 
 from conftest import monomial_ideal
@@ -127,19 +129,19 @@ def test_j_zero_examples(ctx2, ctx_family, m2_setup):
 
 
 def test_e_one_bar_examples(ctx2, m2_setup):
-    ideal, red, _ = m2_setup
-    assert e_one_bar(ideal, red).as_int() == 1
+    ideal, red, r = m2_setup
+    assert e_one_bar(ideal, red, r).as_int() == 1
     m = Ideal.maximal(ctx2)
-    redm, _ = general_minimal_reduction(m, seed=0)
-    assert e_one_bar(m, redm).as_int() == 0
+    redm, rm = general_minimal_reduction(m, seed=0)
+    assert e_one_bar(m, redm, rm).as_int() == 0
     param = monomial_ideal(ctx2, (1, 0), (0, 1))
-    redpar, _ = general_minimal_reduction(param, seed=3)
-    assert e_one_bar(param, redpar).as_int() == 0
+    redpar, rpar = general_minimal_reduction(param, seed=3)
+    assert e_one_bar(param, redpar, rpar).as_int() == 0
 
 
 def test_valabrega_valla_good_case(ctx2, m2_setup):
     ideal, red, r = m2_setup
-    rep = valabrega_valla_check(ideal, red, nmax=4, an_asserted=True)
+    rep = valabrega_valla_check(ideal, red, r, nmax=4, an_asserted=True)
     assert all(rep.per_n)
     assert rep.sum_value.as_int() == 1
     assert rep.e1bar.as_int() == 1
@@ -152,7 +154,7 @@ def test_valabrega_valla_failing_case(ctx2):
     intersection condition fails at the matching degree."""
     ideal = monomial_ideal(ctx2, (4, 0), (3, 1), (1, 3), (0, 4))
     red, r = general_minimal_reduction(ideal, seed=0)
-    rep = valabrega_valla_check(ideal, red, nmax=r + 4, an_asserted=True)
+    rep = valabrega_valla_check(ideal, red, r, nmax=r + 4, an_asserted=True)
     assert rep.condition_a is False
     assert rep.condition_b is False
     assert rep.equivalent is True
@@ -175,8 +177,8 @@ def test_failing_case_located_by_search(ctx2):
         red, r = general_minimal_reduction(cand, seed=1)
         if r is None:
             continue
-        total = fiber_length_sum(cand, red.full)
-        e1 = e_one_bar(cand, red)
+        total = fiber_length_sum(cand, red.full, r)
+        e1 = e_one_bar(cand, red, r)
         if not (total.is_finite and e1.is_finite):
             continue
         e_oracle = oracle_hilbert_coefficients(MonomialIdeal.from_ideal(cand))
@@ -185,3 +187,26 @@ def test_failing_case_located_by_search(ctx2):
             found = (cand, total.as_int(), e1.as_int())
             break
     assert found is not None, "search produced no failing instance"
+
+
+@pytest.mark.parametrize("text", [
+    "ring char=32003 vars=x,y\nideal x^2,x*y,y^2\n",
+    "ring char=32003 vars=x,y\nideal x^3,x^2*y,y^3\n",
+    "ring char=32003 vars=x,y\nideal x^4,x^3*y,x*y^3,y^4\n",
+    "ring char=32003 vars=x,y\nideal x-x^2,y\n",
+    "ring char=32003 vars=x,y,z\nmod x*z-y^2\nideal x,y\n",
+], ids=["x2-xy-y2", "x3-x2y-y3", "x4-x3y-xy3-y4", "x-x2-y", "cone-xy"])
+def test_sum_terms_vanish_from_the_reduction_number(text):
+    """The fiber, kernel-corrected and reduction-ring sums stop at r: the
+    fiber term length(I^(n+1)/J I^n) is nonzero below r and 0 at r, and the
+    reduction-ring term length(Ibar^(r+1)/xbar Ibar^r) is 0."""
+    ideal = parse_problem(text, Options()).ideal
+    red, r = general_minimal_reduction(ideal, seed=0)
+    for n in range(r):
+        assert fiber_length_term(ideal, red.full, n) != LengthValue.finite(0)
+    assert fiber_length_term(ideal, red.full, r) == LengthValue.finite(0)
+    kernel = reduction_ring(ideal, red).kernel
+    x_last = Ideal(ideal.ctx, [red.elements[ring_dimension(ideal.ctx) - 1]])
+    upper = loc_quotient_length(x_last * ideal ** r + kernel)
+    lower = loc_quotient_length(ideal ** (r + 1) + kernel)
+    assert upper.as_int() - lower.as_int() == 0
