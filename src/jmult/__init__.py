@@ -3,8 +3,8 @@ and Northcott inequality reports for ideals in polynomial rings and their
 quotients over a large prime field, with three cross-validating computational
 routes."""
 
-from .ring import (DEFAULT_CHAR, GREVLEX, LEX, MonomialOrder, Polynomial,
-                   PrimeField, RingContext, elimination_order)
+from .ring import (DEFAULT_CHAR, Polynomial, PrimeField, RingContext,
+                   elimination_order, grevlex)
 from .groebner import ComputationLimitError, GroebnerBasis, groebner_basis
 from .ideals import AlgebraWarning, Ideal, eliminate, ring_dimension
 from .lengths import (ContainmentError, LengthValue, gamma_length,

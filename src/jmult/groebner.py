@@ -5,14 +5,18 @@ basis row as one monic record ``(lead, tail)``: the leading exponent and a
 tuple of the other ``(exponent, residue)`` terms, built once by
 :func:`_monic_row`.  :class:`GroebnerBasis` wraps the rows at the boundary.
 
-A pair is judged when it is made: coprime leads (product criterion) and two
-monomials have S-polynomials that reduce to zero, so such pairs never enter
-the heap and are done at once.  The heap hands out the rest by the normal
-strategy (smallest lcm in the active order), and the chain criterion skips a
-pair when the lead of a third row divides its lcm and both pairs of that row
-with the two sides are done.  The pair cap counts the S-polynomials reduced.
-The test suite checks the criteria against a Buchberger that reduces every
-pair, and by brute-force S-pair reduction.
+A monomial order is its sort-key function (:mod:`jmult.ring`).  Pairs are
+judged in one place, the Gebauer-Moller update run when a row joins the basis
+(Gebauer & Moller, JSC 6, 1988).  The new lead drops each pending pair whose
+lcm it divides unless that lcm equals its lcm with one side (criterion B_k).
+Among the new pairs, one is kept for each minimal lcm, one that no other new
+lcm properly divides (criteria M and F); then pairs with coprime leads
+(product criterion) and pairs of two monomials are dropped, since their
+S-polynomials reduce to zero.  The heap hands out the rest by the normal
+strategy (smallest lcm in the order) and every pair it hands out is reduced;
+the pair cap counts those reductions.  The test suite checks the criteria
+against a Buchberger that reduces every pair, and by brute-force S-pair
+reduction.
 
 Quotient rings are handled one level up: the ideal layer adjoins the context
 relations to every basis computation, so a single code path serves both the
@@ -25,8 +29,8 @@ import heapq
 from itertools import combinations
 from math import comb
 
-from .ring import (GREVLEX, MonomialOrder, Polynomial, RingContext,
-                   mono_degree, mono_div, mono_divides, mono_lcm, mono_mul)
+from .ring import (Polynomial, RingContext, grevlex, mono_degree, mono_div,
+                   mono_divides, mono_lcm, mono_mul)
 
 DEFAULT_PAIR_CAP = 200_000
 TERM_CAP = 100_000
@@ -94,65 +98,71 @@ def _spoly(f, g, lcm, p: int) -> dict:
     return out
 
 
-def buchberger_raw(gens, nvars: int, p: int, order: MonomialOrder,
+def buchberger_raw(gens, nvars: int, p: int, order,
                    pair_cap: int = DEFAULT_PAIR_CAP):
-    """Reduced monic Groebner basis of the term dicts in ``gens``.
+    """Reduced monic Groebner basis of the term dicts in ``gens`` under the
+    monomial order with sort key ``order``.
 
     Returns monic rows (lead, tail) sorted descending by lead; the unit
     ideal comes back as ``[(0-exponent, ())]`` and the zero ideal as ``[]``.
     Raises :class:`ComputationLimitError` once more than ``pair_cap``
     S-polynomials have been reduced.
     """
-    keyf = order.key
     one = (0,) * nvars
     rows = []
-    heap = []
-    done = set()  # row pairs (i, j), i < j, no longer pending
+    heap = []  # pending pairs (order(lcm), i, j, lcm), i < j
 
     def add_row(row):
         le, tail = row
         t = len(rows)
-        for i, (li, ti) in enumerate(rows):
-            lcm = mono_lcm(li, le)
+        # B_k: a pending pair whose lcm the new lead divides, and which equals
+        # neither lcm of the new lead with a side, is covered by those pairs
+        pending = [q for q in heap
+                   if not mono_divides(le, q[3])
+                   or q[3] in (mono_lcm(rows[q[1]][0], le),
+                               mono_lcm(rows[q[2]][0], le))]
+        if len(pending) < len(heap):
+            heap[:] = pending
+            heapq.heapify(heap)
+        # M and F: drop a new pair when another new pair has an lcm dividing
+        # its lcm; a divisor has lower degree or is equal, so judging by
+        # degree only the kept pairs need checking, and of equal lcms the
+        # first is kept
+        kept = []
+        for lcm, i in sorted(((mono_lcm(li, le), i)
+                              for i, (li, _) in enumerate(rows)),
+                             key=lambda q: mono_degree(q[0])):
+            if not any(mono_divides(m, lcm) for m, _ in kept):
+                kept.append((lcm, i))
+        for lcm, i in kept:
+            li, ti = rows[i]
             # coprime leads and two monomials give S-polynomials reducing to 0
-            if lcm == mono_mul(li, le) or not (ti or tail):
-                done.add((i, t))
-            else:
-                heapq.heappush(heap, (keyf(lcm), i, t, lcm))
+            if lcm != mono_mul(li, le) and (ti or tail):
+                heapq.heappush(heap, (order(lcm), i, t, lcm))
         rows.append(row)
-
-    def settled(a, b):
-        return (min(a, b), max(a, b)) in done
 
     for g in gens:
         g = {e: c % p for e, c in g.items() if c % p}
         if g:
-            row = _monic_row(g, keyf, p)
+            row = _monic_row(g, order, p)
             if row[0] == one:
                 return [(one, ())]
             add_row(row)
     reduced = 0
     while heap:
         _, i, j, lcm = heapq.heappop(heap)
-        done.add((i, j))
-        # chain criterion: a third row whose lead divides the lcm and whose
-        # pairs with both sides are done
-        if any(k != i and k != j and mono_divides(lk, lcm)
-               and settled(i, k) and settled(k, j)
-               for k, (lk, _) in enumerate(rows)):
-            continue
         reduced += 1
         if reduced > pair_cap:
             raise ComputationLimitError(
                 f"S-polynomial reductions exceeded {pair_cap}")
-        r = _reduce_raw(_spoly(rows[i], rows[j], lcm, p), rows, keyf, p)
+        r = _reduce_raw(_spoly(rows[i], rows[j], lcm, p), rows, order, p)
         if r:
-            row = _monic_row(r, keyf, p)
+            row = _monic_row(r, order, p)
             if row[0] == one:
                 return [(one, ())]
             add_row(row)
 
-    return _interreduce(rows, keyf, p)
+    return _interreduce(rows, order, p)
 
 
 def _interreduce(rows, keyf, p):
@@ -218,7 +228,7 @@ class GroebnerBasis:
 
     __slots__ = ("ctx", "order", "rows", "leads", "polys", "_key")
 
-    def __init__(self, ctx: RingContext, order: MonomialOrder, rows):
+    def __init__(self, ctx: RingContext, order, rows):
         """``rows`` are monic (lead, tail) records as :func:`buchberger_raw`
         returns them, sorted descending by lead."""
         self.ctx = ctx
@@ -252,7 +262,7 @@ class GroebnerBasis:
             raise ValueError("polynomial from a different context")
         if not self.rows:
             return f
-        r = _reduce_raw(f.terms, self.rows, self.order.key, self.ctx.char)
+        r = _reduce_raw(f.terms, self.rows, self.order, self.ctx.char)
         return Polynomial(self.ctx, r)
 
     def contains(self, f: Polynomial) -> bool:
@@ -269,12 +279,12 @@ class GroebnerBasis:
         p = self.ctx.char
         for f, g in combinations(self.rows, 2):
             s = _spoly(f, g, mono_lcm(f[0], g[0]), p)
-            if s and _reduce_raw(s, self.rows, self.order.key, p):
+            if s and _reduce_raw(s, self.rows, self.order, p):
                 return False
         return True
 
 
-def groebner_basis(ctx: RingContext, polys, order: MonomialOrder = GREVLEX,
+def groebner_basis(ctx: RingContext, polys, order=grevlex,
                    include_relations: bool = True,
                    pair_cap: int = DEFAULT_PAIR_CAP) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``polys`` plus, by

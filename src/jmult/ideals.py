@@ -3,8 +3,8 @@ saturation, equality, membership, dimension and codimension.
 
 Every :class:`Ideal` lives over a :class:`~jmult.ring.RingContext` and
 implicitly contains the context relations, so all operations take place in the
-quotient ring.  Ideals are immutable; reduced Groebner bases are cached per
-monomial order, and the heavier binary operations are memoized on the context
+quotient ring.  Ideals are immutable; the reduced grevlex basis is cached on
+the ideal, and the heavier binary operations are memoized on the context
 keyed by the operands' canonical reduced bases, which lets the same
 mathematical ideal reached along different routes share work.
 """
@@ -14,8 +14,8 @@ from __future__ import annotations
 import warnings
 
 from .groebner import GroebnerBasis, buchberger_raw, groebner_basis
-from .ring import (GREVLEX, ContextMismatchError, MonomialOrder, Polynomial,
-                   RingContext, elimination_order, extend_context, lift_poly,
+from .ring import (ContextMismatchError, Polynomial, RingContext,
+                   elimination_order, extend_context, grevlex, lift_poly,
                    mono_degree, mono_div, mono_divides)
 
 
@@ -53,7 +53,7 @@ class Ideal:
                 seen.add(c)
                 clean.append(g)
         self.gens = tuple(_prune_monomial_multiples(clean))
-        self._gb = {}
+        self._gb = None
         self._powers = {}
         self._key = None
         self._hash = None
@@ -75,17 +75,15 @@ class Ideal:
     @classmethod
     def _with_gb(cls, ctx: RingContext, gb: GroebnerBasis) -> "Ideal":
         ideal = cls(ctx, gb.polys)
-        ideal._gb[gb.order] = gb
+        ideal._gb = gb
         return ideal
 
     # -- bases and identity ----------------------------------------------------
 
-    def gb(self, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
-        got = self._gb.get(order)
-        if got is None:
-            got = groebner_basis(self.ctx, self.gens, order)
-            self._gb[order] = got
-        return got
+    def gb(self) -> GroebnerBasis:
+        if self._gb is None:
+            self._gb = groebner_basis(self.ctx, self.gens)
+        return self._gb
 
     def key(self):
         if self._key is None:
@@ -282,7 +280,7 @@ def _eliminate_trailing(ext_ctx: RingContext, base_ctx: RingContext, rows,
     nbase = base_ctx.nvars
     kept = [(le[:nbase], tuple((e[:nbase], c) for e, c in tail))
             for le, tail in gb.rows if not any(le[nbase:])]
-    return Ideal._with_gb(base_ctx, GroebnerBasis(base_ctx, GREVLEX, kept))
+    return Ideal._with_gb(base_ctx, GroebnerBasis(base_ctx, grevlex, kept))
 
 
 def _intersect(a: Ideal, b: Ideal) -> Ideal:
@@ -310,7 +308,7 @@ def _exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
     work = dict(g.terms)
     quo = {}
     while work:
-        e = max(work, key=GREVLEX.key)
+        e = max(work, key=grevlex)
         if not mono_divides(lf, e):
             raise InternalInconsistencyError("inexact division in colon computation")
         q = mono_div(e, lf)
@@ -386,7 +384,7 @@ def _saturate_variable(a: Ideal, i: int) -> Ideal:
     rows = [{lift(e, mono_degree(le)): c for e, c in ((le, 1),) + tail}
             for le, tail in gb.rows]
     gens = []
-    for le, tail in buchberger_raw(rows, ctx.nvars + 1, ctx.char, GREVLEX):
+    for le, tail in buchberger_raw(rows, ctx.nvars + 1, ctx.char, grevlex):
         k = le[-1]
         terms = {}
         for e, c in ((le, 1),) + tail:

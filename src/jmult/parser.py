@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .ideals import Ideal
-from .ring import Polynomial, RingContext, format_polynomial, is_prime
+from .ring import Polynomial, PrimeField, RingContext, format_polynomial
 
 
 class ProblemError(ValueError):
@@ -128,23 +128,18 @@ class _Cursor:
             self.pos += 1
         return t
 
-    def expect_sym(self, sym: str):
-        t = self.next()
-        if t is None or t.kind != "SYM" or t.text != sym:
-            where = t or Token("END", "", self.line, self.end_col)
-            raise ProblemSyntaxError(f"expected {sym!r}", where.line, where.col)
-        return t
+    def accept(self, sym: str):
+        """The next token, consumed, if it is one of the symbols in ``sym``;
+        else None."""
+        t = self.peek()
+        if t is not None and t.kind == "SYM" and t.text in sym:
+            self.pos += 1
+            return t
+        return None
 
-    def expect_ident(self, what="identifier"):
+    def expect(self, kind: str, what: str, text: str | None = None):
         t = self.next()
-        if t is None or t.kind != "IDENT":
-            where = t or Token("END", "", self.line, self.end_col)
-            raise ProblemSyntaxError(f"expected {what}", where.line, where.col)
-        return t
-
-    def expect_int(self, what="integer"):
-        t = self.next()
-        if t is None or t.kind != "INT":
+        if t is None or t.kind != kind or text not in (None, t.text):
             where = t or Token("END", "", self.line, self.end_col)
             raise ProblemSyntaxError(f"expected {what}", where.line, where.col)
         return t
@@ -172,10 +167,8 @@ def _parse_factor(cur: _Cursor, ctx: RingContext) -> Polynomial:
             raise ProblemSemanticError(f"unknown variable {t.text!r}",
                                        t.line, t.col) from None
         exp = 1
-        nxt = cur.peek()
-        if nxt is not None and nxt.kind == "SYM" and nxt.text == "^":
-            cur.next()
-            exp = int(cur.expect_int("exponent").text)
+        if cur.accept("^"):
+            exp = int(cur.expect("INT", "exponent").text)
         e = [0] * ctx.nvars
         e[idx] = exp
         return ctx.monomial(e)
@@ -184,44 +177,28 @@ def _parse_factor(cur: _Cursor, ctx: RingContext) -> Polynomial:
 
 def _parse_term(cur: _Cursor, ctx: RingContext) -> Polynomial:
     out = _parse_factor(cur, ctx)
-    while True:
-        t = cur.peek()
-        if t is not None and t.kind == "SYM" and t.text == "*":
-            cur.next()
-            out = out * _parse_factor(cur, ctx)
-        else:
-            return out
+    while cur.accept("*"):
+        out = out * _parse_factor(cur, ctx)
+    return out
 
 
 def parse_poly(cur: _Cursor, ctx: RingContext) -> Polynomial:
-    sign = 1
-    t = cur.peek()
-    if t is not None and t.kind == "SYM" and t.text in "+-":
-        cur.next()
-        sign = -1 if t.text == "-" else 1
+    t = cur.accept("+-")
     out = _parse_term(cur, ctx)
-    if sign < 0:
+    if t and t.text == "-":
         out = -out
-    while True:
-        t = cur.peek()
-        if t is not None and t.kind == "SYM" and t.text in "+-":
-            cur.next()
-            nxt = _parse_term(cur, ctx)
-            out = out - nxt if t.text == "-" else out + nxt
-        else:
-            return out
+    while t := cur.accept("+-"):
+        nxt = _parse_term(cur, ctx)
+        out = out - nxt if t.text == "-" else out + nxt
+    return out
 
 
 def _parse_poly_list(cur: _Cursor, ctx: RingContext):
     polys = [parse_poly(cur, ctx)]
-    while True:
-        t = cur.peek()
-        if t is not None and t.kind == "SYM" and t.text == ",":
-            cur.next()
-            polys.append(parse_poly(cur, ctx))
-        else:
-            cur.expect_end()
-            return polys
+    while cur.accept(","):
+        polys.append(parse_poly(cur, ctx))
+    cur.expect_end()
+    return polys
 
 
 # --------------------------------------------------------------------------
@@ -245,28 +222,20 @@ def parse_problem(text: str, options: Options | None = None) -> ProblemSpec:
     if head(toks) != "ring":
         raise ProblemSyntaxError("expected ring line first", no, toks[0].col)
     cur = _Cursor(toks[1:], no, ln)
-    kw = cur.expect_ident("'char'")
-    if kw.text != "char":
-        raise ProblemSyntaxError("expected 'char'", kw.line, kw.col)
-    cur.expect_sym("=")
-    char_tok = cur.expect_int("characteristic")
+    cur.expect("IDENT", "'char'", "char")
+    cur.expect("SYM", "'='", "=")
+    char_tok = cur.expect("INT", "characteristic")
     char = options.char if options.char is not None else int(char_tok.text)
-    if not is_prime(char) or char == 2:
-        raise ProblemSemanticError(f"characteristic {char} is not an odd prime",
-                                   char_tok.line, char_tok.col)
-    kw = cur.expect_ident("'vars'")
-    if kw.text != "vars":
-        raise ProblemSyntaxError("expected 'vars'", kw.line, kw.col)
-    cur.expect_sym("=")
-    names = [cur.expect_ident("variable name").text]
-    while True:
-        t = cur.peek()
-        if t is not None and t.kind == "SYM" and t.text == ",":
-            cur.next()
-            names.append(cur.expect_ident("variable name").text)
-        else:
-            cur.expect_end()
-            break
+    try:
+        PrimeField(char)
+    except ValueError as exc:
+        raise ProblemSemanticError(str(exc), char_tok.line, char_tok.col) from None
+    cur.expect("IDENT", "'vars'", "vars")
+    cur.expect("SYM", "'='", "=")
+    names = [cur.expect("IDENT", "variable name").text]
+    while cur.accept(","):
+        names.append(cur.expect("IDENT", "variable name").text)
+    cur.expect_end()
     if len(set(names)) != len(names):
         raise ProblemSemanticError("duplicate variable name", no, toks[0].col)
     base_ctx = RingContext(tuple(names), char)

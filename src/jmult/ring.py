@@ -9,7 +9,7 @@ that intermediate products fit comfortably in 64 bits.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 DEFAULT_CHAR = 32003
 MAX_CHAR = 1 << 31
@@ -81,7 +81,7 @@ class PrimeField:
 
 
 # --------------------------------------------------------------------------
-# monomials (bare exponent tuples) and orders
+# monomials (bare exponent tuples) and orders as sort keys
 
 
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
@@ -108,43 +108,21 @@ def mono_degree(a: Exponents) -> int:
     return sum(a)
 
 
-class MonomialOrder(NamedTuple):
-    """A multiplicative well-order on monomials.
-
-    kind is one of ``grevlex``, ``lex`` or ``block``.  A block order compares
-    the trailing ``elim_last`` coordinates first (grevlex within each block);
-    it is the elimination order used to drop auxiliary variables, which are
-    always appended at the end of the variable list.
-    """
-
-    kind: str = "grevlex"
-    elim_last: int = 0
-
-    def key(self, e: Exponents):
-        if self.kind == "grevlex":
-            return _grevlex_key(e)
-        if self.kind == "lex":
-            return e
-        k = len(e) - self.elim_last
-        return (_grevlex_key(e[k:]), _grevlex_key(e[:k]))
-
-    def compare(self, a: Exponents, b: Exponents) -> int:
-        if len(a) != len(b):
-            raise ValueError("exponent vectors of different lengths")
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
-
-def _grevlex_key(e: Exponents):
+def grevlex(e: Exponents):
+    """Sort key of the graded reverse lexicographic order: total degree
+    first, then the monomial with the smaller exponent in the last variable
+    where the two differ is the larger."""
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
-GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
-
-
-def elimination_order(n_last: int) -> MonomialOrder:
-    return MonomialOrder("block", n_last)
+def elimination_order(n_last: int):
+    """Sort key of the block order that compares the trailing ``n_last``
+    coordinates first, grevlex within each block.  It eliminates auxiliary
+    variables, which are always appended at the end of the variable list."""
+    def key(e: Exponents):
+        k = len(e) - n_last
+        return (grevlex(e[k:]), grevlex(e[:k]))
+    return key
 
 
 # --------------------------------------------------------------------------
@@ -330,23 +308,23 @@ class Polynomial:
             n >>= 1
         return out
 
-    # -- order-dependent views ----------------------------------------------
+    # -- grevlex views --------------------------------------------------------
 
-    def lead_exp(self, order: MonomialOrder = GREVLEX) -> Exponents:
+    def lead_exp(self) -> Exponents:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=order.key)
+        return max(self.terms, key=grevlex)
 
-    def lead_coef(self, order: MonomialOrder = GREVLEX) -> int:
-        return self.terms[self.lead_exp(order)]
+    def lead_coef(self) -> int:
+        return self.terms[self.lead_exp()]
 
-    def sorted_terms(self, order: MonomialOrder = GREVLEX):
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda t: grevlex(t[0]), reverse=True)
 
-    def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
+    def monic(self) -> "Polynomial":
         if not self.terms:
             return self
-        return self.scale(self.ctx.field.inv(self.lead_coef(order)))
+        return self.scale(self.ctx.field.inv(self.lead_coef()))
 
     # -- structural helpers --------------------------------------------------
 
@@ -375,7 +353,7 @@ class Polynomial:
         return format_polynomial(self)
 
 
-def format_polynomial(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:
+def format_polynomial(f: Polynomial) -> str:
     """Canonical text form: grevlex-descending terms, explicit * and ^,
     coefficients balanced around zero so -1 prints as a minus sign."""
     if f.is_zero():
@@ -383,7 +361,7 @@ def format_polynomial(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:
     p = f.ctx.char
     names = f.ctx.var_names
     parts = []
-    for e, c in f.sorted_terms(order):
+    for e, c in f.sorted_terms():
         if c > p // 2:
             sign, mag = "-", p - c
         else:

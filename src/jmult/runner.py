@@ -374,9 +374,15 @@ class Pipeline:
                                    "disagree under passing hypotheses")
         return report.to_json()
 
+    def _monomial_ideal(self) -> MonomialIdeal:
+        """The ideal for the oracle, which reads generators in a free ring."""
+        if self.ctx.relations:
+            raise OracleError("oracle only handles monomial ideals in a free ring")
+        return MonomialIdeal.from_ideal(self.ideal)
+
     def cmd_oracle(self) -> dict:
         try:
-            mono = MonomialIdeal.from_ideal(self.ideal)
+            mono = self._monomial_ideal()
         except OracleError as exc:
             self.flag(PARSE_ERROR, str(exc))
             return {"error": str(exc)}
@@ -391,11 +397,11 @@ class Pipeline:
 
     def _oracle_cross_check(self, j_fit):
         try:
-            mono = MonomialIdeal.from_ideal(self.ideal)
-        except OracleError:
-            return "not-applicable (non-monomial input)"
-        if not mono.is_m_primary() or self.ctx.relations:
-            return "not-applicable (needs an m-primary monomial ideal in a free ring)"
+            mono = self._monomial_ideal()
+        except OracleError as exc:
+            return f"not-applicable ({exc})"
+        if not mono.is_m_primary():
+            return "not-applicable (not m-primary)"
         coeffs = list(oracle_hilbert_coefficients(mono))
         ok = coeffs == list(j_fit)
         if not ok:

@@ -87,6 +87,27 @@ def test_oracle_command(capsys, monkeypatch):
     assert code == 2
 
 
+def test_oracle_refuses_quotient_ring(capsys, monkeypatch):
+    """The oracle reads generators in a free ring, so a quotient ring is an
+    input error rather than a report of free-ring values."""
+    code, out = run_cli(capsys, monkeypatch, "oracle",
+                        "ring char=32003 vars=x,y\nmod x^2,y^2\nideal x\n")
+    assert "error" in json.loads(out)["results"]
+    assert code == 2
+
+
+def test_large_characteristic_is_input_error(capsys, monkeypatch):
+    """A characteristic of 2^31 or more, from the ring line or from --char,
+    exits 2 with a message at the char token."""
+    big = "ring char=2147483659 vars=x,y\nideal x,y\n"
+    for text, extra in ((big, ()), (M2, ("--char", "2147483659"))):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code = main(["reduction", "-", *extra])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "line 1, col 11" in err and "2147483659" in err
+
+
 def test_oracle_flag_cross_check(capsys, monkeypatch):
     code, out = run_cli(capsys, monkeypatch, "coeffs", M2, "--oracle")
     rep = json.loads(out)
