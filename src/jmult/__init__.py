@@ -24,7 +24,7 @@ from .reductions import (GeneralReduction, ReductionRing, ReductionSearchError,
                          valabrega_valla_check)
 from .omega import (MasterIdentityReport, OmegaBreakdown, OmegaEvaluator,
                     j_one_depth_formula, j_via_sums, master_identity_check)
-from .northcott import (HypothesisFlags, NorthcottReport, assemble_northcott,
+from .northcott import (NorthcottReport, assemble_northcott,
                         minimal_generator_count, northcott_bound)
 from .parser import (Options, ProblemError, ProblemSemanticError, ProblemSpec,
                      ProblemSyntaxError, parse_problem, print_problem)

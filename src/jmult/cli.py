@@ -25,11 +25,11 @@ semantics: the working ring is k[vars]/(mod relations) localized at the ideal
 of all variables, so every reported length is local at the origin; components
 supported away from the origin are invisible by design.
 
-exit codes: 0 ok, 2 input error (parse error, out-of-range flag, zero or unit
-ideal, ring of dimension 0), 3 hypothesis-surrogate failure (results still
-printed, marked), 4 resource cap, or a compared value that is infinite, 5
-internal cross-check violation (a finite compared value that is wrong, or an
-internal inconsistency).
+exit codes: 0 ok, 2 input error (parse error, out-of-range flag, zero ideal,
+an ideal or a relation with a nonzero constant term, ring of dimension 0), 3
+hypothesis-surrogate failure (results still printed, marked), 4 resource cap,
+or a compared value that is infinite, 5 internal cross-check violation (a
+finite compared value that is wrong, or an internal inconsistency).
 """
 
 
@@ -84,7 +84,7 @@ def _flag_error(spec: ProblemSpec) -> str | None:
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = build_arg_parser().parse_intermixed_args(argv)
     if args.problem == "-":
         text = sys.stdin.read()
     else:

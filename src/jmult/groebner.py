@@ -5,7 +5,9 @@ basis row as one monic record ``(lead, tail)``: the leading exponent and a
 tuple of the other ``(exponent, residue)`` terms, built once by
 :func:`_monic_row`.  :class:`GroebnerBasis` wraps the rows at the boundary.
 
-A monomial order is its sort-key function (:mod:`jmult.ring`).  Pairs are
+A monomial order is its sort-key function (:mod:`jmult.ring`).  Input
+generators join the basis by increasing lead, each first reduced by the rows
+before it, so a redundant generator adds no row and no pairs.  Pairs are
 judged in one place, the Gebauer-Moller update run when a row joins the basis
 (Gebauer & Moller, JSC 6, 1988).  The new lead drops each pending pair whose
 lcm it divides unless that lcm equals its lcm with one side (criterion B_k).
@@ -141,13 +143,21 @@ def buchberger_raw(gens, nvars: int, p: int, order,
                 heapq.heappush(heap, (order(lcm), i, t, lcm))
         rows.append(row)
 
-    for g in gens:
-        g = {e: c % p for e, c in g.items() if c % p}
-        if g:
-            row = _monic_row(g, order, p)
+    def reduce_and_add(f) -> bool:
+        """Add the nonzero normal form of f as a row; True for a unit."""
+        r = _reduce_raw(f, rows, order, p)
+        if r:
+            row = _monic_row(r, order, p)
             if row[0] == one:
-                return [(one, ())]
+                return True
             add_row(row)
+        return False
+
+    inputs = [g for g in ({e: c % p for e, c in g.items() if c % p}
+                          for g in gens) if g]
+    for g in sorted(inputs, key=lambda g: order(max(g, key=order))):
+        if reduce_and_add(g):
+            return [(one, ())]
     reduced = 0
     while heap:
         _, i, j, lcm = heapq.heappop(heap)
@@ -155,12 +165,8 @@ def buchberger_raw(gens, nvars: int, p: int, order,
         if reduced > pair_cap:
             raise ComputationLimitError(
                 f"S-polynomial reductions exceeded {pair_cap}")
-        r = _reduce_raw(_spoly(rows[i], rows[j], lcm, p), rows, order, p)
-        if r:
-            row = _monic_row(r, order, p)
-            if row[0] == one:
-                return [(one, ())]
-            add_row(row)
+        if reduce_and_add(_spoly(rows[i], rows[j], lcm, p)):
+            return [(one, ())]
 
     return _interreduce(rows, order, p)
 

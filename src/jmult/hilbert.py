@@ -7,11 +7,13 @@ polynomial of degree at most d written as
 
     P(n) = sum_i (-1)^i j_i binom(n + d - i, d - i),
 
-and the coefficients j_0 .. j_d are read off by difference interpolation with
-exact integer arithmetic.  No a-priori postulation bound exists, so the fit
-looks for a constant d-th difference over a window and then confirms with two
-extra points; the detected postulation point is reported so a user can rerun
-with a larger window.
+and the coefficients are read off with exact integer arithmetic: one
+backward difference operator serves the window search, the Newton form
+through the window, and j_i = (-1)^i (backward difference of order d - i of
+P at -1).  No a-priori postulation bound exists, so the fit looks for a
+constant d-th difference over a window and then confirms with two extra
+points; the coefficients must reproduce every window value, and the detected
+postulation point is reported so a user can rerun with a larger window.
 """
 
 from __future__ import annotations
@@ -45,11 +47,6 @@ def binomial(n: int, k: int) -> int:
     return num
 
 
-def forward_difference(values, k: int, at: int = 0) -> int:
-    """k-th forward difference at position ``at`` of a value list."""
-    return sum((-1) ** (k - t) * comb(k, t) * values[at + t] for t in range(k + 1))
-
-
 def backward_difference(fn, k: int, n: int) -> int:
     """k-th backward difference of a function of the integers."""
     return sum((-1) ** j * comb(k, j) * fn(n - j) for j in range(k + 1))
@@ -67,7 +64,7 @@ def detect_polynomial_window(values, d: int, window: int):
     run = 0
     prev = None
     for a in range(d, n):
-        cur = sum((-1) ** j * comb(d, j) * values[a - j] for j in range(d + 1))
+        cur = backward_difference(values.__getitem__, d, a)
         if prev is not None and cur == prev:
             run += 1
         else:
@@ -82,29 +79,31 @@ def binomial_basis_convert(values, d: int, start: int = 0):
     """Coefficients (j_0 .. j_d) of the degree-<= d integer polynomial through
     ``values`` at consecutive arguments start, start+1, ...
 
-    Raises FitError when the input does not lie on such a polynomial.
+    With P the Newton form through the first d + 1 values, the backward
+    difference of P(n) = sum_i (-1)^i j_i binom(n + d - i, d - i) of order
+    d - i at n = -1 is (-1)^i j_i.  Raises FitError when the coefficients do
+    not reproduce every value, so the input lies on no such polynomial.
     """
     values = list(values)
     if len(values) < d + 1:
         raise FitError(f"need at least {d + 1} values to fit degree {d}")
-    newton = [forward_difference(values, j) for j in range(len(values))]
-    if any(newton[j] for j in range(d + 1, len(values))):
-        raise FitError("values do not lie on a polynomial of the expected degree")
+    newton = [backward_difference(values.__getitem__, j, j) for j in range(d + 1)]
 
     def poly(n: int) -> int:
-        return sum(newton[j] * binomial(n - start, j) for j in range(min(d + 1, len(newton))))
+        return sum(c * binomial(n - start, j) for j, c in enumerate(newton))
 
-    cur = [poly(k) for k in range(d + 1)]
-    coeffs = []
-    for i in range(d + 1):
-        c = forward_difference(cur, d - i)
-        j_i = (-1) ** i * c
-        coeffs.append(j_i)
-        for n in range(d + 1):
-            cur[n] -= (-1) ** i * j_i * binomial(n + d - i, d - i)
-    if any(cur):
-        raise FitError("binomial basis conversion left a nonzero remainder")
-    return tuple(coeffs)
+    coeffs = tuple((-1) ** i * backward_difference(poly, d - i, -1)
+                   for i in range(d + 1))
+    if any(_binomial_form(coeffs, start + t) != v for t, v in enumerate(values)):
+        raise FitError("values do not lie on a polynomial of the expected degree")
+    return coeffs
+
+
+def _binomial_form(coeffs, n: int) -> int:
+    """sum_i (-1)^i j_i binom(n + d - i, d - i) for coeffs = (j_0 .. j_d)."""
+    d = len(coeffs) - 1
+    return sum((-1) ** i * j * binomial(n + d - i, d - i)
+               for i, j in enumerate(coeffs))
 
 
 class HilbertRecord(NamedTuple):
@@ -117,9 +116,7 @@ class HilbertRecord(NamedTuple):
     postulation: int
 
     def polynomial_value(self, n: int) -> int:
-        d = self.dim
-        return sum((-1) ** i * self.coefficients[i] * binomial(n + d - i, d - i)
-                   for i in range(d + 1))
+        return _binomial_form(self.coefficients, n)
 
     def h_value(self, n: int) -> int:
         """H(n), with H(n) := 0 for n < 0; beyond the computed table the
@@ -187,9 +184,5 @@ def fit_hilbert_polynomial(ideal: Ideal, window: int | None = None,
                            f"found up to n = {FIT_N_CAP}")
     s, e = region
     coeffs = binomial_basis_convert(values[s:e + 1], d, start=s)
-    record = HilbertRecord(dim=d, values=tuple(values), coefficients=coeffs,
-                           window=(s, e), postulation=s)
-    for t in range(s, e + 1):
-        if record.polynomial_value(t) != values[t]:
-            raise FitError("fitted polynomial does not reproduce the window")
-    return record
+    return HilbertRecord(dim=d, values=tuple(values), coefficients=coeffs,
+                         window=(s, e), postulation=s)

@@ -118,9 +118,6 @@ class Ideal:
     def is_unit(self) -> bool:
         return self.gb().is_unit()
 
-    def is_proper(self) -> bool:
-        return not self.is_unit()
-
     def contains(self, f: Polynomial) -> bool:
         return self.gb().contains(f)
 
@@ -225,6 +222,7 @@ def relations_gb(ctx: RingContext) -> GroebnerBasis:
 
 def eliminate(a: Ideal, drop_names) -> Ideal:
     """Generators of a ∩ k[remaining variables], computed with a block order.
+    The dropped variables must be the trailing ones; others raise ValueError.
 
     The result lives in a fresh context on the remaining variables with an
     empty relation list; the image of the original relations is already
@@ -232,19 +230,12 @@ def eliminate(a: Ideal, drop_names) -> Ideal:
     """
     ctx = a.ctx
     drop = {ctx.var_index(v) if isinstance(v, str) else v for v in drop_names}
-    keep = [i for i in range(ctx.nvars) if i not in drop]
-    dropped = [i for i in range(ctx.nvars) if i in drop]
-    perm = keep + dropped
-    perm_ctx = RingContext(tuple(ctx.var_names[i] for i in perm), ctx.char)
-
-    def permute(f: Polynomial) -> Polynomial:
-        return Polynomial(perm_ctx,
-                          {tuple(e[i] for i in perm): c for e, c in f.terms.items()})
-
-    gens = [permute(g) for g in a.gens] + [permute(r) for r in ctx.relation_polys()]
-    sub_ctx = RingContext(tuple(ctx.var_names[i] for i in keep), ctx.char)
-    return _eliminate_trailing(perm_ctx, sub_ctx, gens, len(dropped),
-                               include_relations=False)
+    keep = ctx.nvars - len(drop)
+    if drop != set(range(keep, ctx.nvars)):
+        raise ValueError("only the trailing variables can be eliminated")
+    sub_ctx = RingContext(ctx.var_names[:keep], ctx.char)
+    return _eliminate_trailing(ctx, sub_ctx, a.gens, len(drop),
+                               include_relations=True)
 
 
 # --------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Lower bound for the first generalized coefficient, its equality analysis,
 and the positivity corollaries.
 
-The bound is lambda(I/J) plus a residual correction colength.  Equality is
-expected exactly when the reduction number is at most one; on inputs whose
-hypotheses hold, a report where the two disagree is a red flag (a bug or an
-undetected hypothesis failure) and is labelled "violated" rather than being
-silently accepted.  The fitted coefficient is authoritative; the summation
-route is a cross-check and disagreement is a hard report-level error, never
-averaged away.
+The bound is lambda(I/J) plus a residual correction colength.  Equality
+forces the reduction number to be at most one; the converse holds for
+m-primary ideals (Huneke, Ooishi) and is not claimed otherwise.  On inputs
+whose hypotheses hold, equality with r > 1, or an m-primary ideal with
+r <= 1 and no equality, is a red flag (a bug or an undetected hypothesis
+failure) and is labelled "violated" rather than being silently accepted;
+every other case is "consistent".  The fitted coefficient is authoritative;
+the summation route is a cross-check and disagreement is a hard report-level
+error, never averaged away.
 """
 
 from __future__ import annotations
@@ -17,20 +19,8 @@ from typing import NamedTuple
 from .ideals import Ideal, ring_dimension
 from .lengths import (LengthValue, gamma_length, loc_quotient_length,
                       pair_length)
+from .parser import Options
 from .reductions import GeneralReduction, fiber_length_sum
-
-
-class HypothesisFlags(NamedTuple):
-    """User-asserted hypotheses; they are echoed in every dependent output."""
-
-    gd_asserted: bool = False
-    an_asserted: bool = False
-    s2_asserted: bool = False
-
-    def to_json(self):
-        return {"gd_asserted": self.gd_asserted,
-                "an_asserted": self.an_asserted,
-                "s2_asserted": self.s2_asserted}
 
 
 def northcott_bound(ideal: Ideal, red: GeneralReduction):
@@ -68,7 +58,7 @@ class NorthcottReport(NamedTuple):
     j1_nonnegative: bool | None
     m_primary_implication: bool | None
     complete_intersection_implication: bool | None
-    flags: HypothesisFlags
+    options: Options             # its asserted hypotheses are echoed
     hypotheses_effective: bool
     notes: tuple
     decomposition: tuple         # d = 1 only: named (label, value) pairs
@@ -89,7 +79,7 @@ class NorthcottReport(NamedTuple):
             "m_primary_implication": self.m_primary_implication,
             "complete_intersection_implication": self.complete_intersection_implication,
             "hypotheses_effective": self.hypotheses_effective,
-            "flags": self.flags.to_json(),
+            "flags": self.options.flags_json(),
             "notes": list(self.notes),
             "decomposition": {k: v for k, v in self.decomposition},
         }
@@ -112,15 +102,14 @@ def minimal_generator_count(ideal: Ideal) -> LengthValue:
 def assemble_northcott(ideal: Ideal, red: GeneralReduction, r: int | None,
                        j1: int | None, j1_route: str,
                        effective: bool, m_primary: bool,
-                       flags: HypothesisFlags,
-                       extra_notes=()) -> NorthcottReport:
+                       options: Options, extra_notes=()) -> NorthcottReport:
     """Build the report from precomputed pieces; the coefficient routes and
     whether the hypotheses are in force are resolved by the caller, which
     also owns the cross-route comparison."""
     ctx = ideal.ctx
     d = ring_dimension(ctx)
     notes = list(extra_notes)
-    if m_primary and not (flags.gd_asserted and flags.an_asserted):
+    if m_primary and not (options.gd_asserted and options.an_asserted):
         notes.append("ideal is primary to the maximal ideal, so the residual "
                      "hypotheses hold automatically")
 
@@ -144,8 +133,8 @@ def assemble_northcott(ideal: Ideal, red: GeneralReduction, r: int | None,
             reduction_number=r, equality_case_verdict="not-applicable",
             j1_nonnegative=None if j1 is None else j1 >= 0,
             m_primary_implication=None, complete_intersection_implication=None,
-            flags=flags, hypotheses_effective=effective, notes=tuple(notes),
-            decomposition=parts)
+            options=options, hypotheses_effective=effective,
+            notes=tuple(notes), decomposition=parts)
 
     lam, second = northcott_bound(ideal, red)
     bound = None
@@ -160,16 +149,14 @@ def assemble_northcott(ideal: Ideal, red: GeneralReduction, r: int | None,
         notes.append("bound terms did not come out finite; analytic spread "
                      "below d or a failed sample")
 
-    if not effective:
+    if not effective or equality is None or r is None:
         verdict = "not-applicable"
-    elif equality is None or r is None:
-        verdict = "not-applicable"
-    elif (equality and r <= 1) or (not equality and r > 1):
-        verdict = "consistent"
-    else:
+    elif (equality and r > 1) or (m_primary and not equality and r <= 1):
         verdict = "violated"
         notes.append("equality case disagrees with the reduction number under "
                      "passing hypotheses: bug or undetected hypothesis failure")
+    else:
+        verdict = "consistent"
 
     m_primary_impl = None
     if j1 is not None and lam.is_finite and j1 == lam.value:
@@ -186,5 +173,5 @@ def assemble_northcott(ideal: Ideal, red: GeneralReduction, r: int | None,
         j1_nonnegative=None if j1 is None else j1 >= 0,
         m_primary_implication=m_primary_impl,
         complete_intersection_implication=ci_impl,
-        flags=flags, hypotheses_effective=effective, notes=tuple(notes),
+        options=options, hypotheses_effective=effective, notes=tuple(notes),
         decomposition=decomposition)

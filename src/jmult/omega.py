@@ -59,8 +59,9 @@ class OmegaBreakdown(NamedTuple):
 class OmegaEvaluator:
     """Shared-state evaluator for the correction terms of one (I, J) pair.
 
-    Sub-term lengths are cached per (kind, i, n); sequences are extended by
-    zero at non-positive indices, which matches the literal displays (the
+    Residual ideals and sub-term lengths are computed once each, in one memo
+    keyed by kind and indices; sequences are extended by zero at
+    non-positive indices, which matches the literal displays (the
     zeroth power of I is the unit ideal, so those quotients vanish).  The
     fitted Hilbert record of the ideal bounds the summation route.
     """
@@ -73,9 +74,7 @@ class OmegaEvaluator:
         self.ctx = ideal.ctx
         self.d = ring_dimension(self.ctx)
         self.m = Ideal.maximal(self.ctx)
-        self._jc = {}
-        self._lens = {}
-        self._beta = None
+        self._memo = {}
 
     # -- building blocks -----------------------------------------------------
 
@@ -84,24 +83,20 @@ class OmegaEvaluator:
         the d-th difference of P - H past postulation + d."""
         return max(r, self.record.postulation + self.d)
 
+    def _term(self, key, build):
+        """``build()``, computed once per key; ``build`` never returns None."""
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = build()
+        return got
+
     def jc(self, i: int) -> Ideal:
         """The residual ideal J_i : I."""
-        got = self._jc.get(i)
-        if got is None:
-            got = self.red.j(i).colon(self.ideal)
-            self._jc[i] = got
-        return got
-
-    def _term(self, kind: str, i: int, n: int, build) -> LengthValue:
-        key = (kind, i, n)
-        got = self._lens.get(key)
-        if got is None:
-            got = build()
-            self._lens[key] = got
-        return got
+        return self._term(("jc", i),
+                          lambda: self.red.j(i).colon(self.ideal))
 
     def fiber(self, n: int) -> LengthValue:
-        return self._term("fiber", -1, n, lambda: fiber_length_term(
+        return self._term(("fiber", n), lambda: fiber_length_term(
             self.ideal, self.red.full, n))
 
     # -- displayed sub-terms ----------------------------------------------------
@@ -116,7 +111,7 @@ class OmegaEvaluator:
             den = self.jc(i) + self.ideal ** n
             return pair_length(num, den)
 
-        return self._term("ktilde", i, n, build)
+        return self._term(("ktilde", i, n), build)
 
     def ltilde(self, i: int, n: int) -> LengthValue:
         if n <= 0:
@@ -131,7 +126,7 @@ class OmegaEvaluator:
                    + (I ** (n - 1)).scaled_by(x_next))
             return pair_length(num, den)
 
-        return self._term("ltilde", i, n, build)
+        return self._term(("ltilde", i, n), build)
 
     def l_term(self, i: int, n: int) -> LengthValue:
         if n <= 0:
@@ -149,7 +144,7 @@ class OmegaEvaluator:
                    + inner.scaled_by(x_next))
             return pair_length(num, den)
 
-        return self._term("l", i, n, build)
+        return self._term(("l", i, n), build)
 
     def n_term(self, i: int, n: int) -> LengthValue:
         if n <= 0:
@@ -165,7 +160,7 @@ class OmegaEvaluator:
                 .intersect(I ** n)
             return pair_length(num, den)
 
-        return self._term("n", i, n, build)
+        return self._term(("n", i, n), build)
 
     def lln(self, i: int, n: int) -> LengthValue:
         """Ltilde - L + N at one index."""
@@ -189,14 +184,15 @@ class OmegaEvaluator:
                 den = den + prev
             return pair_length(num, den)
 
-        return self._term("colon_int", i, n, build)
+        return self._term(("colon_int", i, n), build)
 
     def beta(self) -> LengthValue:
-        if self._beta is None:
+        def build():
             zero_colon = Ideal.zero(self.ctx).colon(self.ideal)
-            self._beta = signed_sum(((1, gamma_length(self.ideal)),
-                                     (-1, gamma_length(zero_colon + self.ideal))))
-        return self._beta
+            return signed_sum(((1, gamma_length(self.ideal)),
+                               (-1, gamma_length(zero_colon + self.ideal))))
+
+        return self._term(("beta",), build)
 
     # -- the correction itself -----------------------------------------------
 

@@ -48,6 +48,12 @@ class Options(NamedTuple):
     fmt: str = "json"
     oracle: bool = False
 
+    def flags_json(self):
+        """The user-asserted hypotheses, echoed in every dependent output."""
+        return {"gd_asserted": self.gd_asserted,
+                "an_asserted": self.an_asserted,
+                "s2_asserted": self.s2_asserted}
+
 
 class ProblemSpec(NamedTuple):
     """A parsed problem; equality and hashing ignore the run options."""

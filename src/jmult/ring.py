@@ -184,9 +184,6 @@ class RingContext:
 
     # -- constructors ------------------------------------------------------
 
-    def polynomial(self, terms: Mapping) -> "Polynomial":
-        return Polynomial(self, terms)
-
     @property
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})

@@ -6,12 +6,13 @@ most once and shared by whichever command is running.  Reports are plain
 dicts with a fixed key order, so identical (input, seed, config) runs emit
 byte-identical JSON.
 
-Exit codes: 0 clean, 2 input error (parse error, zero or unit ideal, ring of
-dimension 0), 3 hypothesis-surrogate failure (results are still printed,
-marked), 4 a resource cap, or a compared value that is infinite, 5 internal
-cross-check violation: a compared value that is finite and wrong, or an
-internal inconsistency such as an exact division that failed or a length
-display whose smaller ideal is not contained in the larger one.
+Exit codes: 0 clean, 2 input error (parse error, zero ideal, an ideal or a
+relation outside the maximal ideal m at the origin, ring of dimension 0), 3
+hypothesis-surrogate failure (results are still printed, marked), 4 a
+resource cap, or a compared value that is infinite, 5 internal cross-check
+violation: a compared value that is finite and wrong, or an internal
+inconsistency such as an exact division that failed or a length display
+whose smaller ideal is not contained in the larger one.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .groebner import ComputationLimitError
 from .hilbert import FitError, fit_hilbert_polynomial
 from .ideals import InternalInconsistencyError, ring_dimension
 from .lengths import ContainmentError, LengthValue
-from .northcott import HypothesisFlags, assemble_northcott
+from .northcott import assemble_northcott
 from .omega import OmegaEvaluator, j_one_depth_formula, j_via_sums, master_identity_check
 from .oracle import MonomialIdeal, OracleError, mon_quotient_length, oracle_hilbert_coefficients
 from .parser import ProblemSpec, print_problem
@@ -119,20 +120,14 @@ class Pipeline:
         red, _ = self.reduction
         return residual_height_check(self.ideal, red)
 
-    @property
-    def flags(self) -> HypothesisFlags:
-        return HypothesisFlags(gd_asserted=self.opt.gd_asserted,
-                               an_asserted=self.opt.an_asserted,
-                               s2_asserted=self.opt.s2_asserted)
-
     @cached_property
     def m_primary(self) -> bool:
-        return (self.ideal.is_proper() and not self.ideal.is_zero()
+        return (not self.ideal.is_unit() and not self.ideal.is_zero()
                 and self.ideal.codimension() == self.dim)
 
     @property
     def hypotheses_effective(self) -> bool:
-        asserted = self.flags.gd_asserted and self.flags.an_asserted
+        asserted = self.opt.gd_asserted and self.opt.an_asserted
         return (self.spread == self.dim and self.surrogate.all_passed
                 and (self.m_primary or asserted))
 
@@ -158,7 +153,7 @@ class Pipeline:
             "spread_equals_dim": self.spread == self.dim,
             "m_primary": self.m_primary,
             "residual_surrogate": self.surrogate.to_json(),
-            "flags": self.flags.to_json(),
+            "flags": self.opt.flags_json(),
             "effective": self.hypotheses_effective,
         }
 
@@ -176,9 +171,17 @@ class Pipeline:
         if command not in COMMANDS:
             raise ValueError(f"unknown command {command!r}")
         if command != "oracle":
+            # a polynomial lies in m exactly when its constant term is zero
+            origin = (0,) * self.ctx.nvars
             msg = None
-            if self.ideal.is_zero() or self.ideal.is_unit():
-                msg = "the ideal must be proper and nonzero"
+            if any(origin in f.terms for f in self.ctx.relation_polys()):
+                msg = ("a relation has a nonzero constant term, so the local "
+                       "ring at the origin is zero")
+            elif any(origin in g.terms for g in self.ideal.gens):
+                msg = ("a generator has a nonzero constant term, so the ideal "
+                       "is the unit ideal at the origin")
+            elif self.ideal.is_zero():
+                msg = "the ideal must be nonzero"
             elif self.dim == 0:
                 msg = "the working ring must have positive dimension"
             if msg:
@@ -368,7 +371,7 @@ class Pipeline:
         report = assemble_northcott(
             self.ideal, red, r, j1, "fit",
             effective=self.hypotheses_effective,
-            m_primary=self.m_primary, flags=self.flags, extra_notes=notes)
+            m_primary=self.m_primary, options=self.opt, extra_notes=notes)
         if report.equality_case_verdict == "violated":
             self.flag(CROSS_CHECK, "equality case and reduction number "
                                    "disagree under passing hypotheses")

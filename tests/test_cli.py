@@ -285,6 +285,36 @@ def test_zero_dimensional_ring_is_input_error(capsys, monkeypatch, cmd):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, msg", [
+    ("ring char=32003 vars=x,y\nideal 2*x,y-1\n",
+     "a generator has a nonzero constant term, so the ideal is the unit ideal "
+     "at the origin"),
+    ("ring char=32003 vars=x,y\nmod x-1\nideal y\n",
+     "a relation has a nonzero constant term, so the local ring at the origin "
+     "is zero"),
+], ids=["unit-at-origin", "zero-local-ring"])
+def test_outside_maximal_ideal_is_input_error(capsys, monkeypatch, text, msg):
+    """Properness is local: an ideal that is the unit ideal at the origin,
+    or a relation that makes the local ring zero, is an input error even
+    when the ideal is proper in the polynomial ring."""
+    code, out = run_cli(capsys, monkeypatch, "coeffs", text)
+    rep = json.loads(out)
+    assert rep["hypotheses"] is None
+    assert rep["results"] == {"error": msg}
+    assert rep["diagnostics"] == [msg]
+    assert code == 2
+
+
+def test_flags_before_problem_file(tmp_path, capsys):
+    f = tmp_path / "prob.txt"
+    f.write_text(M2)
+    code = main(["hilbert", "--assert-gd", str(f), "--format", "json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["results"]["j"] == [4, 1, 0]
+    assert rep["hypotheses"]["flags"]["gd_asserted"] is True
+    assert code == 0
+
+
 @pytest.mark.parametrize("cmd, path", [("jmult", ("agrees",)),
                                        ("coeffs", ("agreement", "j0_vs_jzero"))])
 def test_infinite_jzero_is_not_applicable(capsys, monkeypatch, cmd, path):

@@ -84,6 +84,8 @@ def test_eliminate_examples():
     assert eliminate(Ideal(ctx, [t * x]), {"t"}).gens == ()
     trick = eliminate(Ideal(ctx, [t * x, (ctx.one - t) * y]), {"t"})
     assert {str(g) for g in trick.gens} == {"x*y"}
+    with pytest.raises(ValueError):
+        eliminate(Ideal(ctx, [x - t]), {"x"})
 
 
 def test_membership_against_monomial_oracle(ctx2):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from jmult import (FitError, Ideal, binomial, binomial_basis_convert,
@@ -29,6 +31,15 @@ def test_basis_convert_examples():
     assert binomial_basis_convert([binomial(n + 2, 2) for n in range(6)], 2) == (1, 0, 0)
     with pytest.raises(FitError):
         binomial_basis_convert([0, 0, 1, 0, 0, 0], 2)
+    # round trips j -> values -> j from a nonzero start
+    rng = random.Random(11)
+    for _ in range(200):
+        d, start = rng.randrange(5), rng.randrange(1, 6)
+        j = tuple(rng.randrange(-20, 21) for _ in range(d + 1))
+        vals = [sum((-1) ** i * j[i] * binomial(n + d - i, d - i)
+                    for i in range(d + 1))
+                for n in range(start, start + d + 1 + rng.randrange(4))]
+        assert binomial_basis_convert(vals, d, start=start) == j
 
 
 def test_basis_convert_with_offset():

@@ -71,6 +71,20 @@ def test_report_family_negative_j1():
     assert r["decomposition"]  # dimension-one summation decomposition present
 
 
+def test_report_no_equality_with_small_r_outside_m_primary():
+    """Equality forces r <= 1, but r <= 1 forces equality only for m-primary
+    ideals: the coordinate axes in k[x,y,z] have r = 0 and j_1 above the
+    bound, which is consistent under asserted hypotheses."""
+    rep, code = _report("ring char=32003 vars=x,y,z\nideal x*y,x*z,y*z\n",
+                        gd_asserted=True, an_asserted=True)
+    r = rep["results"]
+    assert (r["j1"], r["bound"], r["reduction_number"]) == (4, 2, 0)
+    assert r["hypotheses_effective"] is True
+    assert r["equality"] is False
+    assert r["equality_case"] == "consistent"
+    assert code == 0
+
+
 def test_classical_northcott_comparison(ctx2):
     """For m-primary ideals the bound is lambda(I/J) and matches the classical
     difference of multiplicity and colength, computed independently."""
