@@ -27,6 +27,7 @@ NOT_M_PRIMARY = "ring char=32003 vars=x,y\nideal x^2,x*y\n"
 CI_X2YZ = "ring char=32003 vars=x,y,z\nideal x^2,y,z\n"
 CONE_XY = "ring char=32003 vars=x,y,z\nmod x*z-y^2\nideal x,y\n"
 NONHOMOG = "ring char=32003 vars=x,y\nideal x-x^2,y\n"
+AXES_XYZ = "ring char=32003 vars=x,y,z\nideal x*y,x*z,y*z\n"
 
 # name -> (argv without the problem argument, problem text)
 CASES = {
@@ -39,6 +40,7 @@ CASES = {
     "hilbert-x2yz": (["hilbert"], CI_X2YZ),
     "coeffs-cone-xy": (["coeffs"], CONE_XY),
     "coeffs-nonhomog": (["coeffs"], NONHOMOG),
+    "coeffs-axes-xyz": (["coeffs"], AXES_XYZ),
 }
 
 
