@@ -14,18 +14,18 @@ from .oracle import (MonomialIdeal, OracleError, mon_pair_length,
 from .hilbert import (FitError, HilbertRecord, binomial, binomial_basis_convert,
                       fit_hilbert_polynomial, graded_torsion_length,
                       hilbert_function)
-from .reductions import (GeneralReduction, ReductionRing, ReductionSearchError,
+from .reductions import (GeneralReduction, ReductionSearchError,
                          ResidualHeightReport, ValabregaVallaReport,
                          analytic_spread, e_one_bar, fiber_length_sum,
                          fiber_length_term, general_minimal_reduction,
                          is_reduction, j_zero, kernel_corrected_fiber_sum,
-                         local_ideal_equal, reduction_number, reduction_ring,
+                         local_ideal_equal, reduction_kernel, reduction_number,
                          residual_height_check, sample_general_elements,
                          valabrega_valla_check)
 from .omega import (MasterIdentityReport, OmegaBreakdown, OmegaEvaluator,
                     j_one_depth_formula, j_via_sums, master_identity_check)
-from .northcott import (NorthcottReport, assemble_northcott,
-                        minimal_generator_count, northcott_bound)
+from .northcott import (assemble_northcott, minimal_generator_count,
+                        northcott_bound)
 from .parser import (Options, ProblemError, ProblemSemanticError, ProblemSpec,
                      ProblemSyntaxError, parse_problem, print_problem)
 from .runner import Pipeline, emit_report, run_command

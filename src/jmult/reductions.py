@@ -1,5 +1,7 @@
 """General elements, minimal reductions, analytic spread, residual-height
-surrogates, and the one-dimensional reduction ring.
+surrogates, and the one-dimensional reduction ring R/K with
+K = J_{d-1} : I^infinity.  The ring is represented by K alone: j_0 and e_1
+of the image of I are lengths modulo K, so K is the only thing computed.
 
 Random coefficients are drawn from the whole prime field, so "general" holds
 with probability 1 - O(deg/p); every sample is deterministic in (generator
@@ -189,40 +191,23 @@ def residual_height_check(ideal: Ideal, red: GeneralReduction) -> ResidualHeight
 # the one-dimensional reduction ring R/(J_{d-1} : I^infinity)
 
 
-class ReductionRing(NamedTuple):
-    """K = J_{d-1} : I^infinity together with sanity verdicts: the quotient
-    should be one-dimensional and I should become primary to its maximal
-    ideal.  Failures are hypothesis warnings, not fatal."""
-
-    kernel: Ideal
-    dim_ok: bool
-    primary_ok: bool
-    warnings: tuple
-
-
-def reduction_ring(ideal: Ideal, red: GeneralReduction) -> ReductionRing:
+def reduction_kernel(ideal: Ideal, red: GeneralReduction) -> Ideal:
+    """K = J_{d-1} : I^infinity.  For a general reduction R/K is
+    one-dimensional and I is primary to its maximal ideal; j_0 and e_1 of
+    the image of I are read from it."""
     d = ring_dimension(ideal.ctx)
     if d < 1:
         raise ValueError("reduction ring needs dimension at least one")
-    kernel = red.j(d - 1).saturate(ideal)
-    dim_ok = kernel.dimension() == 1
-    primary_ok = (kernel + ideal).dimension() <= 0
-    notes = []
-    if not dim_ok:
-        notes.append(f"reduction ring has dimension {kernel.dimension()}, expected 1")
-    if not primary_ok:
-        notes.append("ideal is not primary to the maximal ideal of the reduction ring")
-    return ReductionRing(kernel=kernel, dim_ok=dim_ok, primary_ok=primary_ok,
-                         warnings=tuple(notes))
+    return red.j(d - 1).saturate(ideal)
 
 
 def j_zero(ideal: Ideal, red: GeneralReduction) -> LengthValue:
     """Multiplicity of the reduction ring modulo the last general element;
     infinite signals analytic spread below d or a bad sample."""
     d = ring_dimension(ideal.ctx)
-    ring = reduction_ring(ideal, red)
     x_last = red.elements[d - 1]
-    return loc_quotient_length(ring.kernel + Ideal(ideal.ctx, [x_last]))
+    return loc_quotient_length(reduction_kernel(ideal, red)
+                               + Ideal(ideal.ctx, [x_last]))
 
 
 def fiber_length_term(ideal: Ideal, j: Ideal, n: int) -> LengthValue:
@@ -242,8 +227,7 @@ def kernel_corrected_fiber_sum(ideal: Ideal, red: GeneralReduction,
     """Sum over n < r of length(I^(n+1)/J I^n) minus the part meeting
     K = J_{d-1} : I^infinity; the difference quotient embeds into the plain
     fiber quotient, which vanishes from the reduction number r on."""
-    d = ring_dimension(ideal.ctx)
-    kernel = red.j(d - 1).saturate(ideal)
+    kernel = reduction_kernel(ideal, red)
     j_full = red.full
 
     def pairs():
@@ -262,7 +246,7 @@ def e_one_bar(ideal: Ideal, red: GeneralReduction, r: int) -> LengthValue:
     vanish."""
     ctx = ideal.ctx
     d = ring_dimension(ctx)
-    kernel = reduction_ring(ideal, red).kernel
+    kernel = reduction_kernel(ideal, red)
     x_last = Ideal(ctx, [red.elements[d - 1]])
 
     def pairs():

@@ -122,8 +122,8 @@ class Pipeline:
 
     @cached_property
     def m_primary(self) -> bool:
-        return (not self.ideal.is_unit() and not self.ideal.is_zero()
-                and self.ideal.codimension() == self.dim)
+        # run() has already checked that I is nonzero and inside m
+        return self.ideal.codimension() == self.dim
 
     @property
     def hypotheses_effective(self) -> bool:
@@ -226,8 +226,7 @@ class Pipeline:
             self.flag(CROSS_CHECK, "difference-sum identity disagrees with the "
                                    "fitted coefficients")
 
-        omega_rows = []
-        master = None
+        table = {"omega": [], "master_identity": None}
         if r is not None:
             ev = self.evaluator
             jz = j_zero(self.ideal, red)
@@ -259,10 +258,7 @@ class Pipeline:
                            else "not-applicable")
                 agreement["fit_vs_sums"] = (f"diagnostic: {verdict} "
                                             "(hypotheses not in force)")
-            for n in range(self.nmax + 1):
-                omega_rows.append(ev.omega(n).to_json())
-            master = master_identity_check(ev, self.nmax)
-            self._check_master(master)
+            table = self._omega_table()
         else:
             routes["jzero"] = "not-applicable (analytic spread below dim)"
 
@@ -275,8 +271,7 @@ class Pipeline:
             "postulation": rec.postulation,
             "hilbert_values": list(rec.values),
             "window": list(rec.window),
-            "omega": omega_rows,
-            "master_identity": master.to_json() if master else None,
+            **table,
         }
         if self.opt.oracle:
             results["oracle"] = self._oracle_cross_check(j_fit)
@@ -350,6 +345,11 @@ class Pipeline:
         red, r = self.reduction
         if r is None:
             return {"error": "correction terms need a general minimal reduction"}
+        return self._omega_table()
+
+    def _omega_table(self) -> dict:
+        """The omega rows for n = 0 .. nmax and the master identity over
+        them, checked."""
         ev = self.evaluator
         rows = [ev.omega(n).to_json() for n in range(self.nmax + 1)]
         master = master_identity_check(ev, self.nmax)
@@ -372,10 +372,10 @@ class Pipeline:
             self.ideal, red, r, j1, "fit",
             effective=self.hypotheses_effective,
             m_primary=self.m_primary, options=self.opt, extra_notes=notes)
-        if report.equality_case_verdict == "violated":
+        if report["equality_case"] == "violated":
             self.flag(CROSS_CHECK, "equality case and reduction number "
                                    "disagree under passing hypotheses")
-        return report.to_json()
+        return report
 
     def _monomial_ideal(self) -> MonomialIdeal:
         """The ideal for the oracle, which reads generators in a free ring."""

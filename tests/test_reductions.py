@@ -6,7 +6,7 @@ from jmult import (Ideal, LengthValue, Options, RingContext,
                    analytic_spread, e_one_bar, fiber_length_sum,
                    fiber_length_term, general_minimal_reduction, is_reduction,
                    j_zero, local_ideal_equal, loc_quotient_length,
-                   parse_problem, reduction_number, reduction_ring,
+                   parse_problem, reduction_kernel, reduction_number,
                    residual_height_check, ring_dimension,
                    sample_general_elements, valabrega_valla_check)
 
@@ -107,12 +107,14 @@ def test_residual_height_surrogate(ctx2, ctx_family, m2_setup):
 
 def test_reduction_ring(ctx2, m2_setup):
     ideal, red, _ = m2_setup
-    ring = reduction_ring(ideal, red)
-    assert ring.dim_ok and ring.primary_ok
+    kernel = reduction_kernel(ideal, red)
+    assert kernel.dimension() == 1
+    assert (kernel + ideal).dimension() <= 0
     m = Ideal.maximal(ctx2)
     redm, _ = general_minimal_reduction(m, seed=0)
-    ringm = reduction_ring(m, redm)
-    assert ringm.dim_ok and ringm.primary_ok
+    kernelm = reduction_kernel(m, redm)
+    assert kernelm.dimension() == 1
+    assert (kernelm + m).dimension() <= 0
 
 
 def test_j_zero_examples(ctx2, ctx_family, m2_setup):
@@ -205,7 +207,7 @@ def test_sum_terms_vanish_from_the_reduction_number(text):
     for n in range(r):
         assert fiber_length_term(ideal, red.full, n) != LengthValue.finite(0)
     assert fiber_length_term(ideal, red.full, r) == LengthValue.finite(0)
-    kernel = reduction_ring(ideal, red).kernel
+    kernel = reduction_kernel(ideal, red)
     x_last = Ideal(ideal.ctx, [red.elements[ring_dimension(ideal.ctx) - 1]])
     upper = loc_quotient_length(x_last * ideal ** r + kernel)
     lower = loc_quotient_length(ideal ** (r + 1) + kernel)
