@@ -20,9 +20,10 @@ the pair cap counts those reductions.  The test suite checks the criteria
 against a Buchberger that reduces every pair, and by brute-force S-pair
 reduction.
 
-Quotient rings are handled one level up: the ideal layer adjoins the context
-relations to every basis computation, so a single code path serves both the
-polynomial ring and its quotients.
+The raw engine knows no relations.  :func:`groebner_basis` adjoins the
+context relations to the generators, and the ideal layer adjoins them itself
+where it calls :func:`buchberger_raw` directly, so a single code path serves
+both the polynomial ring and its quotients.
 """
 
 from __future__ import annotations
@@ -290,13 +291,11 @@ class GroebnerBasis:
         return True
 
 
-def groebner_basis(ctx: RingContext, polys, order=grevlex,
-                   include_relations: bool = True,
+def groebner_basis(ctx: RingContext, polys,
                    pair_cap: int = DEFAULT_PAIR_CAP) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``polys`` plus, by
-    default, the context relations."""
+    """Reduced grevlex Groebner basis of the ideal generated by ``polys`` and
+    the context relations."""
     rows = [f.terms for f in polys if not f.is_zero()]
-    if include_relations:
-        rows.extend(dict(data) for data in ctx.relations)
-    raw = buchberger_raw(rows, ctx.nvars, ctx.char, order, pair_cap=pair_cap)
-    return GroebnerBasis(ctx, order, raw)
+    rows.extend(dict(data) for data in ctx.relations)
+    raw = buchberger_raw(rows, ctx.nvars, ctx.char, grevlex, pair_cap=pair_cap)
+    return GroebnerBasis(ctx, grevlex, raw)

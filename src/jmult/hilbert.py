@@ -127,12 +127,12 @@ class HilbertRecord(NamedTuple):
             return self.values[n]
         return self.polynomial_value(n)
 
-    def delta_p_minus_h(self, n: int, k: int | None = None) -> int:
-        """Backward difference of P - H, with P evaluated as a polynomial at
-        every integer and H vanishing at negative arguments."""
-        k = self.dim if k is None else k
+    def delta_p_minus_h(self, n: int) -> int:
+        """The d-th backward difference of P - H, with P evaluated as a
+        polynomial at every integer and H vanishing at negative
+        arguments."""
         return backward_difference(
-            lambda t: self.polynomial_value(t) - self.h_value(t), k, n)
+            lambda t: self.polynomial_value(t) - self.h_value(t), self.dim, n)
 
     def sum_route_coefficient(self, i: int) -> int:
         """j_i recovered as sum_{n >= i-1} binom(n, i-1) d^th-difference of

@@ -260,17 +260,21 @@ def _aux_context(ctx: RingContext):
 
 def _eliminate_trailing(ext_ctx: RingContext, base_ctx: RingContext, rows,
                         n_aux: int, include_relations: bool) -> Ideal:
-    """Groebner-eliminate the trailing n_aux variables and return the result
-    as an ideal of the base context, seeding its grevlex basis from the
-    restricted block-order basis."""
-    gb = groebner_basis(ext_ctx, rows, order=elimination_order(n_aux),
-                        include_relations=include_relations)
+    """Groebner-eliminate the trailing n_aux variables, with the context
+    relations adjoined when asked, and return the result as an ideal of the
+    base context, seeding its grevlex basis from the restricted block-order
+    basis."""
+    terms = [f.terms for f in rows]
+    if include_relations:
+        terms.extend(dict(data) for data in ext_ctx.relations)
+    raw = buchberger_raw(terms, ext_ctx.nvars, ext_ctx.char,
+                         elimination_order(n_aux))
     # a row whose block lead has no auxiliary variable has none at all, and
     # the block order on the base variables is grevlex, so the kept rows are
     # the reduced grevlex basis, already monic and sorted
     nbase = base_ctx.nvars
     kept = [(le[:nbase], tuple((e[:nbase], c) for e, c in tail))
-            for le, tail in gb.rows if not any(le[nbase:])]
+            for le, tail in raw if not any(le[nbase:])]
     return Ideal._with_gb(base_ctx, GroebnerBasis(base_ctx, grevlex, kept))
 
 

@@ -47,14 +47,13 @@ def minimal_generator_count(ideal: Ideal) -> LengthValue:
 
 
 def assemble_northcott(ideal: Ideal, red: GeneralReduction, r: int | None,
-                       j1: int | None, j1_route: str,
-                       effective: bool, m_primary: bool,
+                       j1: int | None, effective: bool, m_primary: bool,
                        options: Options, extra_notes=()) -> dict:
-    """The report's JSON from precomputed pieces; the coefficient routes and
-    whether the hypotheses are in force are resolved by the caller, which
-    also owns the cross-route comparison.  ``bound`` is lambda(I/J) plus the
-    second term whenever both are finite, and equality forces the
-    inequality."""
+    """The report's JSON from precomputed pieces.  ``j1`` is the fitted
+    coefficient; whether the hypotheses are in force is resolved by the
+    caller, which also owns the cross-check of ``j1`` by the summation
+    route.  ``bound`` is lambda(I/J) plus the second term whenever both are
+    finite, and equality forces the inequality."""
     ctx = ideal.ctx
     d = ring_dimension(ctx)
     notes = list(extra_notes)
@@ -64,7 +63,7 @@ def assemble_northcott(ideal: Ideal, red: GeneralReduction, r: int | None,
     report = {
         "dim": d,
         "j1": j1,
-        "j1_route": j1_route,
+        "j1_route": "fit",
         "lambda_I_over_J": None,
         "second_term": None,
         "bound": None,

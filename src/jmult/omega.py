@@ -9,6 +9,10 @@ x_{i+1}, and its display is ((J_i : I) + I^(n+1)) : x_{i+1} over
 (J_i : I) + I^n, which is well-formed by construction.  In dimension up to two
 only i = 0 occurs.
 
+A display method returns only its (numerator, denominator) pair.  One step,
+``OmegaEvaluator.length``, turns any display into its length sequence: zero
+at n <= 0, memoized on the ring context, and ``pair_length`` otherwise.
+
 The summation route stops at N = max(r, postulation + d): past N the d-th
 difference of P - H is zero, so a wrong term shows up as a finite
 disagreement with the fit.
@@ -59,10 +63,10 @@ class OmegaBreakdown(NamedTuple):
 class OmegaEvaluator:
     """Shared-state evaluator for the correction terms of one (I, J) pair.
 
-    Residual ideals and sub-term lengths are computed once each, in one memo
-    keyed by kind and indices; sequences are extended by zero at
-    non-positive indices, which matches the literal displays (the
-    zeroth power of I is the unit ideal, so those quotients vanish).  The
+    Each display method returns the (numerator, denominator) pair of its
+    module at index i and degree n, and :meth:`length` takes its length.
+    Residual ideals and lengths are memoized on the ring context under keys
+    naming the ideal and the reduction, so they are computed once each.  The
     fitted Hilbert record of the ideal bounds the summation route.
     """
 
@@ -74,7 +78,8 @@ class OmegaEvaluator:
         self.ctx = ideal.ctx
         self.d = ring_dimension(self.ctx)
         self.m = Ideal.maximal(self.ctx)
-        self._memo = {}
+        self.key = ("omega", ideal.key(),
+                    tuple(e.canonical() for e in red.elements))
 
     # -- building blocks -----------------------------------------------------
 
@@ -83,108 +88,76 @@ class OmegaEvaluator:
         the d-th difference of P - H past postulation + d."""
         return max(r, self.record.postulation + self.d)
 
-    def _term(self, key, build):
-        """``build()``, computed once per key; ``build`` never returns None."""
-        got = self._memo.get(key)
-        if got is None:
-            got = self._memo[key] = build()
-        return got
-
     def jc(self, i: int) -> Ideal:
         """The residual ideal J_i : I."""
-        return self._term(("jc", i),
-                          lambda: self.red.j(i).colon(self.ideal))
+        return self.ctx.memo((self.key, "jc", i),
+                             lambda: self.red.j(i).colon(self.ideal))
 
     def fiber(self, n: int) -> LengthValue:
-        return self._term(("fiber", n), lambda: fiber_length_term(
+        return self.ctx.memo((self.key, "fiber", n), lambda: fiber_length_term(
             self.ideal, self.red.full, n))
 
-    # -- displayed sub-terms ----------------------------------------------------
-
-    def ktilde(self, i: int, n: int) -> LengthValue:
+    def length(self, display, i: int, n: int) -> LengthValue:
+        """The length of the module ``display(i, n)``.  Sequences are
+        extended by zero at n <= 0, which matches the literal displays: the
+        zeroth power of I is the unit ideal, so those quotients vanish."""
         if n <= 0:
             return LengthValue.finite(0)
+        return self.ctx.memo((self.key, display.__name__, i, n),
+                             lambda: pair_length(*display(i, n)))
 
-        def build():
-            num = (self.jc(i) + self.ideal ** (n + 1)).colon_element(
-                self.red.elements[i])
-            den = self.jc(i) + self.ideal ** n
-            return pair_length(num, den)
+    # -- displayed modules ------------------------------------------------------
 
-        return self._term(("ktilde", i, n), build)
+    def ktilde(self, i: int, n: int):
+        num = (self.jc(i) + self.ideal ** (n + 1)).colon_element(
+            self.red.elements[i])
+        return num, self.jc(i) + self.ideal ** n
 
-    def ltilde(self, i: int, n: int) -> LengthValue:
-        if n <= 0:
-            return LengthValue.finite(0)
+    def ltilde(self, i: int, n: int):
+        I = self.ideal
+        ji, ji1 = self.red.j(i), self.red.j(i + 1)
+        num = ji1.intersect(I ** n)
+        den = (ji.intersect(I ** n) + ji1.intersect(I ** (n + 1))
+               + (I ** (n - 1)).scaled_by(self.red.elements[i]))
+        return num, den
 
-        def build():
-            I = self.ideal
-            ji, ji1 = self.red.j(i), self.red.j(i + 1)
-            x_next = self.red.elements[i]
-            num = ji1.intersect(I ** n)
-            den = (ji.intersect(I ** n) + ji1.intersect(I ** (n + 1))
-                   + (I ** (n - 1)).scaled_by(x_next))
-            return pair_length(num, den)
+    def l_term(self, i: int, n: int):
+        I = self.ideal
+        jci, jci1 = self.jc(i), self.jc(i + 1)
+        num = (jci.intersect(I ** n) + I ** (n + 1)).saturate(self.m) \
+            .intersect(jci1.intersect(I ** n))
+        inner = (jci.intersect(I ** (n - 1)) + I ** n).saturate(self.m) \
+            .intersect(I ** (n - 1))
+        den = (jci.intersect(I ** n) + jci1.intersect(I ** (n + 1))
+               + inner.scaled_by(self.red.elements[i]))
+        return num, den
 
-        return self._term(("ltilde", i, n), build)
+    def n_term(self, i: int, n: int):
+        I = self.ideal
+        jci, jci1 = self.jc(i), self.jc(i + 1)
+        num = (jci1.intersect(I ** n) + I ** (n + 1)).saturate(self.m) \
+            .intersect(I ** n)
+        den = jci1.intersect(I ** n) \
+            + (jci.intersect(I ** n) + I ** (n + 1)).saturate(self.m) \
+            .intersect(I ** n)
+        return num, den
 
-    def l_term(self, i: int, n: int) -> LengthValue:
-        if n <= 0:
-            return LengthValue.finite(0)
-
-        def build():
-            I = self.ideal
-            jci, jci1 = self.jc(i), self.jc(i + 1)
-            x_next = self.red.elements[i]
-            num = (jci.intersect(I ** n) + I ** (n + 1)).saturate(self.m) \
-                .intersect(jci1.intersect(I ** n))
-            inner = (jci.intersect(I ** (n - 1)) + I ** n).saturate(self.m) \
-                .intersect(I ** (n - 1))
-            den = (jci.intersect(I ** n) + jci1.intersect(I ** (n + 1))
-                   + inner.scaled_by(x_next))
-            return pair_length(num, den)
-
-        return self._term(("l", i, n), build)
-
-    def n_term(self, i: int, n: int) -> LengthValue:
-        if n <= 0:
-            return LengthValue.finite(0)
-
-        def build():
-            I = self.ideal
-            jci, jci1 = self.jc(i), self.jc(i + 1)
-            num = (jci1.intersect(I ** n) + I ** (n + 1)).saturate(self.m) \
-                .intersect(I ** n)
-            den = jci1.intersect(I ** n) \
-                + (jci.intersect(I ** n) + I ** (n + 1)).saturate(self.m) \
-                .intersect(I ** n)
-            return pair_length(num, den)
-
-        return self._term(("n", i, n), build)
+    def colon_intersection(self, i: int, n: int):
+        I, J = self.ideal, self.red.full
+        jci = self.jc(i)
+        num = jci.intersect(I ** (n + 1))
+        den = jci.intersect(J * (I ** n))
+        if i >= 2:
+            prev = self.jc(i - 1)
+            num = num + prev
+            den = den + prev
+        return num, den
 
     def lln(self, i: int, n: int) -> LengthValue:
         """Ltilde - L + N at one index."""
-        if n <= 0:
-            return LengthValue.finite(0)
-        return signed_sum(((1, self.ltilde(i, n)), (-1, self.l_term(i, n)),
-                           (1, self.n_term(i, n))))
-
-    def colon_intersection(self, i: int, n: int) -> LengthValue:
-        if n <= 0:
-            return LengthValue.finite(0)
-
-        def build():
-            I, J = self.ideal, self.red.full
-            jci = self.jc(i)
-            num = jci.intersect(I ** (n + 1))
-            den = jci.intersect(J * (I ** n))
-            if i >= 2:
-                prev = self.jc(i - 1)
-                num = num + prev
-                den = den + prev
-            return pair_length(num, den)
-
-        return self._term(("colon_int", i, n), build)
+        return signed_sum(((1, self.length(self.ltilde, i, n)),
+                           (-1, self.length(self.l_term, i, n)),
+                           (1, self.length(self.n_term, i, n))))
 
     def beta(self) -> LengthValue:
         def build():
@@ -192,7 +165,7 @@ class OmegaEvaluator:
             return signed_sum(((1, gamma_length(self.ideal)),
                                (-1, gamma_length(zero_colon + self.ideal))))
 
-        return self._term(("beta",), build)
+        return self.ctx.memo((self.key, "beta"), build)
 
     # -- the correction itself -----------------------------------------------
 
@@ -206,14 +179,15 @@ class OmegaEvaluator:
         else:
             for i in range(d - 1):
                 parts.append((f"delta^{d - 1 - i}[Ktilde^{i}]", 1, _delta_lv(
-                    lambda t, i=i: self.ktilde(i, t), d - 1 - i, n)))
+                    lambda t, i=i: self.length(self.ktilde, i, t),
+                    d - 1 - i, n)))
             for i in range(d - 1):
                 parts.append((f"delta^{d - 2 - i}[Ltilde^{i}-L^{i}+N^{i}]", 1,
                               _delta_lv(lambda t, i=i: self.lln(i, t),
                                         d - 2 - i, n)))
             for i in range(1, d):
                 parts.append((f"-colon_intersection^{i}", -1,
-                              self.colon_intersection(i, n)))
+                              self.length(self.colon_intersection, i, n)))
             coeff = binomial(d - 1, n) if n < d else 0
             if coeff:
                 parts.append(("beta_term", -((-1) ** n) * coeff, self.beta()))
@@ -228,6 +202,15 @@ class OmegaEvaluator:
 # identity checks and coefficient routes
 
 
+def combined_verdict(verdicts):
+    """False when some verdict is False; otherwise None when some is None
+    (undecided), else True."""
+    verdicts = list(verdicts)
+    if False in verdicts:
+        return False
+    return None if None in verdicts else True
+
+
 class MasterIdentityReport(NamedTuple):
     """Per-degree comparison of fiber length + correction against the d-th
     difference of (polynomial - function)."""
@@ -238,10 +221,7 @@ class MasterIdentityReport(NamedTuple):
     def all_hold(self):
         """False when a finite row fails; otherwise None when some row has a
         non-finite side, else True."""
-        holds = [h for *_, h in self.rows]
-        if False in holds:
-            return False
-        return None if None in holds else True
+        return combined_verdict(h for *_, h in self.rows)
 
     def to_json(self):
         return {

@@ -1,8 +1,10 @@
 """Exact arithmetic layer: prime-field scalars, exponent-vector monomials,
 monomial orders and sparse multivariate polynomials.
 
-Everything here is immutable after construction and all operations are pure
-functions, so values can be shared freely between threads.  Coefficients are
+Scalars, monomials and polynomials are immutable and their operations are
+pure functions.  A :class:`RingContext` is immutable in its ring data but
+holds a mutable memo of computed results (:meth:`RingContext.memo`), so a
+context shared between threads needs a lock around its use.  Coefficients are
 plain integer residues in ``[0, p)``; the modulus is restricted below 2**31 so
 that intermediate products fit comfortably in 64 bits.
 """

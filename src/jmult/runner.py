@@ -23,9 +23,10 @@ from functools import cached_property
 from .groebner import ComputationLimitError
 from .hilbert import FitError, fit_hilbert_polynomial
 from .ideals import InternalInconsistencyError, ring_dimension
-from .lengths import ContainmentError, LengthValue
+from .lengths import ContainmentError
 from .northcott import assemble_northcott
-from .omega import OmegaEvaluator, j_one_depth_formula, j_via_sums, master_identity_check
+from .omega import (OmegaEvaluator, combined_verdict, j_one_depth_formula,
+                    j_via_sums, master_identity_check)
 from .oracle import MonomialIdeal, OracleError, mon_quotient_length, oracle_hilbert_coefficients
 from .parser import ProblemSpec, print_problem
 from .reductions import (ReductionSearchError, general_minimal_reduction,
@@ -52,28 +53,23 @@ class Pipeline:
     # -- severity ----------------------------------------------------------
 
     def flag(self, severity: int, note: str | None = None):
+        """Raise the exit code to ``severity`` and record ``note`` once."""
         self.severity = max(self.severity, severity)
-        if note:
+        if note and note not in self.diagnostics:
             self.diagnostics.append(note)
 
-    def _note_degraded(self, values_json):
-        """Compared route values that are infinite leave the comparison
-        undecided, which is not a disagreement (exit 4).  The first value of
-        a route is noted, once across routes."""
-        if values_json:
-            note = f"not-applicable: {values_json[0]}"
-            self.flag(CAP_OR_INFINITE, None if note in self.diagnostics else note)
-
-    def _check_master(self, master):
-        """Under passing hypotheses a finite row that fails is a cross-check
-        violation; a row with an infinite side leaves it undecided."""
-        if not self.hypotheses_effective:
-            return
-        if any(holds is False for *_, holds in master.rows):
-            self.flag(CROSS_CHECK, "master identity failed under passing "
-                                   "hypotheses")
-        self._note_degraded([lhs for _, lhs, _, holds in master.rows
-                             if holds is None])
+    def verdict(self, value, expected: int, mismatch: str, undecided: str):
+        """A route value in report form (an int, or the marker of an
+        infinite length) against the fitted ``expected``: True when they
+        agree; False for a finite mismatch, a cross-check violation (exit 5,
+        ``mismatch`` noted); None for an infinite value, which leaves the
+        comparison undecided (exit 4, ``undecided`` noted)."""
+        agrees = _agrees(value, expected)
+        if agrees is False:
+            self.flag(CROSS_CHECK, mismatch)
+        elif agrees is None:
+            self.flag(CAP_OR_INFINITE, undecided)
+        return agrees
 
     # -- lazy shared pieces -------------------------------------------------
 
@@ -98,9 +94,10 @@ class Pipeline:
                 return sample_general_elements(self.ideal, self.dim,
                                                self.opt.seed), None
         red = sample_general_elements(self.ideal, self.dim, self.opt.seed)
-        self.diagnostics.append(
-            f"analytic spread {self.spread} is below the ring dimension "
-            f"{self.dim}; reduction-based routes are unavailable")
+        # hypotheses_json sets the exit code for this fact
+        self.flag(OK, f"analytic spread {self.spread} is below the ring "
+                      f"dimension {self.dim}; reduction-based routes are "
+                      f"unavailable")
         return red, None
 
     @property
@@ -144,9 +141,7 @@ class Pipeline:
                       "residual-height surrogate failed; the identity and "
                       "verdict hypotheses do not hold for this input")
         if self.spread != self.dim:
-            self.flag(HYPOTHESIS_FAIL,
-                      "analytic spread below the ring dimension; reduction "
-                      "routes are marked not-applicable")
+            self.flag(HYPOTHESIS_FAIL)  # noted by ``reduction``
         return {
             "dim": self.dim,
             "analytic_spread": self.spread,
@@ -229,34 +224,28 @@ class Pipeline:
         table = {"omega": [], "master_identity": None}
         if r is not None:
             ev = self.evaluator
-            jz = j_zero(self.ideal, red)
-            routes["jzero"] = jz.to_json()
+            routes["jzero"] = j_zero(self.ideal, red).to_json()
             e1 = e_one_bar(self.ideal, red, r)
             routes["e1_reduction_ring"] = e1.to_json()
-            sums = [j_via_sums(ev, i, r) for i in range(1, d + 1)]
-            routes["sums"] = [v.to_json() for v in sums]
+            routes["sums"] = [j_via_sums(ev, i, r).to_json()
+                              for i in range(1, d + 1)]
             depth_formula = j_one_depth_formula(self.ideal, red, r)
             routes["depth_formula"] = depth_formula.to_json()
 
-            agreement["j0_vs_jzero"] = self._jzero_agrees(jz, j_fit[0])
-            sums_ok = all(v.is_finite and v.value == j_fit[1 + i]
-                          for i, v in enumerate(sums))
-            # an infinite entry leaves the route undecided, not disagreeing
-            mismatch = any(v.is_finite and v.value != j_fit[1 + i]
-                           for i, v in enumerate(sums))
+            agreement["j0_vs_jzero"] = self._jzero_verdict(routes["jzero"],
+                                                           j_fit[0])
+            sums = zip(routes["sums"], j_fit[1:])
             if self.hypotheses_effective:
-                agreement["fit_vs_sums"] = (False if mismatch
-                                            else True if sums_ok else None)
-                if mismatch:
-                    self.flag(CROSS_CHECK,
-                              "summation route disagrees with the fitted "
-                              "coefficients under passing hypotheses")
-                self._note_degraded([v.to_json() for v in sums
-                                     if not v.is_finite])
+                agreement["fit_vs_sums"] = combined_verdict(
+                    self.verdict(v, j, "summation route disagrees with the "
+                                       "fitted coefficients under passing "
+                                       "hypotheses", f"not-applicable: {v}")
+                    for v, j in sums)
             else:
-                verdict = ("differs" if mismatch else "agrees" if sums_ok
-                           else "not-applicable")
-                agreement["fit_vs_sums"] = (f"diagnostic: {verdict} "
+                word = {True: "agrees", False: "differs",
+                        None: "not-applicable"}[
+                    combined_verdict(_agrees(v, j) for v, j in sums)]
+                agreement["fit_vs_sums"] = (f"diagnostic: {word} "
                                             "(hypotheses not in force)")
             table = self._omega_table()
         else:
@@ -277,21 +266,14 @@ class Pipeline:
             results["oracle"] = self._oracle_cross_check(j_fit)
         return results
 
-    def _jzero_agrees(self, jz: LengthValue, j0: int):
-        """The reduction-ring multiplicity against the fitted j_0: a finite
-        mismatch is a cross-check violation (False, exit 5); an infinite value
-        leaves the comparison undecided (None, exit 4) and is noted once."""
-        if not jz.is_finite:
-            note = ("reduction-ring multiplicity did not come out finite "
-                    "despite matching analytic spread")
-            self.flag(CAP_OR_INFINITE,
-                      None if note in self.diagnostics else note)
-            return None
-        if jz.value != j0:
-            self.flag(CROSS_CHECK, "fitted leading coefficient disagrees with "
-                                   "the reduction-ring multiplicity")
-            return False
-        return True
+    def _jzero_verdict(self, jz, j0: int):
+        """The reduction-ring multiplicity, in report form, against the
+        fitted j_0."""
+        return self.verdict(jz, j0,
+                            "fitted leading coefficient disagrees with the "
+                            "reduction-ring multiplicity",
+                            "reduction-ring multiplicity did not come out "
+                            "finite despite matching analytic spread")
 
     def _reduction_json(self):
         red, r = self.reduction
@@ -315,9 +297,9 @@ class Pipeline:
             self.flag(CROSS_CHECK, "leading coefficient positivity disagrees "
                                    "with the analytic spread criterion")
         if r is not None:
-            jz = j_zero(self.ideal, red)
-            out["jzero_route"] = jz.to_json()
-            out["agrees"] = self._jzero_agrees(jz, rec.coefficients[0])
+            out["jzero_route"] = j_zero(self.ideal, red).to_json()
+            out["agrees"] = self._jzero_verdict(out["jzero_route"],
+                                                rec.coefficients[0])
         return out
 
     def cmd_reduction(self) -> dict:
@@ -353,7 +335,10 @@ class Pipeline:
         ev = self.evaluator
         rows = [ev.omega(n).to_json() for n in range(self.nmax + 1)]
         master = master_identity_check(ev, self.nmax)
-        self._check_master(master)
+        if self.hypotheses_effective:
+            for _, lhs, rhs, _ in master.rows:
+                self.verdict(lhs, rhs, "master identity failed under passing "
+                                       "hypotheses", f"not-applicable: {lhs}")
         return {"omega": rows, "master_identity": master.to_json()}
 
     def cmd_northcott(self) -> dict:
@@ -362,14 +347,14 @@ class Pipeline:
         j1 = rec.coefficients[1]
         notes = []
         if r is not None and self.hypotheses_effective:
-            cross = j_via_sums(self.evaluator, 1, r)
-            if cross.is_finite and cross.value != j1:
-                self.flag(CROSS_CHECK, "summation route for the first "
-                                       "coefficient disagrees with the fit")
+            cross = j_via_sums(self.evaluator, 1, r).to_json()
+            if self.verdict(cross, j1, "summation route for the first "
+                                       "coefficient disagrees with the fit",
+                            f"not-applicable: {cross}") is False:
                 notes.append("route disagreement: fitted value kept, see "
                              "diagnostics")
         report = assemble_northcott(
-            self.ideal, red, r, j1, "fit",
+            self.ideal, red, r, j1,
             effective=self.hypotheses_effective,
             m_primary=self.m_primary, options=self.opt, extra_notes=notes)
         if report["equality_case"] == "violated":
@@ -411,6 +396,12 @@ class Pipeline:
             self.flag(CROSS_CHECK, "oracle classical coefficients disagree "
                                    "with the fitted route")
         return {"classical_coefficients": coeffs, "agrees": ok}
+
+
+def _agrees(value, expected: int):
+    """True or False for a route value in report form; None for the marker
+    of an infinite length, which leaves the comparison undecided."""
+    return None if isinstance(value, str) else value == expected
 
 
 # --------------------------------------------------------------------------

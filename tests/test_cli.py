@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import warnings
 
 import pytest
 
@@ -171,6 +172,36 @@ def test_northcott_hypotheses_effective_agree(capsys, monkeypatch):
     assert rep["results"]["hypotheses_effective"] is False
 
 
+@pytest.mark.parametrize("cmd", ["coeffs", "northcott"])
+def test_unit_residual_ideal_warns_nothing(capsys, monkeypatch, cmd):
+    """For I = (x) in k[x,y] the residual ideal J_1 : I is the unit ideal,
+    whose codimension the surrogate takes by the dim R + 1 convention on
+    purpose: no warning is raised and nothing reaches stderr."""
+    monkeypatch.setattr(sys, "stdin",
+                        io.StringIO("ring char=32003 vars=x,y\nideal x\n"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([cmd, "-"])
+    captured = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    assert captured.err == ""
+    assert json.loads(captured.out)["hypotheses"]["spread_equals_dim"] is False
+    assert code == 3
+
+
+def test_spread_below_dimension_is_noted_once(capsys, monkeypatch):
+    """An analytic spread below d is one fact, noted once with its numbers;
+    it still exits 3."""
+    code, out = run_cli(capsys, monkeypatch, "coeffs",
+                        "ring char=32003 vars=x,y\nideal x*y\n")
+    rep = json.loads(out)
+    assert rep["hypotheses"]["spread_equals_dim"] is False
+    assert rep["diagnostics"] == ["analytic spread 1 is below the ring "
+                                  "dimension 2; reduction-based routes are "
+                                  "unavailable"]
+    assert code == 3
+
+
 DEGRADED = "infinite"
 
 
@@ -185,6 +216,35 @@ def test_sums_degradation_is_not_applicable(capsys, monkeypatch):
     assert rep["results"]["routes"]["sums"] == [DEGRADED, DEGRADED]
     assert rep["results"]["agreement"]["fit_vs_sums"] is None
     assert rep["diagnostics"] == [f"not-applicable: {DEGRADED}"]
+    assert code == 4
+
+
+def test_northcott_finite_mismatch_is_cross_check(capsys, monkeypatch):
+    """A finite summation j_1 that differs from the fit is a cross-check
+    violation (exit 5); the fitted value is kept and the report says so."""
+    monkeypatch.setattr(jmult.runner, "j_via_sums",
+                        lambda ev, i, r: LengthValue.finite(99))
+    code, out = run_cli(capsys, monkeypatch, "northcott", M2)
+    rep = json.loads(out)
+    assert rep["results"]["j1"] == 1
+    assert rep["diagnostics"] == ["summation route for the first coefficient "
+                                  "disagrees with the fit"]
+    assert ("route disagreement: fitted value kept, see diagnostics"
+            in rep["results"]["notes"])
+    assert code == 5
+
+
+def test_northcott_infinite_sum_is_not_applicable(capsys, monkeypatch):
+    """An infinite summation j_1 leaves the cross-check undecided: exit 4,
+    noted once, as in ``coeffs``."""
+    monkeypatch.setattr(jmult.runner, "j_via_sums",
+                        lambda ev, i, r: LengthValue.infinite())
+    code, out = run_cli(capsys, monkeypatch, "northcott", M2)
+    rep = json.loads(out)
+    assert rep["results"]["j1"] == 1
+    assert rep["diagnostics"] == [f"not-applicable: {DEGRADED}"]
+    assert not any(n.startswith("route disagreement")
+                   for n in rep["results"]["notes"])
     assert code == 4
 
 
