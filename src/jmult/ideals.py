@@ -6,7 +6,8 @@ implicitly contains the context relations, so all operations take place in the
 quotient ring.  Ideals are immutable; the reduced grevlex basis is cached on
 the ideal, and the heavier binary operations are memoized on the context
 keyed by the operands' canonical reduced bases, which lets the same
-mathematical ideal reached along different routes share work.
+mathematical ideal reached along different routes share work.  The zero,
+unit and maximal ideals are one shared object per context.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class Ideal:
     ``==`` performs that mathematical comparison.
     """
 
-    __slots__ = ("ctx", "gens", "_gb", "_powers", "_key", "_hash")
+    __slots__ = ("ctx", "gens", "_gb", "_powers", "_hash")
 
     def __init__(self, ctx: RingContext, gens=()):
         self.ctx = ctx
@@ -55,22 +56,22 @@ class Ideal:
         self.gens = tuple(_prune_monomial_multiples(clean))
         self._gb = None
         self._powers = {}
-        self._key = None
         self._hash = None
 
-    # -- constructors --------------------------------------------------------
+    # -- constructors: one shared object per context ---------------------------
 
     @staticmethod
     def zero(ctx: RingContext) -> "Ideal":
-        return Ideal(ctx, ())
+        return ctx.memo("zero_ideal", lambda: Ideal(ctx, ()))
 
     @staticmethod
     def unit(ctx: RingContext) -> "Ideal":
-        return Ideal(ctx, (ctx.one,))
+        return ctx.memo("unit_ideal", lambda: Ideal(ctx, (ctx.one,)))
 
     @staticmethod
     def maximal(ctx: RingContext) -> "Ideal":
-        return Ideal(ctx, tuple(ctx.var(i) for i in range(ctx.nvars)))
+        return ctx.memo("maximal_ideal", lambda: Ideal(
+            ctx, tuple(ctx.var(i) for i in range(ctx.nvars))))
 
     @classmethod
     def _with_gb(cls, ctx: RingContext, gb: GroebnerBasis) -> "Ideal":
@@ -86,9 +87,7 @@ class Ideal:
         return self._gb
 
     def key(self):
-        if self._key is None:
-            self._key = self.gb().cache_key()
-        return self._key
+        return self.gb().cache_key()
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):
@@ -112,8 +111,7 @@ class Ideal:
 
     def is_zero(self) -> bool:
         """True when every generator vanishes in the working ring."""
-        rel = relations_gb(self.ctx)
-        return all(rel.contains(g) for g in self.gens)
+        return Ideal.zero(self.ctx).contains_ideal(self)
 
     def is_unit(self) -> bool:
         return self.gb().is_unit()
@@ -213,11 +211,6 @@ class Ideal:
 def ring_dimension(ctx: RingContext) -> int:
     """Krull dimension of the working ring itself."""
     return ctx.memo("ring_dim", lambda: Ideal.zero(ctx).dimension())
-
-
-def relations_gb(ctx: RingContext) -> GroebnerBasis:
-    """Cached reduced basis of the context relations alone."""
-    return ctx.memo("relations_gb", lambda: Ideal.zero(ctx).gb())
 
 
 def eliminate(a: Ideal, drop_names) -> Ideal:
@@ -325,7 +318,7 @@ def _colon_element(a: Ideal, f: Polynomial) -> Ideal:
         warnings.warn("colon by zero yields the unit ideal", AlgebraWarning,
                       stacklevel=2)
         return Ideal.unit(a.ctx)
-    if relations_gb(a.ctx).contains(f):
+    if Ideal.zero(a.ctx).contains(f):
         # f is zero in the working ring, so a : f is everything
         return Ideal.unit(a.ctx)
     if a.is_unit() or f.degree() == 0:
@@ -343,8 +336,8 @@ def _colon_element(a: Ideal, f: Polynomial) -> Ideal:
 
 
 def _nonzero_image_gens(b: Ideal):
-    rel = relations_gb(b.ctx)
-    return [g for g in b.gens if not rel.contains(g)]
+    zero = Ideal.zero(b.ctx)
+    return [g for g in b.gens if not zero.contains(g)]
 
 
 def _colon(a: Ideal, b: Ideal) -> Ideal:

@@ -123,17 +123,16 @@ def _gap(c: Ideal, b: Ideal) -> int:
 
 
 def pair_length(a: Ideal, b: Ideal) -> LengthValue:
-    """m-local length of A/B for B contained in A (containment is verified)."""
-    gb_a = a.gb()
-    for g in b.gens:
-        if not gb_a.contains(g):
-            raise ContainmentError(
-                f"generator {g} of the submodule side is not in the larger ideal")
+    """m-local length of A/B for B contained in A.  Containment is verified
+    once per pair, when the length is first computed; a pair that fails it
+    raises ContainmentError on every call."""
     return a.ctx.memo(("pairlen", a.key(), b.key()),
                       lambda: _pair_length(a, b))
 
 
 def _pair_length(a: Ideal, b: Ideal) -> LengthValue:
+    if not a.contains_ideal(b):
+        raise ContainmentError(f"{b} is not contained in {a}")
     c = torsion(a, b)
     if c != a:
         # (C : A) = ∩ (C : g) over the generators g of A lies in the prime m

@@ -65,8 +65,8 @@ class OmegaEvaluator:
 
     Each display method returns the (numerator, denominator) pair of its
     module at index i and degree n, and :meth:`length` takes its length.
-    Residual ideals and lengths are memoized on the ring context under keys
-    naming the ideal and the reduction, so they are computed once each.  The
+    Lengths are memoized on the ring context under keys naming the ideal and
+    the reduction; J_i : I is memoized by the colon on the shared J_i.  The
     fitted Hilbert record of the ideal bounds the summation route.
     """
 
@@ -77,7 +77,6 @@ class OmegaEvaluator:
         self.record = record
         self.ctx = ideal.ctx
         self.d = ring_dimension(self.ctx)
-        self.m = Ideal.maximal(self.ctx)
         self.key = ("omega", ideal.key(),
                     tuple(e.canonical() for e in red.elements))
 
@@ -90,8 +89,7 @@ class OmegaEvaluator:
 
     def jc(self, i: int) -> Ideal:
         """The residual ideal J_i : I."""
-        return self.ctx.memo((self.key, "jc", i),
-                             lambda: self.red.j(i).colon(self.ideal))
+        return self.red.j(i).colon(self.ideal)
 
     def fiber(self, n: int) -> LengthValue:
         return self.ctx.memo((self.key, "fiber", n), lambda: fiber_length_term(
@@ -122,23 +120,23 @@ class OmegaEvaluator:
         return num, den
 
     def l_term(self, i: int, n: int):
-        I = self.ideal
+        I, m = self.ideal, Ideal.maximal(self.ctx)
         jci, jci1 = self.jc(i), self.jc(i + 1)
-        num = (jci.intersect(I ** n) + I ** (n + 1)).saturate(self.m) \
+        num = (jci.intersect(I ** n) + I ** (n + 1)).saturate(m) \
             .intersect(jci1.intersect(I ** n))
-        inner = (jci.intersect(I ** (n - 1)) + I ** n).saturate(self.m) \
+        inner = (jci.intersect(I ** (n - 1)) + I ** n).saturate(m) \
             .intersect(I ** (n - 1))
         den = (jci.intersect(I ** n) + jci1.intersect(I ** (n + 1))
                + inner.scaled_by(self.red.elements[i]))
         return num, den
 
     def n_term(self, i: int, n: int):
-        I = self.ideal
+        I, m = self.ideal, Ideal.maximal(self.ctx)
         jci, jci1 = self.jc(i), self.jc(i + 1)
-        num = (jci1.intersect(I ** n) + I ** (n + 1)).saturate(self.m) \
+        num = (jci1.intersect(I ** n) + I ** (n + 1)).saturate(m) \
             .intersect(I ** n)
         den = jci1.intersect(I ** n) \
-            + (jci.intersect(I ** n) + I ** (n + 1)).saturate(self.m) \
+            + (jci.intersect(I ** n) + I ** (n + 1)).saturate(m) \
             .intersect(I ** n)
         return num, den
 

@@ -104,9 +104,9 @@ def _tokenize_line(text: str, line_no: int):
                 j += 1
             tokens.append(Token("IDENT", text[i:j], line_no, col))
             i = j
-        elif c.isdigit():
+        elif c.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(Token("INT", text[i:j], line_no, col))
             i = j

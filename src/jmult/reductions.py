@@ -31,11 +31,13 @@ class ReductionSearchError(RuntimeError):
 
 class GeneralReduction(NamedTuple):
     """A sampled sequence of general elements of I and its partial ideals
-    J_i = (x_1, ..., x_i); J_0 is the zero ideal."""
+    J_i = (x_1, ..., x_i), built once and shared by every caller of ``j``;
+    J_0 is the ring's shared zero ideal."""
 
     ideal: Ideal
     elements: tuple
     seed: int
+    partials: tuple  # J_0 .. J_s
 
     @property
     def count(self) -> int:
@@ -44,7 +46,7 @@ class GeneralReduction(NamedTuple):
     def j(self, i: int) -> Ideal:
         if not 0 <= i <= self.count:
             raise IndexError("partial reduction index out of range")
-        return Ideal(self.ideal.ctx, self.elements[:i])
+        return self.partials[i]
 
     @property
     def full(self) -> Ideal:
@@ -55,15 +57,19 @@ def sample_general_elements(ideal: Ideal, s: int, seed: int) -> GeneralReduction
     """s field-random combinations of the listed generators of the ideal."""
     if ideal.is_zero() or s < 1:
         raise ValueError("need a nonzero ideal and at least one element")
-    p = ideal.ctx.char
+    ctx = ideal.ctx
+    p = ctx.char
     elements = []
     for i in range(s):
         rng = random.Random(seed * 1_000_003 + i)
-        x = ideal.ctx.zero
+        x = ctx.zero
         for g in ideal.gens:
             x = x + g.scale(rng.randrange(p))
         elements.append(x)
-    return GeneralReduction(ideal=ideal, elements=tuple(elements), seed=seed)
+    partials = (Ideal.zero(ctx),) + tuple(
+        Ideal(ctx, elements[:i]) for i in range(1, s + 1))
+    return GeneralReduction(ideal=ideal, elements=tuple(elements), seed=seed,
+                            partials=partials)
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+import jmult.ideals
 import jmult.omega
 import jmult.runner
 from jmult.cli import main
@@ -49,6 +50,39 @@ def test_parse_error_exit_code(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("text, where", [
+    ("ring char=32003 vars=x,y\nideal x^\u00b2\n", "line 2, col 9"),
+    ("ring char=32003 vars=x,y\nideal \u00b2*x\n", "line 2, col 7"),
+    ("ring char=\u00b3 vars=x,y\nideal x,y\n", "line 1, col 11"),
+])
+def test_unicode_digit_is_parse_error(capsys, monkeypatch, text, where):
+    """A superscript digit is a digit to str.isdigit but not to int(), so it
+    must be rejected as an unexpected character, not parsed as a number."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code = main(["coeffs", "-"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert where in err
+    assert "Traceback" not in err
+
+
+def test_maximal_ideal_basis_computed_once(capsys, monkeypatch):
+    """m is one shared object per ring, so a run computes its basis once
+    however many lengths and displays saturate by it."""
+    real = jmult.ideals.groebner_basis
+    m_bases = []
+
+    def counting(ctx, polys, *args, **kwargs):
+        if sorted(str(f) for f in polys) == ["x", "y"]:
+            m_bases.append(ctx)
+        return real(ctx, polys, *args, **kwargs)
+
+    monkeypatch.setattr(jmult.ideals, "groebner_basis", counting)
+    code, _ = run_cli(capsys, monkeypatch, "coeffs", M2)
+    assert code == 0
+    assert len(m_bases) == 1
 
 
 def test_reduction_command(capsys, monkeypatch):

@@ -19,6 +19,11 @@ def test_sum_product_power(ctx2, xy):
     assert a ** 0 == Ideal.unit(ctx2)
 
 
+def test_shared_ideals_are_one_object_per_context(ctx2):
+    for make in (Ideal.zero, Ideal.unit, Ideal.maximal):
+        assert make(ctx2) is make(ctx2)
+
+
 def test_intersect_examples(ctx2, xy):
     x, y = xy
     assert Ideal(ctx2, [x]).intersect(Ideal(ctx2, [y])) == Ideal(ctx2, [x * y])

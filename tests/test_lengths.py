@@ -74,9 +74,13 @@ def test_pair_length_examples(ctx2, xy):
 
 
 def test_pair_length_containment_checked(ctx2, xy):
+    """A failed containment check leaves no memo entry, so a repeated call
+    raises again."""
     x, y = xy
-    with pytest.raises(ContainmentError):
-        pair_length(Ideal(ctx2, [x * x]), Ideal(ctx2, [x]))
+    a, b = Ideal(ctx2, [x * x]), Ideal(ctx2, [x])
+    for _ in range(2):
+        with pytest.raises(ContainmentError):
+            pair_length(a, b)
 
 
 def test_loc_quotient_examples(ctx2, xy):

@@ -34,6 +34,14 @@ def test_sampling_contract(ctx2):
     assert lin.elements[0].degree() == 1
 
 
+def test_partial_reductions_are_shared(ctx2, m2_setup):
+    _, red, _ = m2_setup
+    for i in range(red.count + 1):
+        assert red.j(i) is red.j(i)
+    assert red.full is red.j(red.count)
+    assert red.j(0) is Ideal.zero(ctx2)
+
+
 def test_analytic_spread_examples(ctx2, ctx_family, xy):
     x, y = xy
     assert analytic_spread(Ideal(ctx2, [x])) == 1
