@@ -7,7 +7,7 @@ from .ring import (DEFAULT_CHAR, Polynomial, PrimeField, RingContext,
                    elimination_order, grevlex)
 from .groebner import ComputationLimitError, GroebnerBasis, groebner_basis
 from .ideals import AlgebraWarning, Ideal, eliminate, ring_dimension
-from .lengths import (ContainmentError, LengthValue, gamma_length,
+from .lengths import (INFINITE, ContainmentError, gamma_length,
                       loc_quotient_length, pair_length, truncated_dim)
 from .oracle import (MonomialIdeal, OracleError, mon_pair_length,
                      mon_quotient_length, oracle_hilbert_coefficients)
@@ -15,15 +15,14 @@ from .hilbert import (FitError, HilbertRecord, binomial, binomial_basis_convert,
                       fit_hilbert_polynomial, graded_torsion_length,
                       hilbert_function)
 from .reductions import (GeneralReduction, ReductionSearchError,
-                         ResidualHeightReport, ValabregaVallaReport,
                          analytic_spread, e_one_bar, fiber_length_sum,
                          fiber_length_term, general_minimal_reduction,
                          is_reduction, j_zero, kernel_corrected_fiber_sum,
                          local_ideal_equal, reduction_kernel, reduction_number,
                          residual_height_check, sample_general_elements,
                          valabrega_valla_check)
-from .omega import (MasterIdentityReport, OmegaBreakdown, OmegaEvaluator,
-                    j_one_depth_formula, j_via_sums, master_identity_check)
+from .omega import (OmegaEvaluator, j_one_depth_formula, j_via_sums,
+                    master_identity_check)
 from .northcott import (assemble_northcott, minimal_generator_count,
                         northcott_bound)
 from .parser import (Options, ProblemError, ProblemSemanticError, ProblemSpec,

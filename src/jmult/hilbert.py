@@ -22,7 +22,7 @@ from math import comb
 from typing import NamedTuple
 
 from .ideals import Ideal, ring_dimension
-from .lengths import LengthValue, torsion_length
+from .lengths import torsion_length
 
 FIT_N_CAP = 40
 
@@ -144,15 +144,14 @@ class HilbertRecord(NamedTuple):
                    for n in range(i - 1, stop + 1))
 
 
-def graded_torsion_length(ideal: Ideal, i: int) -> LengthValue:
+def graded_torsion_length(ideal: Ideal, i: int) -> int:
     """Length of the m-torsion of I^i / I^(i+1); always finite."""
-    return LengthValue.finite(torsion_length(ideal ** i, ideal ** (i + 1)))
+    return torsion_length(ideal ** i, ideal ** (i + 1))
 
 
-def hilbert_function(ideal: Ideal, n: int) -> LengthValue:
+def hilbert_function(ideal: Ideal, n: int) -> int:
     """Partial sum of graded torsion lengths through i = n."""
-    return LengthValue.finite(sum(graded_torsion_length(ideal, i).value
-                                  for i in range(n + 1)))
+    return sum(graded_torsion_length(ideal, i) for i in range(n + 1))
 
 
 def fit_hilbert_polynomial(ideal: Ideal, window: int | None = None,
@@ -173,7 +172,7 @@ def fit_hilbert_polynomial(ideal: Ideal, window: int | None = None,
     region = None
     n = 0
     while True:
-        total += graded_torsion_length(ideal, n).value
+        total += graded_torsion_length(ideal, n)
         values.append(total)
         region = detect_polynomial_window(values, d, window)
         if region is not None and n >= extend_to:

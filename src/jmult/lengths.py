@@ -15,12 +15,16 @@ ideal; the length is then dim_k C/B.  Otherwise it is infinite.  Components
 of A/B supported away from the origin are invisible, which is exactly the
 localization the working ring demands; that behaviour is deliberate and
 tested.
+
+A length has the one form the report prints: an ``int``, or the string
+``INFINITE``.  The paper's formulas are signed sums of lengths, and
+``signed_sum`` evaluates them so that the first infinite term makes the sum
+infinite.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from typing import NamedTuple
 
 from .groebner import count_standard_monomials, groebner_basis
 from .ideals import Ideal, InternalInconsistencyError
@@ -31,46 +35,19 @@ class ContainmentError(ValueError):
     """pair_length(A, B) requires B to be contained in A."""
 
 
-class LengthValue(NamedTuple):
-    """A length: an exact integer, or an explicit infinite marker."""
-
-    kind: str  # "finite" | "infinite"
-    value: int | None = None
-
-    @staticmethod
-    def finite(n: int) -> "LengthValue":
-        return LengthValue("finite", int(n))
-
-    @staticmethod
-    def infinite() -> "LengthValue":
-        return LengthValue("infinite")
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
-
-    def as_int(self) -> int:
-        if not self.is_finite:
-            raise ValueError(f"length is not finite: {self}")
-        return self.value
-
-    def to_json(self):
-        return self.value if self.is_finite else "infinite"
-
-    def __repr__(self):
-        return f"LengthValue({self.value if self.is_finite else self.kind})"
+INFINITE = "infinite"
 
 
-def signed_sum(pairs) -> LengthValue:
-    """Σ c·v over (coefficient, LengthValue) pairs.  The first non-finite
-    value wins, and the pairs after it are not drawn, so a generator of
-    pairs evaluates no length past it."""
+def signed_sum(pairs):
+    """Σ c·v over (coefficient, length) pairs, each length an int or
+    INFINITE.  The first INFINITE wins, and the pairs after it are not
+    drawn, so a generator of pairs evaluates no length past it."""
     total = 0
     for c, v in pairs:
-        if not v.is_finite:
-            return v
-        total += c * v.value
-    return LengthValue.finite(total)
+        if v == INFINITE:
+            return INFINITE
+        total += c * v
+    return total
 
 
 def truncated_dim(ideal_: Ideal, m: int) -> int:
@@ -122,7 +99,7 @@ def _gap(c: Ideal, b: Ideal) -> int:
             - count_standard_monomials(lc, n, top + 1))
 
 
-def pair_length(a: Ideal, b: Ideal) -> LengthValue:
+def pair_length(a: Ideal, b: Ideal):
     """m-local length of A/B for B contained in A.  Containment is verified
     once per pair, when the length is first computed; a pair that fails it
     raises ContainmentError on every call."""
@@ -130,7 +107,7 @@ def pair_length(a: Ideal, b: Ideal) -> LengthValue:
                       lambda: _pair_length(a, b))
 
 
-def _pair_length(a: Ideal, b: Ideal) -> LengthValue:
+def _pair_length(a: Ideal, b: Ideal):
     if not a.contains_ideal(b):
         raise ContainmentError(f"{b} is not contained in {a}")
     c = torsion(a, b)
@@ -140,16 +117,16 @@ def _pair_length(a: Ideal, b: Ideal) -> LengthValue:
         m = Ideal.maximal(a.ctx)
         if any(not c.contains(g) and not (c.colon_element(g) + m).is_unit()
                for g in a.gens):
-            return LengthValue.infinite()
-    return LengthValue.finite(_gap(c, b))
+            return INFINITE
+    return _gap(c, b)
 
 
-def loc_quotient_length(l: Ideal) -> LengthValue:
+def loc_quotient_length(l: Ideal):
     """m-local length of R/L; infinite when R/L has positive dimension at the
     origin.  Components of R/L supported away from the origin do not count."""
     return pair_length(Ideal.unit(l.ctx), l)
 
 
-def gamma_length(l: Ideal) -> LengthValue:
+def gamma_length(l: Ideal) -> int:
     """Length of the m-torsion submodule of R/L; always finite."""
-    return LengthValue.finite(torsion_length(Ideal.unit(l.ctx), l))
+    return torsion_length(Ideal.unit(l.ctx), l)

@@ -16,7 +16,7 @@ JSON dict the CLI prints, with a fixed key order.
 from __future__ import annotations
 
 from .ideals import Ideal, ring_dimension
-from .lengths import (LengthValue, gamma_length, loc_quotient_length,
+from .lengths import (INFINITE, gamma_length, loc_quotient_length,
                       pair_length)
 from .parser import Options
 from .reductions import GeneralReduction, fiber_length_sum
@@ -40,7 +40,7 @@ def northcott_bound(ideal: Ideal, red: GeneralReduction):
     return lam, second
 
 
-def minimal_generator_count(ideal: Ideal) -> LengthValue:
+def minimal_generator_count(ideal: Ideal):
     """mu(I) as the length of I/mI."""
     m = Ideal.maximal(ideal.ctx)
     return pair_length(ideal, m * ideal)
@@ -50,10 +50,11 @@ def assemble_northcott(ideal: Ideal, red: GeneralReduction, r: int | None,
                        j1: int | None, effective: bool, m_primary: bool,
                        options: Options, extra_notes=()) -> dict:
     """The report's JSON from precomputed pieces.  ``j1`` is the fitted
-    coefficient; whether the hypotheses are in force is resolved by the
-    caller, which also owns the cross-check of ``j1`` by the summation
-    route.  ``bound`` is lambda(I/J) plus the second term whenever both are
-    finite, and equality forces the inequality."""
+    coefficient.  The caller resolves whether the hypotheses are in force
+    and whether the ideal is m-primary at the origin, and owns the
+    cross-check of ``j1`` by the summation route.  ``bound`` is lambda(I/J)
+    plus the second term whenever both are finite, and equality forces the
+    inequality."""
     ctx = ideal.ctx
     d = ring_dimension(ctx)
     notes = list(extra_notes)
@@ -84,24 +85,24 @@ def assemble_northcott(ideal: Ideal, red: GeneralReduction, r: int | None,
         notes.append("dimension one: the second bound term involves J_{d-2} "
                      "and is undefined; reporting the summation decomposition "
                      "of j_1 instead of a bound")
-        report["lambda_I_over_J"] = pair_length(ideal, red.full).to_json()
+        report["lambda_I_over_J"] = pair_length(ideal, red.full)
         zero_colon = Ideal.zero(ctx).colon(ideal)
         report["decomposition"] = {
             "fiber_length_sum":
-                fiber_length_sum(ideal, red.full, r).to_json() if r is not None
+                fiber_length_sum(ideal, red.full, r) if r is not None
                 else "not-applicable (no general minimal reduction)",
             "colength(0:I + I)":
-                loc_quotient_length(zero_colon + ideal).to_json(),
-            "torsion(R/I)": gamma_length(ideal).to_json(),
+                loc_quotient_length(zero_colon + ideal),
+            "torsion(R/I)": gamma_length(ideal),
         }
         return report
 
     lam, second = northcott_bound(ideal, red)
-    report["lambda_I_over_J"] = lam.to_json()
-    report["second_term"] = second.to_json()
+    report["lambda_I_over_J"] = lam
+    report["second_term"] = second
     equality = None
-    if lam.is_finite and second.is_finite:
-        report["bound"] = bound = lam.value + second.value
+    if INFINITE not in (lam, second):
+        report["bound"] = bound = lam + second
         if j1 is not None:
             report["inequality_holds"] = j1 >= bound
             report["equality"] = equality = j1 == bound
@@ -118,10 +119,9 @@ def assemble_northcott(ideal: Ideal, red: GeneralReduction, r: int | None,
         else:
             report["equality_case"] = "consistent"
 
-    if j1 is not None and lam.is_finite and j1 == lam.value:
-        report["m_primary_implication"] = ideal.codimension() == d
+    if j1 == lam:
+        report["m_primary_implication"] = m_primary
     if j1 == 0:
         mu = minimal_generator_count(ideal)
-        report["complete_intersection_implication"] = (
-            r == 0 and mu.is_finite and mu.value == d)
+        report["complete_intersection_implication"] = r == 0 and mu == d
     return report

@@ -19,45 +19,30 @@ disagreement with the fit.
 
 Every display is contained by construction: J_i ⊆ J_(i+1), x_(i+1) ∈ I and
 x_(i+1) (J_i : I) ⊆ J_i : I.  A containment failure is therefore a bug, and
-``pair_length`` raises it as such; an infinite length is the only non-finite
-value a term can take.
+``pair_length`` raises it as such.
+
+Every value has the form the report prints.  A length or a signed sum of
+lengths is an ``int`` or ``INFINITE``; ``omega`` returns the row
+{"n", "terms", "total"} and ``master_identity_check`` the report
+{"rows", "holds"}.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import NamedTuple
 
 from .hilbert import HilbertRecord, binomial
 from .ideals import Ideal, ring_dimension
-from .lengths import (LengthValue, gamma_length, loc_quotient_length,
+from .lengths import (INFINITE, gamma_length, loc_quotient_length,
                       pair_length, signed_sum)
 from .reductions import GeneralReduction, fiber_length_sum, fiber_length_term
 
 
-def _delta_lv(fn, k: int, n: int) -> LengthValue:
-    """Backward difference over LengthValue sequences; any non-finite entry
+def _delta(fn, k: int, n: int):
+    """Backward difference over a length sequence; an INFINITE entry
     wins."""
     return signed_sum(((-1) ** j * comb(k, j), fn(n - j))
                       for j in range(k + 1))
-
-
-class OmegaBreakdown(NamedTuple):
-    """One correction value with its named sub-terms in display order.
-
-    Term values are signed contributions, so the total is exactly the sum of
-    the finite entries; an infinite entry makes the total infinite."""
-
-    n: int
-    terms: tuple          # (name, signed-contribution-or-marker) pairs
-    total: LengthValue
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "terms": {name: val for name, val in self.terms},
-            "total": self.total.to_json(),
-        }
 
 
 class OmegaEvaluator:
@@ -91,16 +76,16 @@ class OmegaEvaluator:
         """The residual ideal J_i : I."""
         return self.red.j(i).colon(self.ideal)
 
-    def fiber(self, n: int) -> LengthValue:
+    def fiber(self, n: int):
         return self.ctx.memo((self.key, "fiber", n), lambda: fiber_length_term(
             self.ideal, self.red.full, n))
 
-    def length(self, display, i: int, n: int) -> LengthValue:
+    def length(self, display, i: int, n: int):
         """The length of the module ``display(i, n)``.  Sequences are
         extended by zero at n <= 0, which matches the literal displays: the
         zeroth power of I is the unit ideal, so those quotients vanish."""
         if n <= 0:
-            return LengthValue.finite(0)
+            return 0
         return self.ctx.memo((self.key, display.__name__, i, n),
                              lambda: pair_length(*display(i, n)))
 
@@ -151,13 +136,13 @@ class OmegaEvaluator:
             den = den + prev
         return num, den
 
-    def lln(self, i: int, n: int) -> LengthValue:
+    def lln(self, i: int, n: int):
         """Ltilde - L + N at one index."""
         return signed_sum(((1, self.length(self.ltilde, i, n)),
                            (-1, self.length(self.l_term, i, n)),
                            (1, self.length(self.n_term, i, n))))
 
-    def beta(self) -> LengthValue:
+    def beta(self):
         def build():
             zero_colon = Ideal.zero(self.ctx).colon(self.ideal)
             return signed_sum(((1, gamma_length(self.ideal)),
@@ -167,7 +152,10 @@ class OmegaEvaluator:
 
     # -- the correction itself -----------------------------------------------
 
-    def omega(self, n: int) -> OmegaBreakdown:
+    def omega(self, n: int) -> dict:
+        """The row {"n", "terms", "total"} of omega_n: each term is a named
+        signed contribution in display order, and the total is their sum,
+        INFINITE when some term is."""
         d = self.d
         parts = []  # (name, coefficient, length)
         if n == 0:
@@ -176,13 +164,13 @@ class OmegaEvaluator:
             parts.append(("-torsion(R/I)", -1, gamma_length(self.ideal)))
         else:
             for i in range(d - 1):
-                parts.append((f"delta^{d - 1 - i}[Ktilde^{i}]", 1, _delta_lv(
+                parts.append((f"delta^{d - 1 - i}[Ktilde^{i}]", 1, _delta(
                     lambda t, i=i: self.length(self.ktilde, i, t),
                     d - 1 - i, n)))
             for i in range(d - 1):
                 parts.append((f"delta^{d - 2 - i}[Ltilde^{i}-L^{i}+N^{i}]", 1,
-                              _delta_lv(lambda t, i=i: self.lln(i, t),
-                                        d - 2 - i, n)))
+                              _delta(lambda t, i=i: self.lln(i, t),
+                                     d - 2 - i, n)))
             for i in range(1, d):
                 parts.append((f"-colon_intersection^{i}", -1,
                               self.length(self.colon_intersection, i, n)))
@@ -190,10 +178,9 @@ class OmegaEvaluator:
             if coeff:
                 parts.append(("beta_term", -((-1) ** n) * coeff, self.beta()))
 
-        terms = tuple((name, signed_sum([(c, v)]).to_json())
-                      for name, c, v in parts)
-        total = signed_sum((c, v) for _, c, v in parts)
-        return OmegaBreakdown(n=n, terms=terms, total=total)
+        terms = {name: signed_sum([(c, v)]) for name, c, v in parts}
+        return {"n": n, "terms": terms,
+                "total": signed_sum((1, v) for v in terms.values())}
 
 
 # --------------------------------------------------------------------------
@@ -209,42 +196,21 @@ def combined_verdict(verdicts):
     return None if None in verdicts else True
 
 
-class MasterIdentityReport(NamedTuple):
-    """Per-degree comparison of fiber length + correction against the d-th
-    difference of (polynomial - function)."""
-
-    rows: tuple   # (n, lhs json, rhs int, holds-or-None)
-
-    @property
-    def all_hold(self):
-        """False when a finite row fails; otherwise None when some row has a
-        non-finite side, else True."""
-        return combined_verdict(h for *_, h in self.rows)
-
-    def to_json(self):
-        return {
-            "rows": [{"n": n, "lhs": l, "rhs": r, "holds": h}
-                     for (n, l, r, h) in self.rows],
-            "holds": self.all_hold,
-        }
-
-
-def master_identity_check(ev: OmegaEvaluator, nmax: int) -> MasterIdentityReport:
+def master_identity_check(ev: OmegaEvaluator, nmax: int) -> dict:
+    """Per degree n, lhs = fiber length + omega_n against rhs = the d-th
+    difference of P - H.  A row holds when both sides agree, and is
+    undecided (None) when lhs is INFINITE; the report holds per
+    ``combined_verdict`` of its rows."""
     rows = []
     for n in range(nmax + 1):
-        fib = ev.fiber(n)
-        om = ev.omega(n).total
+        lhs = signed_sum(((1, ev.fiber(n)), (1, ev.omega(n)["total"])))
         rhs = ev.record.delta_p_minus_h(n)
-        if fib.is_finite and om.is_finite:
-            lhs = fib.value + om.value
-            rows.append((n, lhs, rhs, lhs == rhs))
-        else:
-            bad = fib if not fib.is_finite else om
-            rows.append((n, bad.to_json(), rhs, None))
-    return MasterIdentityReport(rows=tuple(rows))
+        rows.append({"n": n, "lhs": lhs, "rhs": rhs,
+                     "holds": None if lhs == INFINITE else lhs == rhs})
+    return {"rows": rows, "holds": combined_verdict(r["holds"] for r in rows)}
 
 
-def j_via_sums(ev: OmegaEvaluator, i: int, r: int) -> LengthValue:
+def j_via_sums(ev: OmegaEvaluator, i: int, r: int):
     """j_i as the sum over n = i-1 .. N of binom(n, i-1) (fiber length +
     omega_n), with N = ``ev.last_sum_degree(r)``."""
     if not 1 <= i <= ev.d:
@@ -253,13 +219,13 @@ def j_via_sums(ev: OmegaEvaluator, i: int, r: int) -> LengthValue:
     def pairs():
         for n in range(i - 1, ev.last_sum_degree(r) + 1):
             yield binomial(n, i - 1), ev.fiber(n)
-            yield binomial(n, i - 1), ev.omega(n).total
+            yield binomial(n, i - 1), ev.omega(n)["total"]
 
     return signed_sum(pairs())
 
 
 def j_one_depth_formula(ideal: Ideal, red: GeneralReduction,
-                        r: int) -> LengthValue:
+                        r: int):
     """Three-term value for j_1 under the user-asserted depth hypotheses:
     sum of fiber lengths + colength of (J_{d-1}:I + I) - torsion of R/(H+I),
     where H = 0 in dimension one and H = 0:I otherwise, and r is the

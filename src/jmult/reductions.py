@@ -16,7 +16,7 @@ import warnings
 from typing import NamedTuple
 
 from .ideals import AlgebraWarning, Ideal, eliminate, ring_dimension
-from .lengths import (LengthValue, loc_quotient_length, pair_length,
+from .lengths import (INFINITE, loc_quotient_length, pair_length,
                       signed_sum)
 from .ring import Polynomial, RingContext, extend_context, lift_poly
 
@@ -121,10 +121,7 @@ def local_ideal_equal(a: Ideal, b: Ideal) -> bool:
     m-local length of a/b vanishes.  General elements of an ideal may differ
     from it at points away from the origin, so the global basis comparison
     would be too strict here."""
-    if a == b:
-        return True
-    v = pair_length(a, b)
-    return v.is_finite and v.value == 0
+    return a == b or pair_length(a, b) == 0
 
 
 def reduction_number(ideal: Ideal, j: Ideal):
@@ -162,28 +159,12 @@ def general_minimal_reduction(ideal: Ideal, seed: int = 0):
 # residual-height surrogate for the G_d condition
 
 
-class ResidualHeightReport(NamedTuple):
-    """Per-index verdicts of the computable residual-intersection surrogate:
-    codim(J_i : I) >= i and codim((J_i : I) + I) >= i + 1."""
-
-    entries: tuple  # (i, codim_colon, codim_colon_plus, passed)
-    all_passed: bool
-
-    def to_json(self):
-        return {
-            "entries": [
-                {"i": i, "codim_residual": a, "codim_residual_plus_ideal": b,
-                 "passed": ok}
-                for (i, a, b, ok) in self.entries
-            ],
-            "passed": self.all_passed,
-        }
-
-
-def residual_height_check(ideal: Ideal, red: GeneralReduction) -> ResidualHeightReport:
+def residual_height_check(ideal: Ideal, red: GeneralReduction) -> dict:
+    """The report of the computable residual-intersection surrogate: per
+    index i, whether codim(J_i : I) >= i and codim((J_i : I) + I) >= i + 1,
+    and whether every index passed."""
     d = ring_dimension(ideal.ctx)
     entries = []
-    ok_all = True
     for i in range(d):
         colon = red.j(i).colon(ideal)
         # J_i : I is the unit ideal when x_1 .. x_i already generate I; the
@@ -192,10 +173,11 @@ def residual_height_check(ideal: Ideal, red: GeneralReduction) -> ResidualHeight
             warnings.simplefilter("ignore", AlgebraWarning)
             c1 = colon.codimension()
             c2 = (colon + ideal).codimension()
-        ok = c1 >= i and c2 >= i + 1
-        ok_all = ok_all and ok
-        entries.append((i, c1, c2, ok))
-    return ResidualHeightReport(entries=tuple(entries), all_passed=ok_all)
+        entries.append({"i": i, "codim_residual": c1,
+                        "codim_residual_plus_ideal": c2,
+                        "passed": c1 >= i and c2 >= i + 1})
+    return {"entries": entries,
+            "passed": all(e["passed"] for e in entries)}
 
 
 # --------------------------------------------------------------------------
@@ -212,7 +194,7 @@ def reduction_kernel(ideal: Ideal, red: GeneralReduction) -> Ideal:
     return red.j(d - 1).saturate(ideal)
 
 
-def j_zero(ideal: Ideal, red: GeneralReduction) -> LengthValue:
+def j_zero(ideal: Ideal, red: GeneralReduction):
     """Multiplicity of the reduction ring modulo the last general element;
     infinite signals analytic spread below d or a bad sample."""
     d = ring_dimension(ideal.ctx)
@@ -221,12 +203,12 @@ def j_zero(ideal: Ideal, red: GeneralReduction) -> LengthValue:
                                + Ideal(ideal.ctx, [x_last]))
 
 
-def fiber_length_term(ideal: Ideal, j: Ideal, n: int) -> LengthValue:
+def fiber_length_term(ideal: Ideal, j: Ideal, n: int):
     """Length of I^(n+1) / J I^n."""
     return pair_length(ideal ** (n + 1), j * (ideal ** n))
 
 
-def fiber_length_sum(ideal: Ideal, j: Ideal, r: int) -> LengthValue:
+def fiber_length_sum(ideal: Ideal, j: Ideal, r: int):
     """Sum of the lengths of I^(n+1)/J I^n over n = 0 .. r - 1, where r is
     the reduction number of I with respect to J: the terms are nonzero below
     r and vanish from r on."""
@@ -234,7 +216,7 @@ def fiber_length_sum(ideal: Ideal, j: Ideal, r: int) -> LengthValue:
 
 
 def kernel_corrected_fiber_sum(ideal: Ideal, red: GeneralReduction,
-                               r: int) -> LengthValue:
+                               r: int):
     """Sum over n < r of length(I^(n+1)/J I^n) minus the part meeting
     K = J_{d-1} : I^infinity; the difference quotient embeds into the plain
     fiber quotient, which vanishes from the reduction number r on."""
@@ -250,7 +232,7 @@ def kernel_corrected_fiber_sum(ideal: Ideal, red: GeneralReduction,
     return signed_sum(pairs())
 
 
-def e_one_bar(ideal: Ideal, red: GeneralReduction, r: int) -> LengthValue:
+def e_one_bar(ideal: Ideal, red: GeneralReduction, r: int):
     """First Hilbert coefficient of the image of I in the reduction ring,
     computed as the sum of lengths of Ibar^(n+1)/xbar Ibar^n over n < r; the
     image of J I^r = I^(r+1) is xbar Ibar^r = Ibar^(r+1), so the later terms
@@ -272,53 +254,29 @@ def e_one_bar(ideal: Ideal, red: GeneralReduction, r: int) -> LengthValue:
 # intersection-condition check (regular-sequence criterion on partial ideals)
 
 
-class ValabregaVallaReport(NamedTuple):
-    """Bounded-n verdict for the intersection condition
-    J_{d-1} ∩ I^(n+1) = J_{d-1} I^n together with the equivalent summation
-    condition; the depth conclusion is only reported when the user asserts
-    the Artin-Nagata hypothesis."""
-
-    nmax: int
-    per_n: tuple               # booleans for n = 0 .. nmax
-    sum_value: LengthValue     # sum of fiber lengths
-    e1bar: LengthValue
-    condition_a: bool | None
-    condition_b: bool
-    equivalent: bool | None
-    depth_verdict: str | None
-
-    def to_json(self):
-        return {
-            "nmax": self.nmax,
-            "intersection_condition_per_n": list(self.per_n),
-            "fiber_length_sum": self.sum_value.to_json(),
-            "e1_reduction_ring": self.e1bar.to_json(),
-            "condition_a": self.condition_a,
-            "condition_b": self.condition_b,
-            "equivalent": self.equivalent,
-            "depth_verdict": self.depth_verdict,
-        }
-
-
 def valabrega_valla_check(ideal: Ideal, red: GeneralReduction, r: int,
                           nmax: int,
-                          an_asserted: bool = False) -> ValabregaVallaReport:
+                          an_asserted: bool = False) -> dict:
+    """Bounded-n report on the intersection condition
+    J_{d-1} ∩ I^(n+1) = J_{d-1} I^n (condition b) and the equivalent
+    summation condition, fiber length sum = e_1 of the reduction ring
+    (condition a); the depth conclusion is only reported when the user
+    asserts the Artin-Nagata hypothesis."""
     d = ring_dimension(ideal.ctx)
     j_small = red.j(d - 1)
     j_full = red.full
-    per_n = tuple(
+    per_n = [
         local_ideal_equal(j_small.intersect(ideal ** (n + 1)),
                           j_small * (ideal ** n))
-        for n in range(nmax + 1))
+        for n in range(nmax + 1)]
     total = fiber_length_sum(ideal, j_full, r)
     e1 = e_one_bar(ideal, red, r)
-    if total.is_finite and e1.is_finite:
-        cond_a = total.value == e1.value
-        equivalent = cond_a == all(per_n)
-    else:
-        cond_a = None
-        equivalent = None
     cond_b = all(per_n)
+    if INFINITE in (total, e1):
+        cond_a = equivalent = None
+    else:
+        cond_a = total == e1
+        equivalent = cond_a == cond_b
     if an_asserted and equivalent:
         holds = "holds" if cond_b else "fails"
         depth = (f"depth of the associated graded ring is >= {d - 1}: {holds} "
@@ -327,6 +285,13 @@ def valabrega_valla_check(ideal: Ideal, red: GeneralReduction, r: int,
         depth = "conditions disagree; no depth conclusion"
     else:
         depth = None
-    return ValabregaVallaReport(nmax=nmax, per_n=per_n, sum_value=total,
-                                e1bar=e1, condition_a=cond_a, condition_b=cond_b,
-                                equivalent=equivalent, depth_verdict=depth)
+    return {
+        "nmax": nmax,
+        "intersection_condition_per_n": per_n,
+        "fiber_length_sum": total,
+        "e1_reduction_ring": e1,
+        "condition_a": cond_a,
+        "condition_b": cond_b,
+        "equivalent": equivalent,
+        "depth_verdict": depth,
+    }

@@ -23,7 +23,7 @@ from functools import cached_property
 from .groebner import ComputationLimitError
 from .hilbert import FitError, fit_hilbert_polynomial
 from .ideals import InternalInconsistencyError, ring_dimension
-from .lengths import ContainmentError
+from .lengths import INFINITE, ContainmentError, loc_quotient_length
 from .northcott import assemble_northcott
 from .omega import (OmegaEvaluator, combined_verdict, j_one_depth_formula,
                     j_via_sums, master_identity_check)
@@ -59,11 +59,11 @@ class Pipeline:
             self.diagnostics.append(note)
 
     def verdict(self, value, expected: int, mismatch: str, undecided: str):
-        """A route value in report form (an int, or the marker of an
-        infinite length) against the fitted ``expected``: True when they
-        agree; False for a finite mismatch, a cross-check violation (exit 5,
-        ``mismatch`` noted); None for an infinite value, which leaves the
-        comparison undecided (exit 4, ``undecided`` noted)."""
+        """A route value (an int, or INFINITE) against the fitted
+        ``expected``: True when they agree; False for a finite mismatch, a
+        cross-check violation (exit 5, ``mismatch`` noted); None for
+        INFINITE, which leaves the comparison undecided (exit 4,
+        ``undecided`` noted)."""
         agrees = _agrees(value, expected)
         if agrees is False:
             self.flag(CROSS_CHECK, mismatch)
@@ -119,13 +119,16 @@ class Pipeline:
 
     @cached_property
     def m_primary(self) -> bool:
-        # run() has already checked that I is nonzero and inside m
-        return self.ideal.codimension() == self.dim
+        """Whether I is primary to m in the local ring at the origin, that
+        is whether R/I has finite length there.  Components of I away from
+        the origin do not count; run() has already checked that I is
+        nonzero and inside m."""
+        return loc_quotient_length(self.ideal) != INFINITE
 
     @property
     def hypotheses_effective(self) -> bool:
         asserted = self.opt.gd_asserted and self.opt.an_asserted
-        return (self.spread == self.dim and self.surrogate.all_passed
+        return (self.spread == self.dim and self.surrogate["passed"]
                 and (self.m_primary or asserted))
 
     @cached_property
@@ -136,7 +139,7 @@ class Pipeline:
     # -- envelope -------------------------------------------------------------
 
     def hypotheses_json(self):
-        if not self.surrogate.all_passed:
+        if not self.surrogate["passed"]:
             self.flag(HYPOTHESIS_FAIL,
                       "residual-height surrogate failed; the identity and "
                       "verdict hypotheses do not hold for this input")
@@ -147,7 +150,7 @@ class Pipeline:
             "analytic_spread": self.spread,
             "spread_equals_dim": self.spread == self.dim,
             "m_primary": self.m_primary,
-            "residual_surrogate": self.surrogate.to_json(),
+            "residual_surrogate": self.surrogate,
             "flags": self.opt.flags_json(),
             "effective": self.hypotheses_effective,
         }
@@ -224,13 +227,10 @@ class Pipeline:
         table = {"omega": [], "master_identity": None}
         if r is not None:
             ev = self.evaluator
-            routes["jzero"] = j_zero(self.ideal, red).to_json()
-            e1 = e_one_bar(self.ideal, red, r)
-            routes["e1_reduction_ring"] = e1.to_json()
-            routes["sums"] = [j_via_sums(ev, i, r).to_json()
-                              for i in range(1, d + 1)]
-            depth_formula = j_one_depth_formula(self.ideal, red, r)
-            routes["depth_formula"] = depth_formula.to_json()
+            routes["jzero"] = j_zero(self.ideal, red)
+            routes["e1_reduction_ring"] = e_one_bar(self.ideal, red, r)
+            routes["sums"] = [j_via_sums(ev, i, r) for i in range(1, d + 1)]
+            routes["depth_formula"] = j_one_depth_formula(self.ideal, red, r)
 
             agreement["j0_vs_jzero"] = self._jzero_verdict(routes["jzero"],
                                                            j_fit[0])
@@ -267,8 +267,7 @@ class Pipeline:
         return results
 
     def _jzero_verdict(self, jz, j0: int):
-        """The reduction-ring multiplicity, in report form, against the
-        fitted j_0."""
+        """The reduction-ring multiplicity against the fitted j_0."""
         return self.verdict(jz, j0,
                             "fitted leading coefficient disagrees with the "
                             "reduction-ring multiplicity",
@@ -297,7 +296,7 @@ class Pipeline:
             self.flag(CROSS_CHECK, "leading coefficient positivity disagrees "
                                    "with the analytic spread criterion")
         if r is not None:
-            out["jzero_route"] = j_zero(self.ideal, red).to_json()
+            out["jzero_route"] = j_zero(self.ideal, red)
             out["agrees"] = self._jzero_verdict(out["jzero_route"],
                                                 rec.coefficients[0])
         return out
@@ -318,10 +317,10 @@ class Pipeline:
         rep = valabrega_valla_check(self.ideal, red, r, self.nmax,
                                     an_asserted=self.opt.an_asserted
                                     or self.m_primary)
-        if rep.equivalent is False:
+        if rep["equivalent"] is False:
             self.flag(CROSS_CHECK, "summation and intersection conditions "
                                    "disagree; bug or hypothesis failure")
-        return rep.to_json()
+        return rep
 
     def cmd_omega(self) -> dict:
         red, r = self.reduction
@@ -333,13 +332,14 @@ class Pipeline:
         """The omega rows for n = 0 .. nmax and the master identity over
         them, checked."""
         ev = self.evaluator
-        rows = [ev.omega(n).to_json() for n in range(self.nmax + 1)]
+        rows = [ev.omega(n) for n in range(self.nmax + 1)]
         master = master_identity_check(ev, self.nmax)
         if self.hypotheses_effective:
-            for _, lhs, rhs, _ in master.rows:
-                self.verdict(lhs, rhs, "master identity failed under passing "
-                                       "hypotheses", f"not-applicable: {lhs}")
-        return {"omega": rows, "master_identity": master.to_json()}
+            for row in master["rows"]:
+                self.verdict(row["lhs"], row["rhs"],
+                             "master identity failed under passing "
+                             "hypotheses", f"not-applicable: {row['lhs']}")
+        return {"omega": rows, "master_identity": master}
 
     def cmd_northcott(self) -> dict:
         rec = self.record
@@ -347,7 +347,7 @@ class Pipeline:
         j1 = rec.coefficients[1]
         notes = []
         if r is not None and self.hypotheses_effective:
-            cross = j_via_sums(self.evaluator, 1, r).to_json()
+            cross = j_via_sums(self.evaluator, 1, r)
             if self.verdict(cross, j1, "summation route for the first "
                                        "coefficient disagrees with the fit",
                             f"not-applicable: {cross}") is False:
@@ -376,7 +376,7 @@ class Pipeline:
             return {"error": str(exc)}
         out = {"monomial_generators": [list(g) for g in mono.gens]}
         colength = mon_quotient_length(mono)
-        out["colength"] = colength if colength is not None else "infinite"
+        out["colength"] = colength if colength is not None else INFINITE
         if mono.is_m_primary():
             out["classical_coefficients"] = list(oracle_hilbert_coefficients(mono))
         else:
@@ -399,9 +399,9 @@ class Pipeline:
 
 
 def _agrees(value, expected: int):
-    """True or False for a route value in report form; None for the marker
-    of an infinite length, which leaves the comparison undecided."""
-    return None if isinstance(value, str) else value == expected
+    """True or False for a route value that is an int; None for INFINITE,
+    which leaves the comparison undecided."""
+    return None if value == INFINITE else value == expected
 
 
 # --------------------------------------------------------------------------

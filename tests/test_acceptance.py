@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from jmult import (Ideal, MonomialIdeal, OmegaEvaluator, RingContext,
+from jmult import (INFINITE, Ideal, MonomialIdeal, OmegaEvaluator, RingContext,
                    e_one_bar, fit_hilbert_polynomial, general_minimal_reduction,
                    j_via_sums, j_zero, kernel_corrected_fiber_sum,
                    master_identity_check, mon_pair_length, northcott_bound,
@@ -100,12 +100,12 @@ def test_criterion_3_master_identity(ctx, suite):
     ok = True
     checked = 0
     for item in suite:
-        if not item["surrogate"].all_passed:
+        if not item["surrogate"]["passed"]:
             continue
         ev = OmegaEvaluator(item["ideal"], item["red"], item["record"])
         rep = master_identity_check(ev, item["nmax"])
         checked += 1
-        if not rep.all_hold:
+        if not rep["holds"]:
             ok = False
             print(f"  master identity failed for {item['exps']}")
     report(3, ok, f"{checked} ideals with passing surrogate")
@@ -120,16 +120,16 @@ def test_criterion_4_route_agreement(ctx, suite):
             if rec.sum_route_coefficient(i) != rec.coefficients[i]:
                 ok = False
                 print(f"  difference-sum route broke at {item['exps']} i={i}")
-        if item["surrogate"].all_passed:
+        if item["surrogate"]["passed"]:
             ev = OmegaEvaluator(item["ideal"], red, rec)
             for i in range(1, d + 1):
                 v = j_via_sums(ev, i, r)
-                if not (v.is_finite and v.value == rec.coefficients[i]):
+                if v != rec.coefficients[i]:
                     ok = False
                     print(f"  summation route broke at {item['exps']} i={i}: "
-                          f"{v.to_json()} vs {rec.coefficients[i]}")
+                          f"{v} vs {rec.coefficients[i]}")
         jz = j_zero(item["ideal"], red)
-        if not (jz.is_finite and jz.value == rec.coefficients[0]):
+        if jz != rec.coefficients[0]:
             ok = False
             print(f"  leading-coefficient route broke at {item['exps']}")
     report(4, ok, "fit = difference sums = summation route; j0 = reduction-ring route")
@@ -139,12 +139,12 @@ def test_criterion_5_northcott(ctx, suite):
     ok = True
     seen = {}
     for item in suite:
-        if not item["surrogate"].all_passed:
+        if not item["surrogate"]["passed"]:
             continue
         rec, red, r = item["record"], item["red"], item["r"]
         j1 = rec.coefficients[1]
         lam, second = northcott_bound(item["ideal"], red)
-        bound = lam.as_int() + second.as_int()
+        bound = lam + second
         if not (j1 >= bound >= 0):
             ok = False
             print(f"  bound violated at {item['exps']}: j1={j1} bound={bound}")
@@ -177,10 +177,10 @@ def test_criterion_6_abcd_identity(ctx):
         b = a * m ** rng.randrange(0, 3)
         c = a * m ** rng.randrange(0, 3)
         d = b.intersect(c) * m ** rng.randrange(0, 3)
-        lab = pair_length(a, b).as_int()
-        lbc = pair_length(b.intersect(c), d).as_int()
-        lcd = pair_length(c, d).as_int()
-        labc = pair_length(a, b + c).as_int()
+        lab = pair_length(a, b)
+        lbc = pair_length(b.intersect(c), d)
+        lcd = pair_length(c, d)
+        labc = pair_length(a, b + c)
         if lab + lbc != lcd + labc:
             ok = False
             print(f"  engine identity failed: {gens}")
@@ -201,16 +201,16 @@ def test_criterion_7_reduction_ring_sum_and_depth_consistency(ctx, suite):
         ideal, red, r = item["ideal"], item["red"], item["r"]
         lhs = kernel_corrected_fiber_sum(ideal, red, r)
         rhs = e_one_bar(ideal, red, r)
-        if not (lhs.is_finite and rhs.is_finite and lhs.value == rhs.value):
+        if INFINITE in (lhs, rhs) or lhs != rhs:
             ok = False
             print(f"  corrected sum mismatch at {item['exps']}: "
-                  f"{lhs.to_json()} vs {rhs.to_json()}")
+                  f"{lhs} vs {rhs}")
         vv = valabrega_valla_check(ideal, red, r, item["nmax"],
                                    an_asserted=True)
-        if vv.equivalent is not True:
+        if vv["equivalent"] is not True:
             ok = False
             print(f"  condition equivalence broke at {item['exps']}")
-        if vv.condition_b is False:
+        if vv["condition_b"] is False:
             failing_seen += 1
     if failing_seen == 0:
         ok = False
@@ -248,7 +248,7 @@ def test_criterion_8_engine_oracle_equivalence(ctx):
             ok = False
             print(f"  saturation mismatch: {ma.gens}")
         sub = a * m ** rng.randrange(1, 3)
-        if pair_length(a, sub).as_int() != mon_pair_length(
+        if pair_length(a, sub) != mon_pair_length(
                 ma, MonomialIdeal.from_ideal(sub)):
             ok = False
             print(f"  pair length mismatch: {ma.gens}")

@@ -10,7 +10,8 @@ import jmult.omega
 import jmult.runner
 from jmult.cli import main
 from jmult.ideals import InternalInconsistencyError
-from jmult.lengths import ContainmentError, LengthValue
+from jmult.lengths import INFINITE, ContainmentError
+from jmult.omega import combined_verdict
 
 M2 = "ring char=32003 vars=x,y\nideal x^2,x*y,y^2\n"
 FAMILY = "ring char=32003 vars=x,y\nmod x^3-x^2*y\nideal x*y\n"
@@ -223,6 +224,20 @@ def test_unit_residual_ideal_warns_nothing(capsys, monkeypatch, cmd):
     assert code == 3
 
 
+@pytest.mark.parametrize("gens", ["x,y", "x*y-x,y^2-y"])
+def test_m_primary_is_local(capsys, monkeypatch, gens):
+    """(xy - x, y^2 - y) is (x, y) at the origin, plus a component at
+    (0, 1) that the local ring does not see: both are m-primary, and the
+    hypotheses and the Northcott implication say so alike."""
+    code, out = run_cli(capsys, monkeypatch, "coeffs",
+                        f"ring char=32003 vars=x,y\nideal {gens}\n")
+    rep = json.loads(out)
+    assert rep["hypotheses"]["m_primary"] is True
+    assert rep["hypotheses"]["effective"] is True
+    assert rep["results"]["northcott"]["m_primary_implication"] is True
+    assert code == 0
+
+
 def test_spread_below_dimension_is_noted_once(capsys, monkeypatch):
     """An analytic spread below d is one fact, noted once with its numbers;
     it still exits 3."""
@@ -242,8 +257,7 @@ DEGRADED = "infinite"
 def test_sums_degradation_is_not_applicable(capsys, monkeypatch):
     """Under passing hypotheses a non-finite summation entry is a named term
     degradation (exit 4, noted once), not a disagreement (exit 5)."""
-    bad = LengthValue.infinite()
-    monkeypatch.setattr(jmult.runner, "j_via_sums", lambda ev, i, r: bad)
+    monkeypatch.setattr(jmult.runner, "j_via_sums", lambda ev, i, r: INFINITE)
     code, out = run_cli(capsys, monkeypatch, "coeffs", M2)
     rep = json.loads(out)
     assert rep["results"]["j"] == [4, 1, 0]
@@ -257,7 +271,7 @@ def test_northcott_finite_mismatch_is_cross_check(capsys, monkeypatch):
     """A finite summation j_1 that differs from the fit is a cross-check
     violation (exit 5); the fitted value is kept and the report says so."""
     monkeypatch.setattr(jmult.runner, "j_via_sums",
-                        lambda ev, i, r: LengthValue.finite(99))
+                        lambda ev, i, r: 99)
     code, out = run_cli(capsys, monkeypatch, "northcott", M2)
     rep = json.loads(out)
     assert rep["results"]["j1"] == 1
@@ -272,7 +286,7 @@ def test_northcott_infinite_sum_is_not_applicable(capsys, monkeypatch):
     """An infinite summation j_1 leaves the cross-check undecided: exit 4,
     noted once, as in ``coeffs``."""
     monkeypatch.setattr(jmult.runner, "j_via_sums",
-                        lambda ev, i, r: LengthValue.infinite())
+                        lambda ev, i, r: INFINITE)
     code, out = run_cli(capsys, monkeypatch, "northcott", M2)
     rep = json.loads(out)
     assert rep["results"]["j1"] == 1
@@ -284,7 +298,7 @@ def test_northcott_infinite_sum_is_not_applicable(capsys, monkeypatch):
 
 def test_sums_finite_mismatch_is_cross_check(capsys, monkeypatch):
     monkeypatch.setattr(jmult.runner, "j_via_sums",
-                        lambda ev, i, r: LengthValue.finite(99))
+                        lambda ev, i, r: 99)
     code, out = run_cli(capsys, monkeypatch, "coeffs", M2)
     rep = json.loads(out)
     assert rep["results"]["agreement"]["fit_vs_sums"] is False
@@ -301,10 +315,13 @@ def test_master_identity_row_exit_code(capsys, monkeypatch, degraded, want):
 
     def one_bad_row(ev, nmax):
         rep = real(ev, nmax)
-        n, _, rhs, _ = rep.rows[1]
-        row = (n, DEGRADED, rhs, None) if degraded else (n, rhs + 1, rhs, False)
-        rows = (rep.rows[0], row) + rep.rows[2:]
-        return rep._replace(rows=rows)
+        row = rep["rows"][1]
+        if degraded:
+            row.update(lhs=DEGRADED, holds=None)
+        else:
+            row.update(lhs=row["rhs"] + 1, holds=False)
+        rep["holds"] = combined_verdict(r["holds"] for r in rep["rows"])
+        return rep
 
     monkeypatch.setattr(jmult.runner, "master_identity_check", one_bad_row)
     code, out = run_cli(capsys, monkeypatch, "omega", M2)
@@ -415,7 +432,7 @@ def test_infinite_jzero_is_not_applicable(capsys, monkeypatch, cmd, path):
     """An infinite reduction-ring multiplicity leaves the comparison with the
     fitted j_0 undecided in both commands: exit 4, noted once."""
     monkeypatch.setattr(jmult.runner, "j_zero",
-                        lambda ideal, red: LengthValue.infinite())
+                        lambda ideal, red: INFINITE)
     code, out = run_cli(capsys, monkeypatch, cmd, M2)
     rep = json.loads(out)
     value = rep["results"]

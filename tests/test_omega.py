@@ -1,6 +1,6 @@
 import pytest
 
-from jmult import (Ideal, OmegaEvaluator, RingContext, fit_hilbert_polynomial,
+from jmult import (INFINITE, Ideal, OmegaEvaluator, RingContext, fit_hilbert_polynomial,
                    general_minimal_reduction, j_one_depth_formula, j_via_sums,
                    master_identity_check, pair_length)
 
@@ -24,28 +24,28 @@ def test_omega_zero_dimension_one(ctx_family):
     red, r = general_minimal_reduction(m, seed=0)
     ev = OmegaEvaluator(m, red, fit_hilbert_polynomial(m))
     om = ev.omega(0)
-    assert om.total.as_int() == 0
-    assert ev.omega(1).total.as_int() == 0
-    assert ev.omega(3).total.as_int() == 0
+    assert om["total"] == 0
+    assert ev.omega(1)["total"] == 0
+    assert ev.omega(3)["total"] == 0
 
 
 def test_omega_zero_m_primary_2d(m2_pipeline):
     ideal, red, r, rec, ev = m2_pipeline
     # identity-derived expected value at degree zero
-    lam = pair_length(ideal, red.full).as_int()
-    assert ev.omega(0).total.as_int() == rec.delta_p_minus_h(0) - lam
+    lam = pair_length(ideal, red.full)
+    assert ev.omega(0)["total"] == rec.delta_p_minus_h(0) - lam
     breakdown = ev.omega(1)
-    assert breakdown.total.is_finite
-    assert dict(breakdown.terms)  # named sub-terms serialize
+    assert breakdown["total"] != INFINITE
+    assert dict(breakdown["terms"])  # named sub-terms serialize
 
 
 def test_breakdown_total_is_sum_of_terms(m2_pipeline):
     ideal, red, r, rec, ev = m2_pipeline
     for n in range(4):
         b = ev.omega(n)
-        vals = [v for _, v in b.terms]
+        vals = list(b["terms"].values())
         if all(isinstance(v, int) for v in vals):
-            assert b.total.as_int() == sum(vals)
+            assert b["total"] == sum(vals)
 
 
 def test_master_identity_m_primary_suite(ctx2):
@@ -58,7 +58,7 @@ def test_master_identity_m_primary_suite(ctx2):
         rec = fit_hilbert_polynomial(ideal, extend_to=nmax + 3)
         ev = OmegaEvaluator(ideal, red, rec)
         rep = master_identity_check(ev, nmax)
-        assert rep.all_hold, (exps, rep.rows)
+        assert rep["holds"], (exps, rep["rows"])
 
 
 def test_master_identity_failure_visible_without_hypotheses(ctx_family):
@@ -70,25 +70,25 @@ def test_master_identity_failure_visible_without_hypotheses(ctx_family):
     rec = fit_hilbert_polynomial(ideal, extend_to=r + 5)
     ev = OmegaEvaluator(ideal, red, rec)
     rep = master_identity_check(ev, r + 3)
-    assert not rep.all_hold
+    assert not rep["holds"]
 
 
 def test_j_via_sums_routes(ctx2, m2_pipeline):
     ideal, red, r, rec, ev = m2_pipeline
-    assert j_via_sums(ev, 1, r).as_int() == 1 == rec.coefficients[1]
-    assert j_via_sums(ev, 2, r).as_int() == 0 == rec.coefficients[2]
+    assert j_via_sums(ev, 1, r) == 1 == rec.coefficients[1]
+    assert j_via_sums(ev, 2, r) == 0 == rec.coefficients[2]
     param = monomial_ideal(ctx2, (1, 0), (0, 1))
     redp, rp = general_minimal_reduction(param, seed=0)
     evp = OmegaEvaluator(param, redp, fit_hilbert_polynomial(param))
-    assert j_via_sums(evp, 1, rp).as_int() == 0
+    assert j_via_sums(evp, 1, rp) == 0
 
 
 def test_j_one_depth_formula(ctx2, m2_pipeline):
     ideal, red, r, rec, ev = m2_pipeline
-    assert j_one_depth_formula(ideal, red, r).as_int() == 1
+    assert j_one_depth_formula(ideal, red, r) == 1
     m = Ideal.maximal(ctx2)
     redm, rm = general_minimal_reduction(m, seed=0)
-    assert j_one_depth_formula(m, redm, rm).as_int() == 0
+    assert j_one_depth_formula(m, redm, rm) == 0
 
 
 @pytest.mark.parametrize("gens", [((1, 0, 0), (0, 1, 0), (0, 0, 1)),
@@ -103,7 +103,7 @@ def test_sums_and_master_identity_dimension_three(gens):
     nmax = r + 5
     rec = fit_hilbert_polynomial(ideal, extend_to=nmax + 4)
     ev = OmegaEvaluator(ideal, red, rec)
-    assert [j_via_sums(ev, i, r).to_json() for i in (1, 2, 3)] \
+    assert [j_via_sums(ev, i, r) for i in (1, 2, 3)] \
         == list(rec.coefficients[1:])
     rep = master_identity_check(ev, nmax)
-    assert rep.all_hold is True, rep.rows
+    assert rep["holds"] is True, rep["rows"]

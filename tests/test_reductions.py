@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from jmult import (Ideal, LengthValue, Options, RingContext,
+from jmult import (INFINITE, Ideal, Options, RingContext,
                    analytic_spread, e_one_bar, fiber_length_sum,
                    fiber_length_term, general_minimal_reduction, is_reduction,
                    j_zero, local_ideal_equal, loc_quotient_length,
@@ -105,12 +105,12 @@ def test_reduction_number_seed_stable(ctx2):
 
 def test_residual_height_surrogate(ctx2, ctx_family, m2_setup):
     ideal, red, _ = m2_setup
-    assert residual_height_check(ideal, red).all_passed
+    assert residual_height_check(ideal, red)["passed"]
     X, Y = ctx_family.var("x"), ctx_family.var("y")
     for t in (0, 1, 2, 3):
         principal = Ideal(ctx_family, [X * Y ** t])
         redp, _ = general_minimal_reduction(principal, seed=0)
-        assert not residual_height_check(principal, redp).all_passed
+        assert not residual_height_check(principal, redp)["passed"]
 
 
 def test_reduction_ring(ctx2, m2_setup):
@@ -127,36 +127,36 @@ def test_reduction_ring(ctx2, m2_setup):
 
 def test_j_zero_examples(ctx2, ctx_family, m2_setup):
     ideal, red, _ = m2_setup
-    assert j_zero(ideal, red).as_int() == 4
+    assert j_zero(ideal, red) == 4
     m = Ideal.maximal(ctx2)
     redm, _ = general_minimal_reduction(m, seed=0)
-    assert j_zero(m, redm).as_int() == 1
+    assert j_zero(m, redm) == 1
     X, Y = ctx_family.var("x"), ctx_family.var("y")
     for t in (0, 1, 2):
         principal = Ideal(ctx_family, [X * Y ** t])
         redp, _ = general_minimal_reduction(principal, seed=0)
-        assert j_zero(principal, redp).as_int() == t + 1
+        assert j_zero(principal, redp) == t + 1
 
 
 def test_e_one_bar_examples(ctx2, m2_setup):
     ideal, red, r = m2_setup
-    assert e_one_bar(ideal, red, r).as_int() == 1
+    assert e_one_bar(ideal, red, r) == 1
     m = Ideal.maximal(ctx2)
     redm, rm = general_minimal_reduction(m, seed=0)
-    assert e_one_bar(m, redm, rm).as_int() == 0
+    assert e_one_bar(m, redm, rm) == 0
     param = monomial_ideal(ctx2, (1, 0), (0, 1))
     redpar, rpar = general_minimal_reduction(param, seed=3)
-    assert e_one_bar(param, redpar, rpar).as_int() == 0
+    assert e_one_bar(param, redpar, rpar) == 0
 
 
 def test_valabrega_valla_good_case(ctx2, m2_setup):
     ideal, red, r = m2_setup
     rep = valabrega_valla_check(ideal, red, r, nmax=4, an_asserted=True)
-    assert all(rep.per_n)
-    assert rep.sum_value.as_int() == 1
-    assert rep.e1bar.as_int() == 1
-    assert rep.condition_a and rep.condition_b and rep.equivalent
-    assert "holds" in rep.depth_verdict
+    assert all(rep["intersection_condition_per_n"])
+    assert rep["fiber_length_sum"] == 1
+    assert rep["e1_reduction_ring"] == 1
+    assert rep["condition_a"] and rep["condition_b"] and rep["equivalent"]
+    assert "holds" in rep["depth_verdict"]
 
 
 def test_valabrega_valla_failing_case(ctx2):
@@ -165,11 +165,11 @@ def test_valabrega_valla_failing_case(ctx2):
     ideal = monomial_ideal(ctx2, (4, 0), (3, 1), (1, 3), (0, 4))
     red, r = general_minimal_reduction(ideal, seed=0)
     rep = valabrega_valla_check(ideal, red, r, nmax=r + 4, an_asserted=True)
-    assert rep.condition_a is False
-    assert rep.condition_b is False
-    assert rep.equivalent is True
-    assert rep.sum_value.as_int() > rep.e1bar.as_int()
-    assert "fails" in rep.depth_verdict
+    assert rep["condition_a"] is False
+    assert rep["condition_b"] is False
+    assert rep["equivalent"] is True
+    assert rep["fiber_length_sum"] > rep["e1_reduction_ring"]
+    assert "fails" in rep["depth_verdict"]
 
 
 def test_failing_case_located_by_search(ctx2):
@@ -189,12 +189,12 @@ def test_failing_case_located_by_search(ctx2):
             continue
         total = fiber_length_sum(cand, red.full, r)
         e1 = e_one_bar(cand, red, r)
-        if not (total.is_finite and e1.is_finite):
+        if INFINITE in (total, e1):
             continue
         e_oracle = oracle_hilbert_coefficients(MonomialIdeal.from_ideal(cand))
-        assert e1.as_int() == e_oracle[1]
-        if total.as_int() > e1.as_int():
-            found = (cand, total.as_int(), e1.as_int())
+        assert e1 == e_oracle[1]
+        if total > e1:
+            found = (cand, total, e1)
             break
     assert found is not None, "search produced no failing instance"
 
@@ -213,10 +213,10 @@ def test_sum_terms_vanish_from_the_reduction_number(text):
     ideal = parse_problem(text, Options()).ideal
     red, r = general_minimal_reduction(ideal, seed=0)
     for n in range(r):
-        assert fiber_length_term(ideal, red.full, n) != LengthValue.finite(0)
-    assert fiber_length_term(ideal, red.full, r) == LengthValue.finite(0)
+        assert fiber_length_term(ideal, red.full, n) != 0
+    assert fiber_length_term(ideal, red.full, r) == 0
     kernel = reduction_kernel(ideal, red)
     x_last = Ideal(ideal.ctx, [red.elements[ring_dimension(ideal.ctx) - 1]])
     upper = loc_quotient_length(x_last * ideal ** r + kernel)
     lower = loc_quotient_length(ideal ** (r + 1) + kernel)
-    assert upper.as_int() - lower.as_int() == 0
+    assert upper - lower == 0
