@@ -85,15 +85,15 @@ def _flag_error(spec: ProblemSpec) -> str | None:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_intermixed_args(argv)
-    if args.problem == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.problem == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.problem, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return PARSE_ERROR
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return PARSE_ERROR
     options = options_from_args(args)
     try:
         spec = parse_problem(text, options)

@@ -3,11 +3,11 @@ saturation, equality, membership, dimension and codimension.
 
 Every :class:`Ideal` lives over a :class:`~jmult.ring.RingContext` and
 implicitly contains the context relations, so all operations take place in the
-quotient ring.  Ideals are immutable; the reduced grevlex basis is cached on
-the ideal, and the heavier binary operations are memoized on the context
-keyed by the operands' canonical reduced bases, which lets the same
-mathematical ideal reached along different routes share work.  The zero,
-unit and maximal ideals are one shared object per context.
+quotient ring.  Ideals are immutable, and there is one object per context and
+normalized generator list, which holds its reduced grevlex basis and powers.
+The heavier binary operations are memoized on the context keyed by the
+operands' reduced bases, which lets the same mathematical ideal reached
+through different generators share work.
 """
 
 from __future__ import annotations
@@ -29,16 +29,15 @@ class InternalInconsistencyError(RuntimeError):
 
 
 class Ideal:
-    """Finitely generated ideal of the working ring.
-
+    """Finitely generated ideal of the working ring: one object per context
+    and normalized, ordered generator list, alive as long as the context.
     Two ideals are equal exactly when their reduced grevlex bases coincide;
     ``==`` performs that mathematical comparison.
     """
 
     __slots__ = ("ctx", "gens", "_gb", "_powers", "_hash")
 
-    def __init__(self, ctx: RingContext, gens=()):
-        self.ctx = ctx
+    def __new__(cls, ctx: RingContext, gens=()):
         clean = []
         seen = set()
         for g in gens:
@@ -53,30 +52,35 @@ class Ideal:
             if c not in seen:
                 seen.add(c)
                 clean.append(g)
-        self.gens = tuple(_prune_monomial_multiples(clean))
-        self._gb = None
-        self._powers = {}
-        self._hash = None
+        clean = tuple(_prune_monomial_multiples(clean))
 
-    # -- constructors: one shared object per context ---------------------------
+        def build():
+            ideal = object.__new__(cls)
+            ideal.ctx, ideal.gens, ideal._gb = ctx, clean, None
+            ideal._powers, ideal._hash = {}, None
+            return ideal
+
+        return ctx.memo(("ideal",) + tuple(g.canonical() for g in clean), build)
+
+    # -- constructors ----------------------------------------------------------
 
     @staticmethod
     def zero(ctx: RingContext) -> "Ideal":
-        return ctx.memo("zero_ideal", lambda: Ideal(ctx, ()))
+        return Ideal(ctx, ())
 
     @staticmethod
     def unit(ctx: RingContext) -> "Ideal":
-        return ctx.memo("unit_ideal", lambda: Ideal(ctx, (ctx.one,)))
+        return Ideal(ctx, (ctx.one,))
 
     @staticmethod
     def maximal(ctx: RingContext) -> "Ideal":
-        return ctx.memo("maximal_ideal", lambda: Ideal(
-            ctx, tuple(ctx.var(i) for i in range(ctx.nvars))))
+        return Ideal(ctx, tuple(ctx.var(i) for i in range(ctx.nvars)))
 
     @classmethod
     def _with_gb(cls, ctx: RingContext, gb: GroebnerBasis) -> "Ideal":
         ideal = cls(ctx, gb.polys)
-        ideal._gb = gb
+        if ideal._gb is None:
+            ideal._gb = gb
         return ideal
 
     # -- bases and identity ----------------------------------------------------

@@ -50,9 +50,9 @@ class OmegaEvaluator:
 
     Each display method returns the (numerator, denominator) pair of its
     module at index i and degree n, and :meth:`length` takes its length.
-    Lengths are memoized on the ring context under keys naming the ideal and
-    the reduction; J_i : I is memoized by the colon on the shared J_i.  The
-    fitted Hilbert record of the ideal bounds the summation route.
+    Only display lengths are memoized here, under keys naming the ideal and
+    the reduction; fiber, beta and omega_0 lengths hit the pair-length memo.
+    The fitted Hilbert record of the ideal bounds the summation route.
     """
 
     def __init__(self, ideal: Ideal, red: GeneralReduction,
@@ -77,8 +77,7 @@ class OmegaEvaluator:
         return self.red.j(i).colon(self.ideal)
 
     def fiber(self, n: int):
-        return self.ctx.memo((self.key, "fiber", n), lambda: fiber_length_term(
-            self.ideal, self.red.full, n))
+        return fiber_length_term(self.ideal, self.red.full, n)
 
     def length(self, display, i: int, n: int):
         """The length of the module ``display(i, n)``.  Sequences are
@@ -143,12 +142,9 @@ class OmegaEvaluator:
                            (1, self.length(self.n_term, i, n))))
 
     def beta(self):
-        def build():
-            zero_colon = Ideal.zero(self.ctx).colon(self.ideal)
-            return signed_sum(((1, gamma_length(self.ideal)),
-                               (-1, gamma_length(zero_colon + self.ideal))))
-
-        return self.ctx.memo((self.key, "beta"), build)
+        zero_colon = Ideal.zero(self.ctx).colon(self.ideal)
+        return signed_sum(((1, gamma_length(self.ideal)),
+                           (-1, gamma_length(zero_colon + self.ideal))))
 
     # -- the correction itself -----------------------------------------------
 

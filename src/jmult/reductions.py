@@ -30,14 +30,13 @@ class ReductionSearchError(RuntimeError):
 
 
 class GeneralReduction(NamedTuple):
-    """A sampled sequence of general elements of I and its partial ideals
-    J_i = (x_1, ..., x_i), built once and shared by every caller of ``j``;
-    J_0 is the ring's shared zero ideal."""
+    """A sampled sequence of general elements of I.  ``j(i)`` is the partial
+    reduction J_i = (x_1, ..., x_i), the one ideal object of that generator
+    list, so J_0 is the ring's zero ideal."""
 
     ideal: Ideal
     elements: tuple
     seed: int
-    partials: tuple  # J_0 .. J_s
 
     @property
     def count(self) -> int:
@@ -46,7 +45,7 @@ class GeneralReduction(NamedTuple):
     def j(self, i: int) -> Ideal:
         if not 0 <= i <= self.count:
             raise IndexError("partial reduction index out of range")
-        return self.partials[i]
+        return Ideal(self.ideal.ctx, self.elements[:i])
 
     @property
     def full(self) -> Ideal:
@@ -66,10 +65,7 @@ def sample_general_elements(ideal: Ideal, s: int, seed: int) -> GeneralReduction
         for g in ideal.gens:
             x = x + g.scale(rng.randrange(p))
         elements.append(x)
-    partials = (Ideal.zero(ctx),) + tuple(
-        Ideal(ctx, elements[:i]) for i in range(1, s + 1))
-    return GeneralReduction(ideal=ideal, elements=tuple(elements), seed=seed,
-                            partials=partials)
+    return GeneralReduction(ideal=ideal, elements=tuple(elements), seed=seed)
 
 
 # --------------------------------------------------------------------------

@@ -174,6 +174,31 @@ def test_missing_file(capsys):
     assert code == 2
 
 
+def test_undecodable_file_is_input_error(tmp_path, capsys):
+    f = tmp_path / "prob.txt"
+    f.write_bytes(b"ring char=32003 vars=x,y\nideal x\xff\n")
+    code = main(["hilbert", str(f)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_undecodable_stdin_is_input_error(capsys, monkeypatch):
+    class Undecodable:
+        def read(self):
+            raise UnicodeDecodeError("utf-8", b"\xff", 0, 1,
+                                     "invalid start byte")
+
+    monkeypatch.setattr(sys, "stdin", Undecodable())
+    code = main(["hilbert", "-"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("cmd,flags", [
     ("hilbert", ["--window", "0"]),
     ("hilbert", ["--window", "3"]),   # d + 2 = 4 for k[x,y]

@@ -19,9 +19,30 @@ def test_sum_product_power(ctx2, xy):
     assert a ** 0 == Ideal.unit(ctx2)
 
 
-def test_shared_ideals_are_one_object_per_context(ctx2):
+def test_shared_ideals_are_one_object_per_context(ctx2, xy):
     for make in (Ideal.zero, Ideal.unit, Ideal.maximal):
         assert make(ctx2) is make(ctx2)
+    x, y = xy
+    f, g = y ** 2 + x, x ** 3 - y
+    a = Ideal(ctx2, [f, g])
+    assert Ideal(ctx2, [f, g]) is a
+    # normalization drops a zero, a duplicate and a scalar multiple
+    assert Ideal(ctx2, [ctx2.zero, f, f, g, g.scale(5)]) is a
+    assert Ideal(ctx2, [x, ctx2.zero]) is Ideal(ctx2, [x.scale(7)])
+    rev = Ideal(ctx2, [g, f])
+    assert rev is not a
+    assert rev.gens == (g, f)
+    assert a.gens == (f, g)
+    assert rev == a
+    # a separately built context with the same signature shares no object
+    twin = RingContext(("x", "y"), 32003)
+    assert twin == ctx2
+    other = Ideal(twin, [twin.var("x") + twin.var("y") ** 2,
+                         twin.var("x") ** 3 - twin.var("y")])
+    assert other is not a
+    assert other == a
+    assert Ideal.maximal(twin) is not Ideal.maximal(ctx2)
+    assert Ideal.maximal(twin) == Ideal.maximal(ctx2)
 
 
 def test_intersect_examples(ctx2, xy):

@@ -1,5 +1,7 @@
 import pytest
 
+import jmult.ideals
+
 from jmult import (INFINITE, Ideal, OmegaEvaluator, RingContext, fit_hilbert_polynomial,
                    general_minimal_reduction, j_one_depth_formula, j_via_sums,
                    master_identity_check, pair_length)
@@ -27,6 +29,26 @@ def test_omega_zero_dimension_one(ctx_family):
     assert om["total"] == 0
     assert ev.omega(1)["total"] == 0
     assert ev.omega(3)["total"] == 0
+
+
+def test_repeated_omega_zero_computes_no_basis(monkeypatch):
+    """J_(d-1) : I + I is one ideal object per context, so a repeated
+    omega(0) finds its basis, and its length, already computed."""
+    ctx = RingContext(("x", "y"), 32003)
+    ideal = monomial_ideal(ctx, (2, 0), (1, 1), (0, 2))
+    red, r = general_minimal_reduction(ideal, seed=0)
+    ev = OmegaEvaluator(ideal, red, fit_hilbert_polynomial(ideal, extend_to=r + 2))
+    first = ev.omega(0)
+    real = jmult.ideals.groebner_basis
+    bases = []
+
+    def counting(*args, **kwargs):
+        bases.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jmult.ideals, "groebner_basis", counting)
+    assert [ev.omega(0) for _ in range(3)] == [first] * 3
+    assert bases == []
 
 
 def test_omega_zero_m_primary_2d(m2_pipeline):
