@@ -18,7 +18,7 @@ from .reductions import (GeneralReduction, ReductionSearchError,
                          analytic_spread, e_one_bar, fiber_length_sum,
                          fiber_length_term, general_minimal_reduction,
                          is_reduction, j_zero, kernel_corrected_fiber_sum,
-                         local_ideal_equal, reduction_kernel, reduction_number,
+                         local_ideal_equal, reduction_number,
                          residual_height_check, sample_general_elements,
                          valabrega_valla_check)
 from .omega import (OmegaEvaluator, j_one_depth_formula, j_via_sums,

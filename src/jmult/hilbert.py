@@ -9,11 +9,12 @@ polynomial of degree at most d written as
 
 and the coefficients are read off with exact integer arithmetic: one
 backward difference operator serves the window search, the Newton form
-through the window, and j_i = (-1)^i (backward difference of order d - i of
-P at -1).  No a-priori postulation bound exists, so the fit looks for a
-constant d-th difference over a window and then confirms with two extra
-points; the coefficients must reproduce every window value, and the detected
-postulation point is reported so a user can rerun with a larger window.
+through the window, j_i = (-1)^i (backward difference of order d - i of
+P at -1), and the correction terms of ``omega``.  No a-priori postulation
+bound exists, so the fit looks for a constant d-th difference over a window
+and then confirms with two extra points; the coefficients must reproduce
+every window value, and the detected postulation point is reported so a user
+can rerun with a larger window.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from math import comb
 from typing import NamedTuple
 
 from .ideals import Ideal, ring_dimension
-from .lengths import torsion_length
+from .lengths import signed_sum, torsion_length
 
 FIT_N_CAP = 40
 
@@ -47,9 +48,11 @@ def binomial(n: int, k: int) -> int:
     return num
 
 
-def backward_difference(fn, k: int, n: int) -> int:
-    """k-th backward difference of a function of the integers."""
-    return sum((-1) ** j * comb(k, j) * fn(n - j) for j in range(k + 1))
+def backward_difference(fn, k: int, n: int):
+    """k-th backward difference of a function of the integers, whose values
+    may be lengths: an INFINITE value makes the difference INFINITE."""
+    return signed_sum(((-1) ** j * comb(k, j), fn(n - j))
+                      for j in range(k + 1))
 
 
 def detect_polynomial_window(values, d: int, window: int):

@@ -4,7 +4,8 @@ saturation, equality, membership, dimension and codimension.
 Every :class:`Ideal` lives over a :class:`~jmult.ring.RingContext` and
 implicitly contains the context relations, so all operations take place in the
 quotient ring.  Ideals are immutable, and there is one object per context and
-normalized generator list, which holds its reduced grevlex basis and powers.
+normalized generator list, which holds its reduced grevlex basis and powers;
+lists holding the same generators in another order share that basis.
 The heavier binary operations are memoized on the context keyed by the
 operands' reduced bases, which lets the same mathematical ideal reached
 through different generators share work.
@@ -35,7 +36,7 @@ class Ideal:
     ``==`` performs that mathematical comparison.
     """
 
-    __slots__ = ("ctx", "gens", "_gb", "_powers", "_hash")
+    __slots__ = ("ctx", "gens", "_canon", "_gb", "_powers", "_hash")
 
     def __new__(cls, ctx: RingContext, gens=()):
         clean = []
@@ -53,14 +54,15 @@ class Ideal:
                 seen.add(c)
                 clean.append(g)
         clean = tuple(_prune_monomial_multiples(clean))
+        canon = tuple(g.canonical() for g in clean)
 
         def build():
             ideal = object.__new__(cls)
-            ideal.ctx, ideal.gens, ideal._gb = ctx, clean, None
-            ideal._powers, ideal._hash = {}, None
+            ideal.ctx, ideal.gens, ideal._canon = ctx, clean, canon
+            ideal._gb, ideal._powers, ideal._hash = None, {}, None
             return ideal
 
-        return ctx.memo(("ideal",) + tuple(g.canonical() for g in clean), build)
+        return ctx.memo(("ideal",) + canon, build)
 
     # -- constructors ----------------------------------------------------------
 
@@ -80,14 +82,22 @@ class Ideal:
     def _with_gb(cls, ctx: RingContext, gb: GroebnerBasis) -> "Ideal":
         ideal = cls(ctx, gb.polys)
         if ideal._gb is None:
-            ideal._gb = gb
+            ideal._gb = ctx.memo(ideal._gens_key(), lambda: gb)
         return ideal
 
     # -- bases and identity ----------------------------------------------------
 
+    def _gens_key(self):
+        """The generator set, in any order: lists that differ only in order
+        share one basis.  It reuses the canonical generators of the
+        interning key, so the two keys hold one copy of them."""
+        return ("gb",) + tuple(sorted(self._canon))
+
     def gb(self) -> GroebnerBasis:
         if self._gb is None:
-            self._gb = groebner_basis(self.ctx, self.gens)
+            self._gb = self.ctx.memo(
+                self._gens_key(),
+                lambda: groebner_basis(self.ctx, self.gens))
         return self._gb
 
     def key(self):

@@ -22,20 +22,20 @@ from .parser import Options
 from .reductions import GeneralReduction, fiber_length_sum
 
 
-def northcott_bound(ideal: Ideal, red: GeneralReduction):
+def northcott_bound(red: GeneralReduction):
     """(lambda(I/J), residual colength) for dimension at least two.
 
     The second term is the colength of (J_{d-1}:I) + ((J_{d-2}:I + I)
     saturated by m); an infinite lambda(I/J) signals analytic spread below d
     or a failed sample.
     """
-    ctx = ideal.ctx
-    d = ring_dimension(ctx)
+    ideal = red.ideal
+    d = ring_dimension(ideal.ctx)
     if d < 2:
         raise ValueError("the bound is defined for dimension at least two")
-    m = Ideal.maximal(ctx)
+    m = Ideal.maximal(ideal.ctx)
     lam = pair_length(ideal, red.full)
-    resid = red.j(d - 1).colon(ideal) + (red.j(d - 2).colon(ideal) + ideal).saturate(m)
+    resid = red.residual(d - 1) + (red.residual(d - 2) + ideal).saturate(m)
     second = loc_quotient_length(resid)
     return lam, second
 
@@ -46,17 +46,18 @@ def minimal_generator_count(ideal: Ideal):
     return pair_length(ideal, m * ideal)
 
 
-def assemble_northcott(ideal: Ideal, red: GeneralReduction, r: int | None,
-                       j1: int | None, effective: bool, m_primary: bool,
-                       options: Options, extra_notes=()) -> dict:
+def assemble_northcott(red: GeneralReduction, j1: int | None,
+                       effective: bool, m_primary: bool, options: Options,
+                       extra_notes=()) -> dict:
     """The report's JSON from precomputed pieces.  ``j1`` is the fitted
-    coefficient.  The caller resolves whether the hypotheses are in force
+    coefficient, and ``red.r`` is None when no general minimal reduction was
+    verified.  The caller resolves whether the hypotheses are in force
     and whether the ideal is m-primary at the origin, and owns the
     cross-check of ``j1`` by the summation route.  ``bound`` is lambda(I/J)
     plus the second term whenever both are finite, and equality forces the
     inequality."""
-    ctx = ideal.ctx
-    d = ring_dimension(ctx)
+    ideal, r = red.ideal, red.r
+    d = ring_dimension(ideal.ctx)
     notes = list(extra_notes)
     if m_primary and not (options.gd_asserted and options.an_asserted):
         notes.append("ideal is primary to the maximal ideal, so the residual "
@@ -86,18 +87,17 @@ def assemble_northcott(ideal: Ideal, red: GeneralReduction, r: int | None,
                      "and is undefined; reporting the summation decomposition "
                      "of j_1 instead of a bound")
         report["lambda_I_over_J"] = pair_length(ideal, red.full)
-        zero_colon = Ideal.zero(ctx).colon(ideal)
         report["decomposition"] = {
             "fiber_length_sum":
-                fiber_length_sum(ideal, red.full, r) if r is not None
+                fiber_length_sum(red) if r is not None
                 else "not-applicable (no general minimal reduction)",
             "colength(0:I + I)":
-                loc_quotient_length(zero_colon + ideal),
+                loc_quotient_length(red.residual(0) + ideal),
             "torsion(R/I)": gamma_length(ideal),
         }
         return report
 
-    lam, second = northcott_bound(ideal, red)
+    lam, second = northcott_bound(red)
     report["lambda_I_over_J"] = lam
     report["second_term"] = second
     equality = None

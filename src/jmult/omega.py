@@ -29,24 +29,17 @@ lengths is an ``int`` or ``INFINITE``; ``omega`` returns the row
 
 from __future__ import annotations
 
-from math import comb
-
-from .hilbert import HilbertRecord, binomial
+from .hilbert import HilbertRecord, backward_difference, binomial
 from .ideals import Ideal, ring_dimension
 from .lengths import (INFINITE, gamma_length, loc_quotient_length,
                       pair_length, signed_sum)
 from .reductions import GeneralReduction, fiber_length_sum, fiber_length_term
 
 
-def _delta(fn, k: int, n: int):
-    """Backward difference over a length sequence; an INFINITE entry
-    wins."""
-    return signed_sum(((-1) ** j * comb(k, j), fn(n - j))
-                      for j in range(k + 1))
-
-
 class OmegaEvaluator:
-    """Shared-state evaluator for the correction terms of one (I, J) pair.
+    """Shared-state evaluator for the correction terms of one reduction: the
+    ideal I, the general elements and r all come from ``red``, and the
+    residuals J_i : I from ``red.residual``.
 
     Each display method returns the (numerator, denominator) pair of its
     module at index i and degree n, and :meth:`length` takes its length.
@@ -55,26 +48,21 @@ class OmegaEvaluator:
     The fitted Hilbert record of the ideal bounds the summation route.
     """
 
-    def __init__(self, ideal: Ideal, red: GeneralReduction,
-                 record: HilbertRecord):
-        self.ideal = ideal
+    def __init__(self, red: GeneralReduction, record: HilbertRecord):
         self.red = red
+        self.ideal = red.ideal
         self.record = record
-        self.ctx = ideal.ctx
+        self.ctx = red.ideal.ctx
         self.d = ring_dimension(self.ctx)
-        self.key = ("omega", ideal.key(),
+        self.key = ("omega", self.ideal.key(),
                     tuple(e.canonical() for e in red.elements))
 
     # -- building blocks -----------------------------------------------------
 
-    def last_sum_degree(self, r: int) -> int:
+    def last_sum_degree(self) -> int:
         """N = max(r, postulation + d): the fiber lengths vanish from r on and
         the d-th difference of P - H past postulation + d."""
-        return max(r, self.record.postulation + self.d)
-
-    def jc(self, i: int) -> Ideal:
-        """The residual ideal J_i : I."""
-        return self.red.j(i).colon(self.ideal)
+        return max(self.red.r, self.record.postulation + self.d)
 
     def fiber(self, n: int):
         return fiber_length_term(self.ideal, self.red.full, n)
@@ -91,9 +79,9 @@ class OmegaEvaluator:
     # -- displayed modules ------------------------------------------------------
 
     def ktilde(self, i: int, n: int):
-        num = (self.jc(i) + self.ideal ** (n + 1)).colon_element(
-            self.red.elements[i])
-        return num, self.jc(i) + self.ideal ** n
+        jci = self.red.residual(i)
+        num = (jci + self.ideal ** (n + 1)).colon_element(self.red.elements[i])
+        return num, jci + self.ideal ** n
 
     def ltilde(self, i: int, n: int):
         I = self.ideal
@@ -105,7 +93,7 @@ class OmegaEvaluator:
 
     def l_term(self, i: int, n: int):
         I, m = self.ideal, Ideal.maximal(self.ctx)
-        jci, jci1 = self.jc(i), self.jc(i + 1)
+        jci, jci1 = self.red.residual(i), self.red.residual(i + 1)
         num = (jci.intersect(I ** n) + I ** (n + 1)).saturate(m) \
             .intersect(jci1.intersect(I ** n))
         inner = (jci.intersect(I ** (n - 1)) + I ** n).saturate(m) \
@@ -116,7 +104,7 @@ class OmegaEvaluator:
 
     def n_term(self, i: int, n: int):
         I, m = self.ideal, Ideal.maximal(self.ctx)
-        jci, jci1 = self.jc(i), self.jc(i + 1)
+        jci, jci1 = self.red.residual(i), self.red.residual(i + 1)
         num = (jci1.intersect(I ** n) + I ** (n + 1)).saturate(m) \
             .intersect(I ** n)
         den = jci1.intersect(I ** n) \
@@ -126,11 +114,11 @@ class OmegaEvaluator:
 
     def colon_intersection(self, i: int, n: int):
         I, J = self.ideal, self.red.full
-        jci = self.jc(i)
+        jci = self.red.residual(i)
         num = jci.intersect(I ** (n + 1))
         den = jci.intersect(J * (I ** n))
         if i >= 2:
-            prev = self.jc(i - 1)
+            prev = self.red.residual(i - 1)
             num = num + prev
             den = den + prev
         return num, den
@@ -142,9 +130,9 @@ class OmegaEvaluator:
                            (1, self.length(self.n_term, i, n))))
 
     def beta(self):
-        zero_colon = Ideal.zero(self.ctx).colon(self.ideal)
         return signed_sum(((1, gamma_length(self.ideal)),
-                           (-1, gamma_length(zero_colon + self.ideal))))
+                           (-1, gamma_length(self.red.residual(0)
+                                             + self.ideal))))
 
     # -- the correction itself -----------------------------------------------
 
@@ -156,17 +144,20 @@ class OmegaEvaluator:
         parts = []  # (name, coefficient, length)
         if n == 0:
             parts.append(("colength(J[d-1]:I + I)", 1,
-                          loc_quotient_length(self.jc(d - 1) + self.ideal)))
+                          loc_quotient_length(self.red.residual(d - 1)
+                                              + self.ideal)))
             parts.append(("-torsion(R/I)", -1, gamma_length(self.ideal)))
         else:
             for i in range(d - 1):
-                parts.append((f"delta^{d - 1 - i}[Ktilde^{i}]", 1, _delta(
+                ktilde = backward_difference(
                     lambda t, i=i: self.length(self.ktilde, i, t),
-                    d - 1 - i, n)))
+                    d - 1 - i, n)
+                parts.append((f"delta^{d - 1 - i}[Ktilde^{i}]", 1, ktilde))
             for i in range(d - 1):
+                lln = backward_difference(lambda t, i=i: self.lln(i, t),
+                                          d - 2 - i, n)
                 parts.append((f"delta^{d - 2 - i}[Ltilde^{i}-L^{i}+N^{i}]", 1,
-                              _delta(lambda t, i=i: self.lln(i, t),
-                                     d - 2 - i, n)))
+                              lln))
             for i in range(1, d):
                 parts.append((f"-colon_intersection^{i}", -1,
                               self.length(self.colon_intersection, i, n)))
@@ -206,30 +197,29 @@ def master_identity_check(ev: OmegaEvaluator, nmax: int) -> dict:
     return {"rows": rows, "holds": combined_verdict(r["holds"] for r in rows)}
 
 
-def j_via_sums(ev: OmegaEvaluator, i: int, r: int):
+def j_via_sums(ev: OmegaEvaluator, i: int):
     """j_i as the sum over n = i-1 .. N of binom(n, i-1) (fiber length +
-    omega_n), with N = ``ev.last_sum_degree(r)``."""
+    omega_n), with N = ``ev.last_sum_degree()``."""
     if not 1 <= i <= ev.d:
         raise ValueError("coefficient index must be between 1 and d")
 
     def pairs():
-        for n in range(i - 1, ev.last_sum_degree(r) + 1):
+        for n in range(i - 1, ev.last_sum_degree() + 1):
             yield binomial(n, i - 1), ev.fiber(n)
             yield binomial(n, i - 1), ev.omega(n)["total"]
 
     return signed_sum(pairs())
 
 
-def j_one_depth_formula(ideal: Ideal, red: GeneralReduction,
-                        r: int):
+def j_one_depth_formula(red: GeneralReduction):
     """Three-term value for j_1 under the user-asserted depth hypotheses:
     sum of fiber lengths + colength of (J_{d-1}:I + I) - torsion of R/(H+I),
     where H = 0 in dimension one and H = 0:I otherwise, and r is the
     reduction number that bounds the fiber sum."""
-    ctx = ideal.ctx
-    d = ring_dimension(ctx)
-    h = Ideal.zero(ctx) if d == 1 else Ideal.zero(ctx).colon(ideal)
+    ideal = red.ideal
+    d = ring_dimension(ideal.ctx)
+    h = Ideal.zero(ideal.ctx) if d == 1 else red.residual(0)
     return signed_sum((
-        (1, fiber_length_sum(ideal, red.full, r)),
-        (1, loc_quotient_length(red.j(d - 1).colon(ideal) + ideal)),
+        (1, fiber_length_sum(red)),
+        (1, loc_quotient_length(red.residual(d - 1) + ideal)),
         (-1, gamma_length(h + ideal))))

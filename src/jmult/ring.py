@@ -327,12 +327,6 @@ class Polynomial:
 
     # -- structural helpers --------------------------------------------------
 
-    def substitute_zero(self, positions) -> "Polynomial":
-        """Set the listed variables to zero, dropping every term that uses them."""
-        pos = set(positions)
-        out = {e: c for e, c in self.terms.items() if all(e[i] == 0 for i in pos)}
-        return Polynomial(self.ctx, out)
-
     def canonical(self):
         return tuple(sorted(self.terms.items()))
 

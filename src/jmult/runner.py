@@ -29,8 +29,9 @@ from .omega import (OmegaEvaluator, combined_verdict, j_one_depth_formula,
                     j_via_sums, master_identity_check)
 from .oracle import MonomialIdeal, OracleError, mon_quotient_length, oracle_hilbert_coefficients
 from .parser import ProblemSpec, print_problem
-from .reductions import (ReductionSearchError, general_minimal_reduction,
-                         j_zero, residual_height_check, sample_general_elements,
+from .reductions import (GeneralReduction, ReductionSearchError,
+                         general_minimal_reduction, j_zero,
+                         residual_height_check, sample_general_elements,
                          valabrega_valla_check, e_one_bar)
 
 COMMANDS = ("hilbert", "coeffs", "jmult", "reduction", "depthcheck", "omega",
@@ -83,26 +84,25 @@ class Pipeline:
         return analytic_spread(self.ideal)
 
     @cached_property
-    def reduction(self):
-        """(red, r) with r None when the spread falls short of the dimension,
-        in which case d elements are still sampled for the surrogate."""
+    def reduction(self) -> GeneralReduction:
+        """The general minimal reduction.  When the spread falls short of the
+        dimension or the search fails, d elements are still sampled for the
+        surrogate, and their ``r`` is None."""
         if self.spread == self.dim:
             try:
                 return general_minimal_reduction(self.ideal, self.opt.seed)
             except ReductionSearchError as exc:
                 self.flag(CAP_OR_INFINITE, str(exc))
-                return sample_general_elements(self.ideal, self.dim,
-                                               self.opt.seed), None
-        red = sample_general_elements(self.ideal, self.dim, self.opt.seed)
-        # hypotheses_json sets the exit code for this fact
-        self.flag(OK, f"analytic spread {self.spread} is below the ring "
-                      f"dimension {self.dim}; reduction-based routes are "
-                      f"unavailable")
-        return red, None
+        else:
+            # hypotheses_json sets the exit code for this fact
+            self.flag(OK, f"analytic spread {self.spread} is below the ring "
+                          f"dimension {self.dim}; reduction-based routes are "
+                          f"unavailable")
+        return sample_general_elements(self.ideal, self.dim, self.opt.seed)
 
     @property
     def nmax(self) -> int:
-        red, r = self.reduction
+        r = self.reduction.r
         if self.opt.nmax is not None:
             return self.opt.nmax
         return (r if r is not None else 0) + self.dim + 2
@@ -114,8 +114,7 @@ class Pipeline:
 
     @cached_property
     def surrogate(self):
-        red, _ = self.reduction
-        return residual_height_check(self.ideal, red)
+        return residual_height_check(self.reduction)
 
     @cached_property
     def m_primary(self) -> bool:
@@ -133,8 +132,7 @@ class Pipeline:
 
     @cached_property
     def evaluator(self) -> OmegaEvaluator:
-        red, _ = self.reduction
-        return OmegaEvaluator(self.ideal, red, self.record)
+        return OmegaEvaluator(self.reduction, self.record)
 
     # -- envelope -------------------------------------------------------------
 
@@ -212,7 +210,7 @@ class Pipeline:
     def cmd_coeffs(self) -> dict:
         rec = self.record
         d = self.dim
-        red, r = self.reduction
+        red = self.reduction
         j_fit = list(rec.coefficients)
         record_sums = [rec.sum_route_coefficient(i) for i in range(1, d + 1)]
 
@@ -225,12 +223,12 @@ class Pipeline:
                                    "fitted coefficients")
 
         table = {"omega": [], "master_identity": None}
-        if r is not None:
+        if red.r is not None:
             ev = self.evaluator
-            routes["jzero"] = j_zero(self.ideal, red)
-            routes["e1_reduction_ring"] = e_one_bar(self.ideal, red, r)
-            routes["sums"] = [j_via_sums(ev, i, r) for i in range(1, d + 1)]
-            routes["depth_formula"] = j_one_depth_formula(self.ideal, red, r)
+            routes["jzero"] = j_zero(red)
+            routes["e1_reduction_ring"] = e_one_bar(red)
+            routes["sums"] = [j_via_sums(ev, i) for i in range(1, d + 1)]
+            routes["depth_formula"] = j_one_depth_formula(red)
 
             agreement["j0_vs_jzero"] = self._jzero_verdict(routes["jzero"],
                                                            j_fit[0])
@@ -275,16 +273,16 @@ class Pipeline:
                             "finite despite matching analytic spread")
 
     def _reduction_json(self):
-        red, r = self.reduction
+        red = self.reduction
         return {
-            "r": r,
+            "r": red.r,
             "seed": red.seed,
             "elements": [str(e) for e in red.elements],
         }
 
     def cmd_jmult(self) -> dict:
         rec = self.record
-        red, r = self.reduction
+        red = self.reduction
         out = {
             "j0": rec.coefficients[0],
             "analytic_spread": self.spread,
@@ -295,26 +293,25 @@ class Pipeline:
         if not out["positivity_consistent"]:
             self.flag(CROSS_CHECK, "leading coefficient positivity disagrees "
                                    "with the analytic spread criterion")
-        if r is not None:
-            out["jzero_route"] = j_zero(self.ideal, red)
+        if red.r is not None:
+            out["jzero_route"] = j_zero(red)
             out["agrees"] = self._jzero_verdict(out["jzero_route"],
                                                 rec.coefficients[0])
         return out
 
     def cmd_reduction(self) -> dict:
-        red, r = self.reduction
         out = self._reduction_json()
         out["analytic_spread"] = self.spread
-        if r is None and self.spread == self.dim:
+        if out["r"] is None and self.spread == self.dim:
             self.flag(CAP_OR_INFINITE, "no reduction found below the cap")
         return out
 
     def cmd_depthcheck(self) -> dict:
-        red, r = self.reduction
-        if r is None:
+        red = self.reduction
+        if red.r is None:
             return {"error": "depth check needs a general minimal reduction "
                              "(analytic spread must equal the dimension)"}
-        rep = valabrega_valla_check(self.ideal, red, r, self.nmax,
+        rep = valabrega_valla_check(red, self.nmax,
                                     an_asserted=self.opt.an_asserted
                                     or self.m_primary)
         if rep["equivalent"] is False:
@@ -323,8 +320,7 @@ class Pipeline:
         return rep
 
     def cmd_omega(self) -> dict:
-        red, r = self.reduction
-        if r is None:
+        if self.reduction.r is None:
             return {"error": "correction terms need a general minimal reduction"}
         return self._omega_table()
 
@@ -343,18 +339,18 @@ class Pipeline:
 
     def cmd_northcott(self) -> dict:
         rec = self.record
-        red, r = self.reduction
+        red = self.reduction
         j1 = rec.coefficients[1]
         notes = []
-        if r is not None and self.hypotheses_effective:
-            cross = j_via_sums(self.evaluator, 1, r)
+        if red.r is not None and self.hypotheses_effective:
+            cross = j_via_sums(self.evaluator, 1)
             if self.verdict(cross, j1, "summation route for the first "
                                        "coefficient disagrees with the fit",
                             f"not-applicable: {cross}") is False:
                 notes.append("route disagreement: fitted value kept, see "
                              "diagnostics")
         report = assemble_northcott(
-            self.ideal, red, r, j1,
+            red, j1,
             effective=self.hypotheses_effective,
             m_primary=self.m_primary, options=self.opt, extra_notes=notes)
         if report["equality_case"] == "violated":

@@ -53,10 +53,11 @@ def suite(ctx):
     out = []
     for exps in M_PRIMARY_EXPS:
         ideal = monomial_ideal(ctx, *exps)
-        red, r = general_minimal_reduction(ideal, seed=0)
+        red = general_minimal_reduction(ideal, seed=0)
+        r = red.r
         nmax = r + 2 + 2
         record = fit_hilbert_polynomial(ideal, extend_to=nmax + 3)
-        surrogate = residual_height_check(ideal, red)
+        surrogate = residual_height_check(red)
         out.append({"exps": exps, "ideal": ideal, "red": red, "r": r,
                     "nmax": nmax, "record": record, "surrogate": surrogate})
     return out
@@ -102,7 +103,7 @@ def test_criterion_3_master_identity(ctx, suite):
     for item in suite:
         if not item["surrogate"]["passed"]:
             continue
-        ev = OmegaEvaluator(item["ideal"], item["red"], item["record"])
+        ev = OmegaEvaluator(item["red"], item["record"])
         rep = master_identity_check(ev, item["nmax"])
         checked += 1
         if not rep["holds"]:
@@ -114,21 +115,21 @@ def test_criterion_3_master_identity(ctx, suite):
 def test_criterion_4_route_agreement(ctx, suite):
     ok = True
     for item in suite:
-        rec, red, r = item["record"], item["red"], item["r"]
+        rec, red = item["record"], item["red"]
         d = rec.dim
         for i in range(1, d + 1):
             if rec.sum_route_coefficient(i) != rec.coefficients[i]:
                 ok = False
                 print(f"  difference-sum route broke at {item['exps']} i={i}")
         if item["surrogate"]["passed"]:
-            ev = OmegaEvaluator(item["ideal"], red, rec)
+            ev = OmegaEvaluator(red, rec)
             for i in range(1, d + 1):
-                v = j_via_sums(ev, i, r)
+                v = j_via_sums(ev, i)
                 if v != rec.coefficients[i]:
                     ok = False
                     print(f"  summation route broke at {item['exps']} i={i}: "
                           f"{v} vs {rec.coefficients[i]}")
-        jz = j_zero(item["ideal"], red)
+        jz = j_zero(red)
         if jz != rec.coefficients[0]:
             ok = False
             print(f"  leading-coefficient route broke at {item['exps']}")
@@ -143,7 +144,7 @@ def test_criterion_5_northcott(ctx, suite):
             continue
         rec, red, r = item["record"], item["red"], item["r"]
         j1 = rec.coefficients[1]
-        lam, second = northcott_bound(item["ideal"], red)
+        lam, second = northcott_bound(red)
         bound = lam + second
         if not (j1 >= bound >= 0):
             ok = False
@@ -198,15 +199,14 @@ def test_criterion_7_reduction_ring_sum_and_depth_consistency(ctx, suite):
     ok = True
     failing_seen = 0
     for item in suite:
-        ideal, red, r = item["ideal"], item["red"], item["r"]
-        lhs = kernel_corrected_fiber_sum(ideal, red, r)
-        rhs = e_one_bar(ideal, red, r)
+        red = item["red"]
+        lhs = kernel_corrected_fiber_sum(red)
+        rhs = e_one_bar(red)
         if INFINITE in (lhs, rhs) or lhs != rhs:
             ok = False
             print(f"  corrected sum mismatch at {item['exps']}: "
                   f"{lhs} vs {rhs}")
-        vv = valabrega_valla_check(ideal, red, r, item["nmax"],
-                                   an_asserted=True)
+        vv = valabrega_valla_check(red, item["nmax"], an_asserted=True)
         if vv["equivalent"] is not True:
             ok = False
             print(f"  condition equivalence broke at {item['exps']}")

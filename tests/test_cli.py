@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 import jmult.ideals
+import jmult.lengths
 import jmult.omega
 import jmult.runner
 from jmult.cli import main
@@ -84,6 +85,23 @@ def test_maximal_ideal_basis_computed_once(capsys, monkeypatch):
     code, _ = run_cli(capsys, monkeypatch, "coeffs", M2)
     assert code == 0
     assert len(m_bases) == 1
+
+
+def test_each_generator_set_has_one_basis(capsys, monkeypatch):
+    """Generator lists that differ only in order share one basis, so a run
+    computes one Groebner basis per distinct generator set."""
+    sets = []
+    for module in (jmult.ideals, jmult.lengths):
+        def counting(ctx, polys, *args, _real=module.groebner_basis,
+                     **kwargs):
+            sets.append((ctx._sig, tuple(sorted(f.canonical()
+                                                for f in polys))))
+            return _real(ctx, polys, *args, **kwargs)
+
+        monkeypatch.setattr(module, "groebner_basis", counting)
+    code, _ = run_cli(capsys, monkeypatch, "coeffs", M2)
+    assert code == 0
+    assert len(sets) == len(set(sets))
 
 
 def test_reduction_command(capsys, monkeypatch):
@@ -282,7 +300,7 @@ DEGRADED = "infinite"
 def test_sums_degradation_is_not_applicable(capsys, monkeypatch):
     """Under passing hypotheses a non-finite summation entry is a named term
     degradation (exit 4, noted once), not a disagreement (exit 5)."""
-    monkeypatch.setattr(jmult.runner, "j_via_sums", lambda ev, i, r: INFINITE)
+    monkeypatch.setattr(jmult.runner, "j_via_sums", lambda ev, i: INFINITE)
     code, out = run_cli(capsys, monkeypatch, "coeffs", M2)
     rep = json.loads(out)
     assert rep["results"]["j"] == [4, 1, 0]
@@ -296,7 +314,7 @@ def test_northcott_finite_mismatch_is_cross_check(capsys, monkeypatch):
     """A finite summation j_1 that differs from the fit is a cross-check
     violation (exit 5); the fitted value is kept and the report says so."""
     monkeypatch.setattr(jmult.runner, "j_via_sums",
-                        lambda ev, i, r: 99)
+                        lambda ev, i: 99)
     code, out = run_cli(capsys, monkeypatch, "northcott", M2)
     rep = json.loads(out)
     assert rep["results"]["j1"] == 1
@@ -311,7 +329,7 @@ def test_northcott_infinite_sum_is_not_applicable(capsys, monkeypatch):
     """An infinite summation j_1 leaves the cross-check undecided: exit 4,
     noted once, as in ``coeffs``."""
     monkeypatch.setattr(jmult.runner, "j_via_sums",
-                        lambda ev, i, r: INFINITE)
+                        lambda ev, i: INFINITE)
     code, out = run_cli(capsys, monkeypatch, "northcott", M2)
     rep = json.loads(out)
     assert rep["results"]["j1"] == 1
@@ -323,7 +341,7 @@ def test_northcott_infinite_sum_is_not_applicable(capsys, monkeypatch):
 
 def test_sums_finite_mismatch_is_cross_check(capsys, monkeypatch):
     monkeypatch.setattr(jmult.runner, "j_via_sums",
-                        lambda ev, i, r: 99)
+                        lambda ev, i: 99)
     code, out = run_cli(capsys, monkeypatch, "coeffs", M2)
     rep = json.loads(out)
     assert rep["results"]["agreement"]["fit_vs_sums"] is False
@@ -365,7 +383,7 @@ def test_master_identity_row_exit_code(capsys, monkeypatch, degraded, want):
 
 def test_internal_inconsistency_exits_5(capsys, monkeypatch):
     """An internal bug is reported with exit 5, never as a traceback."""
-    def broken(ideal, red):
+    def broken(red):
         raise InternalInconsistencyError("inexact division in colon computation")
 
     monkeypatch.setattr(jmult.runner, "j_zero", broken)
@@ -457,7 +475,7 @@ def test_infinite_jzero_is_not_applicable(capsys, monkeypatch, cmd, path):
     """An infinite reduction-ring multiplicity leaves the comparison with the
     fitted j_0 undecided in both commands: exit 4, noted once."""
     monkeypatch.setattr(jmult.runner, "j_zero",
-                        lambda ideal, red: INFINITE)
+                        lambda red: INFINITE)
     code, out = run_cli(capsys, monkeypatch, cmd, M2)
     rep = json.loads(out)
     value = rep["results"]

@@ -15,21 +15,21 @@ def _report(text, **opts):
 
 def test_bound_m_primary(ctx2):
     ideal = monomial_ideal(ctx2, (2, 0), (1, 1), (0, 2))
-    red, r = general_minimal_reduction(ideal, seed=0)
-    lam, second = northcott_bound(ideal, red)
+    red = general_minimal_reduction(ideal, seed=0)
+    lam, second = northcott_bound(red)
     assert lam == 1 and second == 0
     m = Ideal.maximal(ctx2)
-    redm, _ = general_minimal_reduction(m, seed=0)
-    lam, second = northcott_bound(m, redm)
+    redm = general_minimal_reduction(m, seed=0)
+    lam, second = northcott_bound(redm)
     assert lam == 0 and second == 0
 
 
 def test_bound_requires_dimension_two(ctx_family):
     X = ctx_family.var("x")
     m = Ideal.maximal(ctx_family)
-    red, _ = general_minimal_reduction(m, seed=0)
+    red = general_minimal_reduction(m, seed=0)
     with pytest.raises(ValueError):
-        northcott_bound(m, red)
+        northcott_bound(red)
 
 
 def test_report_m2():
@@ -93,8 +93,8 @@ def test_classical_northcott_comparison(ctx2):
     for exps in [((2, 0), (1, 1), (0, 2)), ((3, 0), (1, 1), (0, 3)),
                  ((2, 0), (0, 2))]:
         ideal = monomial_ideal(ctx2, *exps)
-        red, r = general_minimal_reduction(ideal, seed=0)
-        lam, second = northcott_bound(ideal, red)
+        red = general_minimal_reduction(ideal, seed=0)
+        lam, second = northcott_bound(red)
         assert second == 0
         e = oracle_hilbert_coefficients(MonomialIdeal.from_ideal(ideal))
         colength = loc_quotient_length(ideal)

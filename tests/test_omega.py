@@ -12,9 +12,10 @@ from conftest import monomial_ideal
 @pytest.fixture(scope="module")
 def m2_pipeline(ctx2):
     ideal = monomial_ideal(ctx2, (2, 0), (1, 1), (0, 2))
-    red, r = general_minimal_reduction(ideal, seed=0)
+    red = general_minimal_reduction(ideal, seed=0)
+    r = red.r
     rec = fit_hilbert_polynomial(ideal, extend_to=r + 7)
-    ev = OmegaEvaluator(ideal, red, rec)
+    ev = OmegaEvaluator(red, rec)
     return ideal, red, r, rec, ev
 
 
@@ -23,8 +24,8 @@ def test_omega_zero_dimension_one(ctx_family):
     degree-zero correction cancel."""
     X = ctx_family.var("x")
     m = Ideal.maximal(ctx_family)
-    red, r = general_minimal_reduction(m, seed=0)
-    ev = OmegaEvaluator(m, red, fit_hilbert_polynomial(m))
+    red = general_minimal_reduction(m, seed=0)
+    ev = OmegaEvaluator(red, fit_hilbert_polynomial(m))
     om = ev.omega(0)
     assert om["total"] == 0
     assert ev.omega(1)["total"] == 0
@@ -36,8 +37,9 @@ def test_repeated_omega_zero_computes_no_basis(monkeypatch):
     omega(0) finds its basis, and its length, already computed."""
     ctx = RingContext(("x", "y"), 32003)
     ideal = monomial_ideal(ctx, (2, 0), (1, 1), (0, 2))
-    red, r = general_minimal_reduction(ideal, seed=0)
-    ev = OmegaEvaluator(ideal, red, fit_hilbert_polynomial(ideal, extend_to=r + 2))
+    red = general_minimal_reduction(ideal, seed=0)
+    r = red.r
+    ev = OmegaEvaluator(red, fit_hilbert_polynomial(ideal, extend_to=r + 2))
     first = ev.omega(0)
     real = jmult.ideals.groebner_basis
     bases = []
@@ -75,10 +77,11 @@ def test_master_identity_m_primary_suite(ctx2):
                  ((3, 0), (1, 1), (0, 3)),
                  ((4, 0), (3, 1), (1, 3), (0, 4))]:
         ideal = monomial_ideal(ctx2, *exps)
-        red, r = general_minimal_reduction(ideal, seed=0)
+        red = general_minimal_reduction(ideal, seed=0)
+        r = red.r
         nmax = r + 4
         rec = fit_hilbert_polynomial(ideal, extend_to=nmax + 3)
-        ev = OmegaEvaluator(ideal, red, rec)
+        ev = OmegaEvaluator(red, rec)
         rep = master_identity_check(ev, nmax)
         assert rep["holds"], (exps, rep["rows"])
 
@@ -88,29 +91,30 @@ def test_master_identity_failure_visible_without_hypotheses(ctx_family):
     degrades to non-evaluable rows rather than lying."""
     X, Y = ctx_family.var("x"), ctx_family.var("y")
     ideal = Ideal(ctx_family, [X * Y])
-    red, r = general_minimal_reduction(ideal, seed=0)
+    red = general_minimal_reduction(ideal, seed=0)
+    r = red.r
     rec = fit_hilbert_polynomial(ideal, extend_to=r + 5)
-    ev = OmegaEvaluator(ideal, red, rec)
+    ev = OmegaEvaluator(red, rec)
     rep = master_identity_check(ev, r + 3)
     assert not rep["holds"]
 
 
 def test_j_via_sums_routes(ctx2, m2_pipeline):
     ideal, red, r, rec, ev = m2_pipeline
-    assert j_via_sums(ev, 1, r) == 1 == rec.coefficients[1]
-    assert j_via_sums(ev, 2, r) == 0 == rec.coefficients[2]
+    assert j_via_sums(ev, 1) == 1 == rec.coefficients[1]
+    assert j_via_sums(ev, 2) == 0 == rec.coefficients[2]
     param = monomial_ideal(ctx2, (1, 0), (0, 1))
-    redp, rp = general_minimal_reduction(param, seed=0)
-    evp = OmegaEvaluator(param, redp, fit_hilbert_polynomial(param))
-    assert j_via_sums(evp, 1, rp) == 0
+    redp = general_minimal_reduction(param, seed=0)
+    evp = OmegaEvaluator(redp, fit_hilbert_polynomial(param))
+    assert j_via_sums(evp, 1) == 0
 
 
 def test_j_one_depth_formula(ctx2, m2_pipeline):
     ideal, red, r, rec, ev = m2_pipeline
-    assert j_one_depth_formula(ideal, red, r) == 1
+    assert j_one_depth_formula(red) == 1
     m = Ideal.maximal(ctx2)
-    redm, rm = general_minimal_reduction(m, seed=0)
-    assert j_one_depth_formula(m, redm, rm) == 0
+    redm = general_minimal_reduction(m, seed=0)
+    assert j_one_depth_formula(redm) == 0
 
 
 @pytest.mark.parametrize("gens", [((1, 0, 0), (0, 1, 0), (0, 0, 1)),
@@ -121,11 +125,12 @@ def test_sums_and_master_identity_dimension_three(gens):
     gives every fitted coefficient and the master identity holds."""
     ctx3 = RingContext(("x", "y", "z"), 32003)
     ideal = monomial_ideal(ctx3, *gens)
-    red, r = general_minimal_reduction(ideal, seed=0)
+    red = general_minimal_reduction(ideal, seed=0)
+    r = red.r
     nmax = r + 5
     rec = fit_hilbert_polynomial(ideal, extend_to=nmax + 4)
-    ev = OmegaEvaluator(ideal, red, rec)
-    assert [j_via_sums(ev, i, r) for i in (1, 2, 3)] \
+    ev = OmegaEvaluator(red, rec)
+    assert [j_via_sums(ev, i) for i in (1, 2, 3)] \
         == list(rec.coefficients[1:])
     rep = master_identity_check(ev, nmax)
     assert rep["holds"] is True, rep["rows"]

@@ -6,7 +6,7 @@ from jmult import (INFINITE, Ideal, Options, RingContext,
                    analytic_spread, e_one_bar, fiber_length_sum,
                    fiber_length_term, general_minimal_reduction, is_reduction,
                    j_zero, local_ideal_equal, loc_quotient_length,
-                   parse_problem, reduction_kernel, reduction_number,
+                   parse_problem, reduction_number,
                    residual_height_check, ring_dimension,
                    sample_general_elements, valabrega_valla_check)
 
@@ -16,7 +16,8 @@ from conftest import monomial_ideal
 @pytest.fixture(scope="module")
 def m2_setup(ctx2):
     ideal = monomial_ideal(ctx2, (2, 0), (1, 1), (0, 2))
-    red, r = general_minimal_reduction(ideal, seed=0)
+    red = general_minimal_reduction(ideal, seed=0)
+    r = red.r
     return ideal, red, r
 
 
@@ -42,6 +43,18 @@ def test_partial_reductions_are_shared(ctx2, m2_setup):
     assert red.j(0) is Ideal.zero(ctx2)
 
 
+def test_reduction_carries_r_and_its_residuals(ctx2, m2_setup):
+    """A verified reduction carries r = r_J(I); J_i : I and
+    K = J_(d-1) : I^infinity are the ideal's own colon and saturation."""
+    ideal, red, _ = m2_setup
+    assert red.r == reduction_number(ideal, red.full)
+    assert sample_general_elements(ideal, 2, seed=0).r is None
+    for i in range(red.count + 1):
+        assert red.residual(i) is red.j(i).colon(ideal)
+    d = ring_dimension(ctx2)
+    assert red.kernel() == red.j(d - 1).saturate(ideal)
+
+
 def test_analytic_spread_examples(ctx2, ctx_family, xy):
     x, y = xy
     assert analytic_spread(Ideal(ctx2, [x])) == 1
@@ -50,6 +63,16 @@ def test_analytic_spread_examples(ctx2, ctx_family, xy):
     X, Y = ctx_family.var("x"), ctx_family.var("y")
     for t in range(3):
         assert analytic_spread(Ideal(ctx_family, [X * Y ** t])) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "ring char=32003 vars=x,y,z\nideal x^4,x^3*y,x*y^3,y^4,z\n",
+    "ring char=32003 vars=x,y,z,w\nideal x*y,y*z,z*w,w*x\n",
+], ids=["staircase-z", "four-cycle"])
+def test_analytic_spread_three(text):
+    """Both special fibers are three-dimensional: k[x,y]-staircase fiber
+    plus z, and the toric ring k[T]/(T_1 T_3 - T_2 T_4) of the 4-cycle."""
+    assert analytic_spread(parse_problem(text, Options()).ideal) == 3
 
 
 def test_analytic_spread_quotient_ring():
@@ -86,12 +109,14 @@ def test_general_minimal_reduction(ctx2, ctx_family, m2_setup):
     assert red.count == 2
     assert r == 1
     m = Ideal.maximal(ctx2)
-    redm, rm = general_minimal_reduction(m, seed=0)
+    redm = general_minimal_reduction(m, seed=0)
+    rm = redm.r
     assert rm == 0
     X = ctx_family.var("x")
     Y = ctx_family.var("y")
     principal = Ideal(ctx_family, [X * Y])
-    redp, rp = general_minimal_reduction(principal, seed=0)
+    redp = general_minimal_reduction(principal, seed=0)
+    rp = redp.r
     assert rp == 0 and redp.count == 1
 
 
@@ -99,59 +124,59 @@ def test_reduction_number_seed_stable(ctx2):
     for exps in [((1, 0), (0, 1)), ((2, 0), (1, 1), (0, 2)),
                  ((3, 0), (1, 1), (0, 3))]:
         ideal = monomial_ideal(ctx2, *exps)
-        rs = {general_minimal_reduction(ideal, seed=s)[1] for s in (0, 1, 2)}
+        rs = {general_minimal_reduction(ideal, seed=s).r for s in (0, 1, 2)}
         assert len(rs) == 1
 
 
 def test_residual_height_surrogate(ctx2, ctx_family, m2_setup):
     ideal, red, _ = m2_setup
-    assert residual_height_check(ideal, red)["passed"]
+    assert residual_height_check(red)["passed"]
     X, Y = ctx_family.var("x"), ctx_family.var("y")
     for t in (0, 1, 2, 3):
         principal = Ideal(ctx_family, [X * Y ** t])
-        redp, _ = general_minimal_reduction(principal, seed=0)
-        assert not residual_height_check(principal, redp)["passed"]
+        redp = general_minimal_reduction(principal, seed=0)
+        assert not residual_height_check(redp)["passed"]
 
 
 def test_reduction_ring(ctx2, m2_setup):
     ideal, red, _ = m2_setup
-    kernel = reduction_kernel(ideal, red)
+    kernel = red.kernel()
     assert kernel.dimension() == 1
     assert (kernel + ideal).dimension() <= 0
     m = Ideal.maximal(ctx2)
-    redm, _ = general_minimal_reduction(m, seed=0)
-    kernelm = reduction_kernel(m, redm)
+    redm = general_minimal_reduction(m, seed=0)
+    kernelm = redm.kernel()
     assert kernelm.dimension() == 1
     assert (kernelm + m).dimension() <= 0
 
 
 def test_j_zero_examples(ctx2, ctx_family, m2_setup):
     ideal, red, _ = m2_setup
-    assert j_zero(ideal, red) == 4
+    assert j_zero(red) == 4
     m = Ideal.maximal(ctx2)
-    redm, _ = general_minimal_reduction(m, seed=0)
-    assert j_zero(m, redm) == 1
+    redm = general_minimal_reduction(m, seed=0)
+    assert j_zero(redm) == 1
     X, Y = ctx_family.var("x"), ctx_family.var("y")
     for t in (0, 1, 2):
         principal = Ideal(ctx_family, [X * Y ** t])
-        redp, _ = general_minimal_reduction(principal, seed=0)
-        assert j_zero(principal, redp) == t + 1
+        redp = general_minimal_reduction(principal, seed=0)
+        assert j_zero(redp) == t + 1
 
 
 def test_e_one_bar_examples(ctx2, m2_setup):
-    ideal, red, r = m2_setup
-    assert e_one_bar(ideal, red, r) == 1
+    _, red, _ = m2_setup
+    assert e_one_bar(red) == 1
     m = Ideal.maximal(ctx2)
-    redm, rm = general_minimal_reduction(m, seed=0)
-    assert e_one_bar(m, redm, rm) == 0
+    redm = general_minimal_reduction(m, seed=0)
+    assert e_one_bar(redm) == 0
     param = monomial_ideal(ctx2, (1, 0), (0, 1))
-    redpar, rpar = general_minimal_reduction(param, seed=3)
-    assert e_one_bar(param, redpar, rpar) == 0
+    redpar = general_minimal_reduction(param, seed=3)
+    assert e_one_bar(redpar) == 0
 
 
 def test_valabrega_valla_good_case(ctx2, m2_setup):
-    ideal, red, r = m2_setup
-    rep = valabrega_valla_check(ideal, red, r, nmax=4, an_asserted=True)
+    _, red, _ = m2_setup
+    rep = valabrega_valla_check(red, nmax=4, an_asserted=True)
     assert all(rep["intersection_condition_per_n"])
     assert rep["fiber_length_sum"] == 1
     assert rep["e1_reduction_ring"] == 1
@@ -163,8 +188,9 @@ def test_valabrega_valla_failing_case(ctx2):
     """The depth-zero staircase: the summation exceeds e1 and the
     intersection condition fails at the matching degree."""
     ideal = monomial_ideal(ctx2, (4, 0), (3, 1), (1, 3), (0, 4))
-    red, r = general_minimal_reduction(ideal, seed=0)
-    rep = valabrega_valla_check(ideal, red, r, nmax=r + 4, an_asserted=True)
+    red = general_minimal_reduction(ideal, seed=0)
+    r = red.r
+    rep = valabrega_valla_check(red, nmax=r + 4, an_asserted=True)
     assert rep["condition_a"] is False
     assert rep["condition_b"] is False
     assert rep["equivalent"] is True
@@ -184,11 +210,12 @@ def test_failing_case_located_by_search(ctx2):
         diag = [(a - i, i) for i in range(a + 1)]
         keep = [diag[0], diag[-1]] + [e for e in diag[1:-1] if rng.random() < 0.5]
         cand = monomial_ideal(ctx2, *sorted(set(keep)))
-        red, r = general_minimal_reduction(cand, seed=1)
+        red = general_minimal_reduction(cand, seed=1)
+        r = red.r
         if r is None:
             continue
-        total = fiber_length_sum(cand, red.full, r)
-        e1 = e_one_bar(cand, red, r)
+        total = fiber_length_sum(red)
+        e1 = e_one_bar(red)
         if INFINITE in (total, e1):
             continue
         e_oracle = oracle_hilbert_coefficients(MonomialIdeal.from_ideal(cand))
@@ -211,11 +238,12 @@ def test_sum_terms_vanish_from_the_reduction_number(text):
     fiber term length(I^(n+1)/J I^n) is nonzero below r and 0 at r, and the
     reduction-ring term length(Ibar^(r+1)/xbar Ibar^r) is 0."""
     ideal = parse_problem(text, Options()).ideal
-    red, r = general_minimal_reduction(ideal, seed=0)
+    red = general_minimal_reduction(ideal, seed=0)
+    r = red.r
     for n in range(r):
         assert fiber_length_term(ideal, red.full, n) != 0
     assert fiber_length_term(ideal, red.full, r) == 0
-    kernel = reduction_kernel(ideal, red)
+    kernel = red.kernel()
     x_last = Ideal(ideal.ctx, [red.elements[ring_dimension(ideal.ctx) - 1]])
     upper = loc_quotient_length(x_last * ideal ** r + kernel)
     lower = loc_quotient_length(ideal ** (r + 1) + kernel)
