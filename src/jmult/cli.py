@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .hilbert import FIT_N_CAP
 from .ideals import ring_dimension
 from .parser import Options, ProblemError, ProblemSpec, parse_problem
 from .runner import COMMANDS, PARSE_ERROR, emit_report, run_command
@@ -77,9 +78,15 @@ def _flag_error(spec: ProblemSpec) -> str | None:
     opt = spec.options
     if opt.nmax is not None and opt.nmax < 0:
         return f"--nmax must be at least 0, got {opt.nmax}"
-    if opt.window is not None and opt.window < ring_dimension(spec.ring) + 2:
-        return (f"--window must be at least d + 2 = "
-                f"{ring_dimension(spec.ring) + 2}, got {opt.window}")
+    if opt.nmax is None and opt.window is None:
+        return None
+    d = ring_dimension(spec.ring)
+    if opt.nmax is not None and opt.nmax > FIT_N_CAP - d - 1:
+        return (f"--nmax must be at most {FIT_N_CAP} - d - 1 = "
+                f"{FIT_N_CAP - d - 1}, since the Hilbert table stops at "
+                f"n = {FIT_N_CAP}, got {opt.nmax}")
+    if opt.window is not None and opt.window < d + 2:
+        return f"--window must be at least d + 2 = {d + 2}, got {opt.window}"
     return None
 
 

@@ -5,7 +5,8 @@ basis row as one monic record ``(lead, tail)``: the leading exponent and a
 tuple of the other ``(exponent, residue)`` terms, built once by
 :func:`_monic_row`.  :class:`GroebnerBasis` wraps the rows at the boundary.
 
-A monomial order is its sort-key function (:mod:`jmult.ring`).  Input
+A monomial order is its sort-key function (:mod:`jmult.ring`): the raw
+engine runs under any order, and every basis it stores is grevlex.  Input
 generators join the basis by increasing lead, each first reduced by the rows
 before it, so a redundant generator adds no row and no pairs.  Pairs are
 judged in one place, the Gebauer-Moller update run when a row joins the basis
@@ -227,19 +228,18 @@ def monomial_quotient_dimension(leads, nvars: int) -> int:
 
 
 class GroebnerBasis:
-    """Reduced monic Groebner basis with its context and order.
+    """Reduced monic grevlex Groebner basis with its context.
 
     Auto-reduced: no leading monomial divides another, every S-polynomial
     reduces to zero (checked by :meth:`certify` in the tests).
     """
 
-    __slots__ = ("ctx", "order", "rows", "leads", "polys", "_key")
+    __slots__ = ("ctx", "rows", "leads", "polys", "_key")
 
-    def __init__(self, ctx: RingContext, order, rows):
+    def __init__(self, ctx: RingContext, rows):
         """``rows`` are monic (lead, tail) records as :func:`buchberger_raw`
-        returns them, sorted descending by lead."""
+        returns them under grevlex, sorted descending by lead."""
         self.ctx = ctx
-        self.order = order
         self.rows = tuple(rows)
         self.leads = tuple(le for le, _ in self.rows)
         self.polys = tuple(Polynomial(ctx, dict(((le, 1),) + tail))
@@ -269,7 +269,7 @@ class GroebnerBasis:
             raise ValueError("polynomial from a different context")
         if not self.rows:
             return f
-        r = _reduce_raw(f.terms, self.rows, self.order, self.ctx.char)
+        r = _reduce_raw(f.terms, self.rows, grevlex, self.ctx.char)
         return Polynomial(self.ctx, r)
 
     def contains(self, f: Polynomial) -> bool:
@@ -286,7 +286,7 @@ class GroebnerBasis:
         p = self.ctx.char
         for f, g in combinations(self.rows, 2):
             s = _spoly(f, g, mono_lcm(f[0], g[0]), p)
-            if s and _reduce_raw(s, self.rows, self.order, p):
+            if s and _reduce_raw(s, self.rows, grevlex, p):
                 return False
         return True
 
@@ -298,4 +298,4 @@ def groebner_basis(ctx: RingContext, polys,
     rows = [f.terms for f in polys if not f.is_zero()]
     rows.extend(dict(data) for data in ctx.relations)
     raw = buchberger_raw(rows, ctx.nvars, ctx.char, grevlex, pair_cap=pair_cap)
-    return GroebnerBasis(ctx, grevlex, raw)
+    return GroebnerBasis(ctx, raw)

@@ -182,6 +182,9 @@ def fit_hilbert_polynomial(ideal: Ideal, window: int | None = None,
             break
         n += 1
         if n > FIT_N_CAP:
+            if region is not None:
+                raise FitError(f"the table of H was asked to reach n = "
+                               f"{extend_to}, past the cap n = {FIT_N_CAP}")
             raise FitError(f"no polynomial window of size {window} "
                            f"found up to n = {FIT_N_CAP}")
     s, e = region

@@ -1,5 +1,5 @@
 """Ideal-level operator algebra: sum, product, power, intersection, colon,
-saturation, equality, membership, dimension and codimension.
+saturation, elimination, equality, membership, dimension and codimension.
 
 Every :class:`Ideal` lives over a :class:`~jmult.ring.RingContext` and
 implicitly contains the context relations, so all operations take place in the
@@ -9,11 +9,17 @@ lists holding the same generators in another order share that basis.
 The heavier binary operations are memoized on the context keyed by the
 operands' reduced bases, which lets the same mathematical ideal reached
 through different generators share work.
+
+Intersection, colon and saturation adjoin an auxiliary variable t and
+eliminate it (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
+4.3-4.4).  An auxiliary variable is always one variable appended last, so one
+order (:func:`~jmult.ring.elimination_order`) and one helper eliminate it.
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import reduce
 
 from .groebner import GroebnerBasis, buchberger_raw, groebner_basis
 from .ring import (ContextMismatchError, Polynomial, RingContext,
@@ -169,12 +175,6 @@ class Ideal:
         self._powers[n] = out
         return out
 
-    def scaled_by(self, f: Polynomial) -> "Ideal":
-        """The ideal f * self."""
-        if f.is_zero():
-            return Ideal.zero(self.ctx)
-        return Ideal(self.ctx, tuple(f * g for g in self.gens))
-
     # -- Groebner-backed operations -------------------------------------------------
 
     def intersect(self, other: "Ideal") -> "Ideal":
@@ -227,22 +227,16 @@ def ring_dimension(ctx: RingContext) -> int:
     return ctx.memo("ring_dim", lambda: Ideal.zero(ctx).dimension())
 
 
-def eliminate(a: Ideal, drop_names) -> Ideal:
-    """Generators of a ∩ k[remaining variables], computed with a block order.
-    The dropped variables must be the trailing ones; others raise ValueError.
+def eliminate(a: Ideal) -> Ideal:
+    """Generators of a ∩ k[all variables but the last].
 
     The result lives in a fresh context on the remaining variables with an
     empty relation list; the image of the original relations is already
     carried by the returned generators.
     """
     ctx = a.ctx
-    drop = {ctx.var_index(v) if isinstance(v, str) else v for v in drop_names}
-    keep = ctx.nvars - len(drop)
-    if drop != set(range(keep, ctx.nvars)):
-        raise ValueError("only the trailing variables can be eliminated")
-    sub_ctx = RingContext(ctx.var_names[:keep], ctx.char)
-    return _eliminate_trailing(ctx, sub_ctx, a.gens, len(drop),
-                               include_relations=True)
+    base = RingContext(ctx.var_names[:-1], ctx.char)
+    return _eliminate_last(ctx, base, a.gens, include_relations=True)
 
 
 # --------------------------------------------------------------------------
@@ -261,28 +255,36 @@ def _prune_monomial_multiples(gens):
     return out
 
 
-def _aux_context(ctx: RingContext):
-    return extend_context(ctx, ("@t",))
+def _with_t(ctx: RingContext):
+    """The context with the auxiliary variable t appended last, and t."""
+    ext = extend_context(ctx, ("@t",))
+    return ext, ext.var(ext.nvars - 1)
 
 
-def _eliminate_trailing(ext_ctx: RingContext, base_ctx: RingContext, rows,
-                        n_aux: int, include_relations: bool) -> Ideal:
-    """Groebner-eliminate the trailing n_aux variables, with the context
-    relations adjoined when asked, and return the result as an ideal of the
-    base context, seeding its grevlex basis from the restricted block-order
+def _eliminate_last(ext: RingContext, base: RingContext, rows,
+                    include_relations: bool) -> Ideal:
+    """Groebner-eliminate the last variable of ``ext`` from ``rows``, with
+    the context relations adjoined when asked, and return the result as an
+    ideal of ``base``, seeding its grevlex basis from the elimination
     basis."""
     terms = [f.terms for f in rows]
     if include_relations:
-        terms.extend(dict(data) for data in ext_ctx.relations)
-    raw = buchberger_raw(terms, ext_ctx.nvars, ext_ctx.char,
-                         elimination_order(n_aux))
-    # a row whose block lead has no auxiliary variable has none at all, and
-    # the block order on the base variables is grevlex, so the kept rows are
-    # the reduced grevlex basis, already monic and sorted
-    nbase = base_ctx.nvars
-    kept = [(le[:nbase], tuple((e[:nbase], c) for e, c in tail))
-            for le, tail in raw if not any(le[nbase:])]
-    return Ideal._with_gb(base_ctx, GroebnerBasis(base_ctx, grevlex, kept))
+        terms.extend(dict(data) for data in ext.relations)
+    raw = buchberger_raw(terms, ext.nvars, ext.char, elimination_order)
+    # a row whose lead has no last variable has none at all, and on the
+    # other variables the order is grevlex, so the kept rows are the reduced
+    # grevlex basis, already monic and sorted
+    kept = [(le[:-1], tuple((e[:-1], c) for e, c in tail))
+            for le, tail in raw if not le[-1]]
+    return Ideal._with_gb(base, GroebnerBasis(base, kept))
+
+
+def _meet(ctx: RingContext, left, right, include_relations: bool) -> Ideal:
+    """(left) ∩ (right) as t*left + (1 - t)*right with t eliminated."""
+    ext, t = _with_t(ctx)
+    rows = [t * lift_poly(g, ext) for g in left]
+    rows += [(ext.one - t) * lift_poly(g, ext) for g in right]
+    return _eliminate_last(ext, ctx, rows, include_relations)
 
 
 def _intersect(a: Ideal, b: Ideal) -> Ideal:
@@ -290,15 +292,9 @@ def _intersect(a: Ideal, b: Ideal) -> Ideal:
         return b
     if b.is_unit():
         return a
-    ctx = a.ctx
-    ext = _aux_context(ctx)
-    t = ext.var(ext.nvars - 1)
-    one = ext.one
-    rows = [t * lift_poly(g, ext) for g in a.gens]
-    rows += [(one - t) * lift_poly(g, ext) for g in b.gens]
     # context relations lift into the extended ring and are adjoined whole;
     # they belong to both sides, so the sum is unchanged
-    return _eliminate_trailing(ext, ctx, rows, 1, include_relations=True)
+    return _meet(a.ctx, a.gens, b.gens, include_relations=True)
 
 
 def _exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
@@ -338,15 +334,9 @@ def _colon_element(a: Ideal, f: Polynomial) -> Ideal:
     if a.is_unit() or f.degree() == 0:
         return a
     ctx = a.ctx
-    ext = _aux_context(ctx)
-    t = ext.var(ext.nvars - 1)
-    one = ext.one
-    rows = [t * lift_poly(g, ext) for g in a.gens]
-    rows += [t * lift_poly(r, ext) for r in ctx.relation_polys()]
-    rows.append((one - t) * lift_poly(f, ext))
-    meet = _eliminate_trailing(ext, ctx, rows, 1, include_relations=False)
-    quots = [_exact_divide(g, f) for g in meet.gens]
-    return Ideal(ctx, quots)
+    meet = _meet(ctx, a.gens + tuple(ctx.relation_polys()), [f],
+                 include_relations=False)
+    return Ideal(ctx, [_exact_divide(g, f) for g in meet.gens])
 
 
 def _nonzero_image_gens(b: Ideal):
@@ -360,11 +350,7 @@ def _colon(a: Ideal, b: Ideal) -> Ideal:
         warnings.warn("colon by the zero ideal yields the unit ideal",
                       AlgebraWarning, stacklevel=2)
         return Ideal.unit(a.ctx)
-    out = None
-    for f in gens:
-        part = a.colon_element(f)
-        out = part if out is None else out.intersect(part)
-    return out
+    return reduce(Ideal.intersect, (a.colon_element(f) for f in gens))
 
 
 def _saturate_variable(a: Ideal, i: int) -> Ideal:
@@ -408,19 +394,14 @@ def _saturate_element(a: Ideal, f: Polynomial) -> Ideal:
                 a = ctx.memo(("saturate_var", a.key(), i),
                              lambda: _saturate_variable(a, i))
         return a
-    ext = _aux_context(ctx)
-    t = ext.var(ext.nvars - 1)
+    ext, t = _with_t(ctx)
     rows = [lift_poly(g, ext) for g in a.gens] + [t - lift_poly(f, ext)]
     sat = _saturate_variable(Ideal(ext, rows), ext.nvars - 1)
-    return _eliminate_trailing(ext, ctx, sat.gens, 1, include_relations=False)
+    return _eliminate_last(ext, ctx, sat.gens, include_relations=False)
 
 
 def _saturate(a: Ideal, b: Ideal) -> Ideal:
     gens = _nonzero_image_gens(b)
     if not gens:
         return Ideal.unit(a.ctx)
-    out = None
-    for f in gens:
-        part = _saturate_element(a, f)
-        out = part if out is None else out.intersect(part)
-    return out
+    return reduce(Ideal.intersect, (_saturate_element(a, f) for f in gens))

@@ -88,7 +88,7 @@ class OmegaEvaluator:
         ji, ji1 = self.red.j(i), self.red.j(i + 1)
         num = ji1.intersect(I ** n)
         den = (ji.intersect(I ** n) + ji1.intersect(I ** (n + 1))
-               + (I ** (n - 1)).scaled_by(self.red.elements[i]))
+               + I ** (n - 1) * Ideal(self.ctx, (self.red.elements[i],)))
         return num, den
 
     def l_term(self, i: int, n: int):
@@ -99,7 +99,7 @@ class OmegaEvaluator:
         inner = (jci.intersect(I ** (n - 1)) + I ** n).saturate(m) \
             .intersect(I ** (n - 1))
         den = (jci.intersect(I ** n) + jci1.intersect(I ** (n + 1))
-               + inner.scaled_by(self.red.elements[i]))
+               + inner * Ideal(self.ctx, (self.red.elements[i],)))
         return num, den
 
     def n_term(self, i: int, n: int):

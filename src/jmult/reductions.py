@@ -115,7 +115,7 @@ def _fiber_dimension(ideal: Ideal) -> int:
     rows = []
     for k, g in enumerate(ideal.gens):
         rows.append(ext.var(ctx.nvars + k) - u * lift_poly(g, ext))
-    rees = eliminate(Ideal(ext, rows), ("@u",))
+    rees = eliminate(Ideal(ext, rows))
     x_vars = tuple(rees.ctx.var(k) for k in range(ctx.nvars))
     return Ideal(rees.ctx, rees.gens + x_vars).dimension()
 

@@ -1,6 +1,10 @@
 """Exact arithmetic layer: prime-field scalars, exponent-vector monomials,
 monomial orders and sparse multivariate polynomials.
 
+There are two orders, each a sort-key function: grevlex, in which every
+stored basis is kept, and the elimination order of the last variable, which
+removes the one auxiliary variable the ideal operations append.
+
 Scalars, monomials and polynomials are immutable and their operations are
 pure functions.  A :class:`RingContext` is immutable in its ring data but
 holds a mutable memo of computed results (:meth:`RingContext.memo`), so a
@@ -117,14 +121,13 @@ def grevlex(e: Exponents):
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
-def elimination_order(n_last: int):
-    """Sort key of the block order that compares the trailing ``n_last``
-    coordinates first, grevlex within each block.  It eliminates auxiliary
-    variables, which are always appended at the end of the variable list."""
-    def key(e: Exponents):
-        k = len(e) - n_last
-        return (grevlex(e[k:]), grevlex(e[:k]))
-    return key
+def elimination_order(e: Exponents):
+    """Sort key of the order that eliminates the last variable: its exponent
+    first, then grevlex.  An auxiliary variable is always one variable
+    appended last.  At equal last exponents grevlex on the whole vector
+    agrees with grevlex on the other variables, so this is the block order
+    with the last variable as one block."""
+    return (e[-1], grevlex(e))
 
 
 # --------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from jmult import Ideal, RingContext
+from jmult import Ideal, RingContext, grevlex
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +22,15 @@ def ctx_family():
 @pytest.fixture(scope="session")
 def xy(ctx2):
     return ctx2.var("x"), ctx2.var("y")
+
+
+def block_order(n_last):
+    """Sort key of the block order that compares the trailing ``n_last``
+    coordinates first, grevlex within each block."""
+    def key(e):
+        k = len(e) - n_last
+        return (grevlex(e[k:]), grevlex(e[:k]))
+    return key
 
 
 def monomial_ideal(ctx, *exps):

@@ -221,6 +221,7 @@ def test_undecodable_stdin_is_input_error(capsys, monkeypatch):
     ("hilbert", ["--window", "0"]),
     ("hilbert", ["--window", "3"]),   # d + 2 = 4 for k[x,y]
     ("coeffs", ["--nmax", "-3"]),
+    ("hilbert", ["--nmax", "38"]),    # H up to n = 38 + d + 1 = 41 > 40
 ])
 def test_out_of_range_flag_is_input_error(capsys, monkeypatch, cmd, flags):
     monkeypatch.setattr(sys, "stdin", io.StringIO(M2))

@@ -83,6 +83,13 @@ def test_fit_classical(ctx2, xy):
         assert rec.polynomial_value(n) == rec.values[n]
 
 
+def test_fit_past_the_cap_names_the_table_length(ctx2):
+    """A window is found, but the table asked for is longer than the cap:
+    the error says so rather than that no window exists."""
+    with pytest.raises(FitError, match="reach n = 41"):
+        fit_hilbert_polynomial(Ideal.maximal(ctx2), extend_to=41)
+
+
 def test_fit_quotient_family(ctx_family):
     x, y = ctx_family.var("x"), ctx_family.var("y")
     rec = fit_hilbert_polynomial(Ideal(ctx_family, [x * y]))

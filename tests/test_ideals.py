@@ -90,7 +90,7 @@ def _rabinowitsch(a, f):
     ext = extend_context(ctx, ("@s",))
     s = ext.var(ext.nvars - 1)
     rows = [lift_poly(g, ext) for g in a.gens] + [ext.one - s * lift_poly(f, ext)]
-    out = eliminate(Ideal(ext, rows), {"@s"})
+    out = eliminate(Ideal(ext, rows))
     return Ideal(ctx, [Polynomial(ctx, g.terms) for g in out.gens])
 
 

@@ -75,7 +75,7 @@ def test_pair_length_matches_truncation():
         if a.is_zero() or a.is_unit():
             continue
         g = _random_poly(ctx, rng, max_deg=2)
-        b = a.scaled_by(g) + a * Ideal.maximal(ctx) ** rng.randrange(1, 3)
+        b = a * Ideal(ctx, (g,)) + a * Ideal.maximal(ctx) ** rng.randrange(1, 3)
         ms = (10, 11) if ctx.nvars == 2 else (8, 9)
         for num, den in ((a, b), (Ideal.unit(ctx), a)):
             v = pair_length(num, den)

@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import pytest
 
 from jmult import PrimeField, RingContext, elimination_order, grevlex
 from jmult.ring import ContextMismatchError, format_polynomial
+
+from conftest import block_order
 
 
 def test_prime_validation():
@@ -69,15 +72,27 @@ def test_context_mismatch(ctx2):
 
 
 def test_compare_grevlex_degree_tie():
-    # x^2 beats xy at equal degree, and the block order puts the last
+    # x^2 beats xy at equal degree, and the elimination order puts the last
     # variable above any power of the others
     assert grevlex((2, 0)) > grevlex((1, 1)) > grevlex((0, 2))
     assert grevlex((1, 1)) == grevlex((1, 1))
-    assert elimination_order(1)((0, 1)) > elimination_order(1)((3, 0))
+    assert elimination_order((0, 1)) > elimination_order((3, 0))
 
 
-@pytest.mark.parametrize("order", [grevlex, elimination_order(1),
-                                   elimination_order(2)],
+def test_elimination_order_is_the_one_block_order():
+    """In 2 to 4 variables the elimination order sorts every monomial of
+    degree at most 5 exactly as the block order with the last variable as
+    its own block, so eliminations keep the bases they had under that block
+    order."""
+    for nvars in (2, 3, 4):
+        monos = [e for e in itertools.product(range(6), repeat=nvars)
+                 if sum(e) <= 5]
+        assert (sorted(monos, key=elimination_order)
+                == sorted(monos, key=block_order(1))), nvars
+
+
+@pytest.mark.parametrize("order", [grevlex, elimination_order,
+                                   block_order(2)],
                          ids=["grevlex", "block1", "block2"])
 def test_order_is_multiplicative_total_order(order):
     """Keys are tuples, so the order is transitive by construction; check
