@@ -3,7 +3,7 @@ and Northcott inequality reports for ideals in polynomial rings and their
 quotients over a large prime field, with three cross-validating computational
 routes."""
 
-from .ring import (DEFAULT_CHAR, Polynomial, PrimeField, RingContext,
+from .ring import (DEFAULT_CHAR, Polynomial, RingContext, check_char,
                    elimination_order, grevlex)
 from .groebner import ComputationLimitError, GroebnerBasis, groebner_basis
 from .ideals import AlgebraWarning, Ideal, eliminate, ring_dimension

@@ -3,7 +3,8 @@
 The engine takes raw term dicts ``{exponent_tuple: residue}`` and keeps each
 basis row as one monic record ``(lead, tail)``: the leading exponent and a
 tuple of the other ``(exponent, residue)`` terms, built once by
-:func:`_monic_row`.  :class:`GroebnerBasis` wraps the rows at the boundary.
+:func:`_monic_row`.  :class:`GroebnerBasis` wraps the rows at the boundary
+and stores nothing else.
 
 A monomial order is its sort-key function (:mod:`jmult.ring`): the raw
 engine runs under any order, and every basis it stores is grevlex.  Input
@@ -228,13 +229,15 @@ def monomial_quotient_dimension(leads, nvars: int) -> int:
 
 
 class GroebnerBasis:
-    """Reduced monic grevlex Groebner basis with its context.
+    """Reduced monic grevlex Groebner basis with its context, kept as its
+    rows alone: the ideal layer builds the basis polynomials once, as the
+    generators of the reduced ideal.
 
     Auto-reduced: no leading monomial divides another, every S-polynomial
     reduces to zero (checked by :meth:`certify` in the tests).
     """
 
-    __slots__ = ("ctx", "rows", "leads", "polys", "_key")
+    __slots__ = ("ctx", "rows", "leads")
 
     def __init__(self, ctx: RingContext, rows):
         """``rows`` are monic (lead, tail) records as :func:`buchberger_raw`
@@ -242,27 +245,13 @@ class GroebnerBasis:
         self.ctx = ctx
         self.rows = tuple(rows)
         self.leads = tuple(le for le, _ in self.rows)
-        self.polys = tuple(Polynomial(ctx, dict(((le, 1),) + tail))
-                           for le, tail in self.rows)
-        self._key = None
-
-    def __len__(self):
-        return len(self.polys)
-
-    def __iter__(self):
-        return iter(self.polys)
 
     def is_unit(self) -> bool:
         zero = (0,) * self.ctx.nvars
         return any(l == zero for l in self.leads)
 
     def is_zero(self) -> bool:
-        return not self.polys
-
-    def cache_key(self):
-        if self._key is None:
-            self._key = tuple(p.canonical() for p in self.polys)
-        return self._key
+        return not self.rows
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ctx != self.ctx:
@@ -277,8 +266,6 @@ class GroebnerBasis:
 
     def dimension(self) -> int:
         """Krull dimension of the quotient (global; -1 for the unit ideal)."""
-        if self.is_unit():
-            return -1
         return monomial_quotient_dimension(self.leads, self.ctx.nvars)
 
     def certify(self) -> bool:

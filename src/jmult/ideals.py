@@ -6,9 +6,9 @@ implicitly contains the context relations, so all operations take place in the
 quotient ring.  Ideals are immutable, and there is one object per context and
 normalized generator list, which holds its reduced grevlex basis and powers;
 lists holding the same generators in another order share that basis.
-The heavier binary operations are memoized on the context keyed by the
-operands' reduced bases, which lets the same mathematical ideal reached
-through different generators share work.
+An ideal is its own memo key: equal ideals hash and compare alike by their
+reduced basis, itself an interned ideal (:meth:`Ideal.reduced`), so the same
+ideal reached through different generators shares every memoized result.
 
 Intersection, colon and saturation adjoin an auxiliary variable t and
 eliminate it (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
@@ -39,10 +39,11 @@ class Ideal:
     """Finitely generated ideal of the working ring: one object per context
     and normalized, ordered generator list, alive as long as the context.
     Two ideals are equal exactly when their reduced grevlex bases coincide;
-    ``==`` performs that mathematical comparison.
+    ``==`` performs that mathematical comparison and ``hash`` agrees with it.
     """
 
-    __slots__ = ("ctx", "gens", "_canon", "_gb", "_powers", "_hash")
+    __slots__ = ("ctx", "gens", "_canon", "_gb", "_reduced", "_powers",
+                 "_hash")
 
     def __new__(cls, ctx: RingContext, gens=()):
         clean = []
@@ -65,7 +66,8 @@ class Ideal:
         def build():
             ideal = object.__new__(cls)
             ideal.ctx, ideal.gens, ideal._canon = ctx, clean, canon
-            ideal._gb, ideal._powers, ideal._hash = None, {}, None
+            ideal._gb = ideal._reduced = ideal._hash = None
+            ideal._powers = {}
             return ideal
 
         return ctx.memo(("ideal",) + canon, build)
@@ -86,7 +88,8 @@ class Ideal:
 
     @classmethod
     def _with_gb(cls, ctx: RingContext, gb: GroebnerBasis) -> "Ideal":
-        ideal = cls(ctx, gb.polys)
+        ideal = cls(ctx, [Polynomial(ctx, dict(((le, 1),) + tail))
+                          for le, tail in gb.rows])
         if ideal._gb is None:
             ideal._gb = ctx.memo(ideal._gens_key(), lambda: gb)
         return ideal
@@ -106,8 +109,12 @@ class Ideal:
                 lambda: groebner_basis(self.ctx, self.gens))
         return self._gb
 
-    def key(self):
-        return self.gb().cache_key()
+    def reduced(self) -> "Ideal":
+        """The ideal generated by the reduced basis: one object for every
+        generator list of this ideal in this context."""
+        if self._reduced is None:
+            self._reduced = Ideal._with_gb(self.ctx, self.gb())
+        return self._reduced
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):
@@ -116,11 +123,11 @@ class Ideal:
             return False
         if self.gens == other.gens:
             return True
-        return self.key() == other.key()
+        return self.reduced()._canon == other.reduced()._canon
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ctx._sig, self.key()))
+            self._hash = hash((self.ctx._sig, self.reduced()._canon))
         return self._hash
 
     def __repr__(self):
@@ -179,18 +186,17 @@ class Ideal:
 
     def intersect(self, other: "Ideal") -> "Ideal":
         self._check(other)
-        return self.ctx.memo(
-            ("intersect",) + tuple(sorted((self.key(), other.key()))),
-            lambda: _intersect(self, other))
+        return self.ctx.memo(("intersect", frozenset((self, other))),
+                             lambda: _intersect(self, other))
 
     def colon(self, other: "Ideal") -> "Ideal":
         """self : other, the transporter of other into self."""
         self._check(other)
-        return self.ctx.memo(("colon", self.key(), other.key()),
+        return self.ctx.memo(("colon", self, other),
                              lambda: _colon(self, other))
 
     def colon_element(self, f: Polynomial) -> "Ideal":
-        return self.ctx.memo(("colon_el", self.key(), f.canonical()),
+        return self.ctx.memo(("colon_el", self, f),
                              lambda: _colon_element(self, f))
 
     def saturate(self, other: "Ideal") -> "Ideal":
@@ -200,7 +206,7 @@ class Ideal:
         support at a time, and any other f as ((self, t - f) : t^∞) ∩ R
         with t a new variable."""
         self._check(other)
-        return self.ctx.memo(("saturate", self.key(), other.key()),
+        return self.ctx.memo(("saturate", self, other),
                              lambda: _saturate(self, other))
 
     def dimension(self) -> int:
@@ -302,7 +308,7 @@ def _exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
     ctx = g.ctx
     p = ctx.char
     lf = f.lead_exp()
-    inv = ctx.field.inv(f.lead_coef())
+    inv = pow(f.lead_coef(), -1, p)
     work = dict(g.terms)
     quo = {}
     while work:
@@ -391,7 +397,7 @@ def _saturate_element(a: Ideal, f: Polynomial) -> Ideal:
     if f.is_monomial():
         for i, k in enumerate(f.lead_exp()):
             if k:
-                a = ctx.memo(("saturate_var", a.key(), i),
+                a = ctx.memo(("saturate_var", a, i),
                              lambda: _saturate_variable(a, i))
         return a
     ext, t = _with_t(ctx)

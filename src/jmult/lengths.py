@@ -103,7 +103,7 @@ def pair_length(a: Ideal, b: Ideal):
     """m-local length of A/B for B contained in A.  Containment is verified
     once per pair, when the length is first computed; a pair that fails it
     raises ContainmentError on every call."""
-    return a.ctx.memo(("pairlen", a.key(), b.key()),
+    return a.ctx.memo(("pairlen", a, b),
                       lambda: _pair_length(a, b))
 
 

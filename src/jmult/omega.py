@@ -54,8 +54,7 @@ class OmegaEvaluator:
         self.record = record
         self.ctx = red.ideal.ctx
         self.d = ring_dimension(self.ctx)
-        self.key = ("omega", self.ideal.key(),
-                    tuple(e.canonical() for e in red.elements))
+        self.key = ("omega", red.ideal, red.elements)
 
     # -- building blocks -----------------------------------------------------
 
@@ -65,7 +64,7 @@ class OmegaEvaluator:
         return max(self.red.r, self.record.postulation + self.d)
 
     def fiber(self, n: int):
-        return fiber_length_term(self.ideal, self.red.full, n)
+        return fiber_length_term(self.red, n)
 
     def length(self, display, i: int, n: int):
         """The length of the module ``display(i, n)``.  Sequences are

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .ideals import Ideal
-from .ring import Polynomial, PrimeField, RingContext, format_polynomial
+from .ring import Polynomial, RingContext, check_char, format_polynomial
 
 
 class ProblemError(ValueError):
@@ -233,7 +233,7 @@ def parse_problem(text: str, options: Options | None = None) -> ProblemSpec:
     char_tok = cur.expect("INT", "characteristic")
     char = options.char if options.char is not None else int(char_tok.text)
     try:
-        PrimeField(char)
+        check_char(char)
     except ValueError as exc:
         raise ProblemSemanticError(str(exc), char_tok.line, char_tok.col) from None
     cur.expect("IDENT", "'vars'", "vars")

@@ -102,7 +102,7 @@ def analytic_spread(ideal: Ideal) -> int:
     leaves k[x, T]/(L + (x)), the special fiber itself."""
     if ideal.is_unit() or ideal.is_zero():
         raise ValueError("analytic spread needs a proper nonzero ideal")
-    return ideal.ctx.memo(("spread", ideal.key()),
+    return ideal.ctx.memo(("spread", ideal),
                           lambda: _fiber_dimension(ideal))
 
 
@@ -205,16 +205,17 @@ def j_zero(red: GeneralReduction):
     return loc_quotient_length(red.kernel() + Ideal(ctx, [x_last]))
 
 
-def fiber_length_term(ideal: Ideal, j: Ideal, n: int):
+def fiber_length_term(red: GeneralReduction, n: int):
     """Length of I^(n+1) / J I^n."""
-    return pair_length(ideal ** (n + 1), j * (ideal ** n))
+    ideal = red.ideal
+    return pair_length(ideal ** (n + 1), red.full * (ideal ** n))
 
 
 def fiber_length_sum(red: GeneralReduction):
     """Sum of the lengths of I^(n+1)/J I^n over n = 0 .. r - 1, where r is
     the reduction number of I with respect to J: the terms are nonzero below
     r and vanish from r on."""
-    return signed_sum((1, fiber_length_term(red.ideal, red.full, n))
+    return signed_sum((1, fiber_length_term(red, n))
                       for n in range(red.r))
 
 
@@ -226,7 +227,7 @@ def kernel_corrected_fiber_sum(red: GeneralReduction):
 
     def pairs():
         for n in range(red.r):
-            yield 1, fiber_length_term(ideal, j_full, n)
+            yield 1, fiber_length_term(red, n)
             yield -1, pair_length(kernel.intersect(ideal ** (n + 1)),
                                   kernel.intersect(j_full * (ideal ** n)))
 

@@ -1,5 +1,5 @@
-"""Exact arithmetic layer: prime-field scalars, exponent-vector monomials,
-monomial orders and sparse multivariate polynomials.
+"""Exact arithmetic layer: the characteristic check, exponent-vector
+monomials, monomial orders and sparse multivariate polynomials.
 
 There are two orders, each a sort-key function: grevlex, in which every
 stored basis is kept, and the elimination order of the last variable, which
@@ -8,9 +8,10 @@ removes the one auxiliary variable the ideal operations append.
 Scalars, monomials and polynomials are immutable and their operations are
 pure functions.  A :class:`RingContext` is immutable in its ring data but
 holds a mutable memo of computed results (:meth:`RingContext.memo`), so a
-context shared between threads needs a lock around its use.  Coefficients are
-plain integer residues in ``[0, p)``; the modulus is restricted below 2**31 so
-that intermediate products fit comfortably in 64 bits.
+context shared between threads needs a lock around its use.  The field is its
+modulus: coefficients are plain integer residues in ``[0, p)``, an inverse is
+``pow(c, -1, p)``, and :func:`check_char` admits an odd prime p below 2**31,
+so that intermediate products fit comfortably in 64 bits.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class ContextMismatchError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# prime field
+# characteristic
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -59,31 +60,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
-    """The prime field of an odd prime p < 2**31: validation and inverses."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not (2 < p < MAX_CHAR):
-            raise ValueError(f"characteristic must be an odd prime below 2^31, got {p}")
-        if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
-        self.p = p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero residue")
-        return pow(a, -1, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
+def check_char(p: int) -> int:
+    """The characteristic p, once checked to be an odd prime below 2**31."""
+    if not (2 < p < MAX_CHAR):
+        raise ValueError(f"characteristic must be an odd prime below 2^31, got {p}")
+    if not is_prime(p):
+        raise ValueError(f"characteristic {p} is not prime")
+    return p
 
 
 # --------------------------------------------------------------------------
@@ -145,7 +128,7 @@ class RingContext:
     contexts compare and hash by value.
     """
 
-    __slots__ = ("var_names", "char", "field", "relations", "_sig", "_memo")
+    __slots__ = ("var_names", "char", "relations", "_sig", "_memo")
 
     def __init__(self, var_names: Iterable[str], char: int = DEFAULT_CHAR,
                  relations: Iterable = ()):
@@ -153,8 +136,7 @@ class RingContext:
         if len(set(names)) != len(names) or not names:
             raise ValueError("variable names must be nonempty and distinct")
         self.var_names = names
-        self.field = PrimeField(char)
-        self.char = char
+        self.char = check_char(char)
         rel = []
         for r in relations:
             terms = r.terms if isinstance(r, Polynomial) else dict(r)
@@ -326,7 +308,7 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if not self.terms:
             return self
-        return self.scale(self.ctx.field.inv(self.lead_coef()))
+        return self.scale(pow(self.lead_coef(), -1, self.ctx.char))
 
     # -- structural helpers --------------------------------------------------
 

@@ -1,10 +1,13 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import warnings
 
 import pytest
 
+import jmult
 import jmult.ideals
 import jmult.lengths
 import jmult.omega
@@ -118,6 +121,28 @@ def test_determinism_byte_identical(capsys, monkeypatch):
     assert out1 == out2
     _, out3 = run_cli(capsys, monkeypatch, "coeffs", M2, "--seed", "6")
     assert json.loads(out3)["results"]["j"] == [4, 1, 0]
+
+
+@pytest.mark.parametrize("text", [
+    "ring char=32003 vars=x,y\nmod x^3-x^2*y\nideal x*y^2\n",
+    "ring char=32003 vars=x,y,z\nideal x*y,x*z,y*z\n",
+], ids=["family-xy2", "xy-xz-yz"])
+def test_report_bytes_do_not_depend_on_the_hash_seed(text):
+    """Memo keys hold ideals, whose hashes vary with the string hash seed
+    through the variable names; the report must not.  Each run is a fresh
+    interpreter, since the seed is fixed at start-up."""
+    src = os.path.dirname(os.path.dirname(jmult.__file__))
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-m", "jmult.cli", "coeffs", "-"],
+                              input=text, capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert "results" in json.loads(proc.stdout)
+        runs.append((proc.returncode, proc.stdout))
+    assert runs[0] == runs[1]
 
 
 def test_table_format(capsys, monkeypatch):

@@ -37,7 +37,7 @@ def test_normal_form_idempotent(ctx2, xy):
 def test_buchberger_examples(ctx2, xy):
     x, y = xy
     gb = groebner_basis(ctx2, [x + y, x - y])
-    assert {str(g) for g in gb} == {"x", "y"}
+    assert set(gb.rows) == {((1, 0), ()), ((0, 1), ())}
     assert groebner_basis(ctx2, [ctx2.zero]).is_zero()
     assert groebner_basis(ctx2, [ctx2.one]).is_unit()
     # S-pair closure certifies itself

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import jmult.groebner
+import jmult.ideals
 from jmult import AlgebraWarning, Ideal, MonomialIdeal, Polynomial, RingContext
 from jmult.ideals import eliminate
 from jmult.ring import extend_context, lift_poly
@@ -43,6 +45,33 @@ def test_shared_ideals_are_one_object_per_context(ctx2, xy):
     assert other == a
     assert Ideal.maximal(twin) is not Ideal.maximal(ctx2)
     assert Ideal.maximal(twin) == Ideal.maximal(ctx2)
+
+
+def test_equal_ideals_share_one_memo_entry(monkeypatch):
+    """An ideal is its own memo key: equal ideals with different generators
+    hash alike, share one reduced ideal, and so one memoized saturation."""
+    ctx = RingContext(("x", "y"), 32003)
+    x, y = ctx.var("x"), ctx.var("y")
+    a = Ideal(ctx, [x * x, x * y, y * y])
+    b = Ideal(ctx, [x * x + x * y, x * y, y * y])
+    assert a.gens != b.gens
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a.reduced() is b.reduced()
+    m = Ideal.maximal(ctx)
+    sat = a.saturate(m)
+    b.gb()
+    calls = []
+    real = jmult.groebner.buchberger_raw
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (jmult.groebner, jmult.ideals):
+        monkeypatch.setattr(module, "buchberger_raw", counting)
+    assert b.saturate(m) is sat
+    assert calls == []
 
 
 def test_intersect_examples(ctx2, xy):

@@ -241,8 +241,8 @@ def test_sum_terms_vanish_from_the_reduction_number(text):
     red = general_minimal_reduction(ideal, seed=0)
     r = red.r
     for n in range(r):
-        assert fiber_length_term(ideal, red.full, n) != 0
-    assert fiber_length_term(ideal, red.full, r) == 0
+        assert fiber_length_term(red, n) != 0
+    assert fiber_length_term(red, r) == 0
     kernel = red.kernel()
     x_last = Ideal(ideal.ctx, [red.elements[ring_dimension(ideal.ctx) - 1]])
     upper = loc_quotient_length(x_last * ideal ** r + kernel)

@@ -3,32 +3,32 @@ import random
 
 import pytest
 
-from jmult import PrimeField, RingContext, elimination_order, grevlex
+from jmult import RingContext, check_char, elimination_order, grevlex
 from jmult.ring import ContextMismatchError, format_polynomial
 
 from conftest import block_order
 
 
 def test_prime_validation():
-    PrimeField(32003)
+    check_char(32003)
     with pytest.raises(ValueError):
-        PrimeField(32004)
+        check_char(32004)
     with pytest.raises(ValueError):
-        PrimeField(2)
+        check_char(2)
     with pytest.raises(ValueError):
-        PrimeField(1 << 32)
+        check_char(1 << 32)
 
 
 def test_field_axioms_random(ctx2):
-    f = ctx2.field
+    p = ctx2.char
     rng = random.Random(11)
     for _ in range(300):
-        a, b, c = (ctx2.constant(rng.randrange(f.p)) for _ in range(3))
+        a, b, c = (ctx2.constant(rng.randrange(p)) for _ in range(3))
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         if not a.is_zero():
-            assert a * ctx2.constant(f.inv(a.lead_coef())) == ctx2.one
+            assert a * ctx2.constant(pow(a.lead_coef(), -1, p)) == ctx2.one
 
 
 def test_poly_additive_inverse(ctx2, xy):
