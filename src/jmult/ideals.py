@@ -12,8 +12,11 @@ ideal reached through different generators shares every memoized result.
 
 Intersection, colon and saturation adjoin an auxiliary variable t and
 eliminate it (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
-4.3-4.4).  An auxiliary variable is always one variable appended last, so one
-order (:func:`~jmult.ring.elimination_order`) and one helper eliminate it.
+4.3-4.4).  t is one exponent slot appended to the raw term dicts of the
+generators and relations, not a ring of its own: the rows go straight to
+:func:`~jmult.groebner.buchberger_raw` under one order
+(:func:`~jmult.ring.elimination_order`), one helper drops t, and the only
+ideal built is the result in the working ring.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from functools import reduce
 
 from .groebner import GroebnerBasis, buchberger_raw, groebner_basis
 from .ring import (ContextMismatchError, Polynomial, RingContext,
-                   elimination_order, extend_context, grevlex, lift_poly,
-                   mono_degree, mono_div, mono_divides)
+                   elimination_order, grevlex, mono_degree, mono_div,
+                   mono_divides)
 
 
 class AlgebraWarning(UserWarning):
@@ -49,8 +52,6 @@ class Ideal:
         clean = []
         seen = set()
         for g in gens:
-            if isinstance(g, dict):
-                g = Polynomial(ctx, g)
             if g.ctx != ctx:
                 raise ContextMismatchError("generator from a different context")
             if g.is_zero():
@@ -242,7 +243,8 @@ def eliminate(a: Ideal) -> Ideal:
     """
     ctx = a.ctx
     base = RingContext(ctx.var_names[:-1], ctx.char)
-    return _eliminate_last(ctx, base, a.gens, include_relations=True)
+    return _eliminated(base, [g.terms for g in a.gens]
+                       + [dict(r) for r in ctx.relations])
 
 
 # --------------------------------------------------------------------------
@@ -261,36 +263,34 @@ def _prune_monomial_multiples(gens):
     return out
 
 
-def _with_t(ctx: RingContext):
-    """The context with the auxiliary variable t appended last, and t."""
-    ext = extend_context(ctx, ("@t",))
-    return ext, ext.var(ext.nvars - 1)
+def _padded(terms, tail=(0,), scale=1):
+    """The term dict of the (exponent, residue) pairs ``terms`` times
+    ``scale`` and the monomial ``tail`` in auxiliary variables appended."""
+    return {e + tail: scale * c for e, c in terms}
 
 
-def _eliminate_last(ext: RingContext, base: RingContext, rows,
-                    include_relations: bool) -> Ideal:
-    """Groebner-eliminate the last variable of ``ext`` from ``rows``, with
-    the context relations adjoined when asked, and return the result as an
-    ideal of ``base``, seeding its grevlex basis from the elimination
-    basis."""
-    terms = [f.terms for f in rows]
-    if include_relations:
-        terms.extend(dict(data) for data in ext.relations)
-    raw = buchberger_raw(terms, ext.nvars, ext.char, elimination_order)
-    # a row whose lead has no last variable has none at all, and on the
-    # other variables the order is grevlex, so the kept rows are the reduced
-    # grevlex basis, already monic and sorted
-    kept = [(le[:-1], tuple((e[:-1], c) for e, c in tail))
+def _eliminate_last(rows, nvars: int, p: int):
+    """The reduced grevlex basis rows of (rows) ∩ k[x_1 .. x_nvars], for term
+    dicts with one auxiliary exponent appended last.  An elimination basis
+    row whose lead lacks that variable lacks it in every term, and the order
+    is grevlex on the rest, so the kept rows are that basis, monic, sorted."""
+    raw = buchberger_raw(rows, nvars + 1, p, elimination_order)
+    return [(le[:-1], tuple((e[:-1], c) for e, c in tail))
             for le, tail in raw if not le[-1]]
-    return Ideal._with_gb(base, GroebnerBasis(base, kept))
 
 
-def _meet(ctx: RingContext, left, right, include_relations: bool) -> Ideal:
-    """(left) ∩ (right) as t*left + (1 - t)*right with t eliminated."""
-    ext, t = _with_t(ctx)
-    rows = [t * lift_poly(g, ext) for g in left]
-    rows += [(ext.one - t) * lift_poly(g, ext) for g in right]
-    return _eliminate_last(ext, ctx, rows, include_relations)
+def _eliminated(ctx: RingContext, rows) -> Ideal:
+    """(rows) ∩ R as an ideal of ``ctx`` with its basis seeded."""
+    gb = GroebnerBasis(ctx, _eliminate_last(rows, ctx.nvars, ctx.char))
+    return Ideal._with_gb(ctx, gb)
+
+
+def _meet(left, right):
+    """The rows t*left + (1 - t)*right of polynomials, whose elimination of
+    t leaves (left) ∩ (right)."""
+    return ([_padded(g.terms.items(), (1,)) for g in left]
+            + [_padded(g.terms.items()) | _padded(g.terms.items(), (1,), -1)
+               for g in right])
 
 
 def _intersect(a: Ideal, b: Ideal) -> Ideal:
@@ -298,9 +298,9 @@ def _intersect(a: Ideal, b: Ideal) -> Ideal:
         return b
     if b.is_unit():
         return a
-    # context relations lift into the extended ring and are adjoined whole;
-    # they belong to both sides, so the sum is unchanged
-    return _meet(a.ctx, a.gens, b.gens, include_relations=True)
+    # the relations belong to both sides, so they are adjoined whole
+    rows = _meet(a.gens, b.gens) + [_padded(r) for r in a.ctx.relations]
+    return _eliminated(a.ctx, rows)
 
 
 def _exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
@@ -340,8 +340,7 @@ def _colon_element(a: Ideal, f: Polynomial) -> Ideal:
     if a.is_unit() or f.degree() == 0:
         return a
     ctx = a.ctx
-    meet = _meet(ctx, a.gens + tuple(ctx.relation_polys()), [f],
-                 include_relations=False)
+    meet = _eliminated(ctx, _meet(a.gens + tuple(ctx.relation_polys()), [f]))
     return Ideal(ctx, [_exact_divide(g, f) for g in meet.gens])
 
 
@@ -359,34 +358,20 @@ def _colon(a: Ideal, b: Ideal) -> Ideal:
     return reduce(Ideal.intersect, (a.colon_element(f) for f in gens))
 
 
-def _saturate_variable(a: Ideal, i: int) -> Ideal:
-    """a : x_i^∞ from one Groebner basis (Bayer-Stillman 1987; Eisenbud,
-    Prop. 15.12).  The grevlex basis of a, relations included, homogenized
-    with h, generates the homogenization of a.  In grevlex on the variables
-    ordered (others, h, x_i), x_i divides a homogeneous basis row exactly
-    when it divides its lead, so dividing each row by the x_i-power of its
-    lead saturates by x_i; h = 1 then gives generators of a : x_i^∞."""
-    gb = a.gb()
-    if gb.is_unit() or gb.is_zero():
-        return a
-    ctx = a.ctx
-    others = [j for j in range(ctx.nvars) if j != i]
-
-    def lift(e, top):
-        return tuple(e[j] for j in others) + (top - mono_degree(e), e[i])
-
-    rows = [{lift(e, mono_degree(le)): c for e, c in ((le, 1),) + tail}
-            for le, tail in gb.rows]
-    gens = []
-    for le, tail in buchberger_raw(rows, ctx.nvars + 1, ctx.char, grevlex):
-        k = le[-1]
-        terms = {}
-        for e, c in ((le, 1),) + tail:
-            x = list(e[:-2])
-            x.insert(i, e[-1] - k)
-            terms[tuple(x)] = c
-        gens.append(Polynomial(ctx, terms))
-    return Ideal(ctx, gens)
+def _saturate_rows(rows, i: int, p: int):
+    """Term dicts generating (rows) : x_i^∞ for the reduced grevlex basis
+    rows of a nonzero ideal, relations included (Bayer-Stillman 1987;
+    Eisenbud, Prop. 15.12).  Homogenized with h, the rows generate the
+    homogenization.  In grevlex on the variables ordered (others, h, x_i),
+    x_i divides a homogeneous basis row exactly when it divides its lead, so
+    dividing each row by the x_i-power of its lead saturates; then h = 1."""
+    last = rows[-1][0]
+    if not any(last):  # the unit ideal
+        return [{last: 1}]
+    hom = [{e[:i] + e[i + 1:] + (mono_degree(le) - mono_degree(e), e[i]): c
+            for e, c in ((le, 1),) + tail} for le, tail in rows]
+    return [{e[:i] + (e[-1] - le[-1],) + e[i:-2]: c for e, c in ((le, 1),) + tail}
+            for le, tail in buchberger_raw(hom, len(last) + 1, p, grevlex)]
 
 
 def _saturate_element(a: Ideal, f: Polynomial) -> Ideal:
@@ -400,10 +385,22 @@ def _saturate_element(a: Ideal, f: Polynomial) -> Ideal:
                 a = ctx.memo(("saturate_var", a, i),
                              lambda: _saturate_variable(a, i))
         return a
-    ext, t = _with_t(ctx)
-    rows = [lift_poly(g, ext) for g in a.gens] + [t - lift_poly(f, ext)]
-    sat = _saturate_variable(Ideal(ext, rows), ext.nvars - 1)
-    return _eliminate_last(ext, ctx, sat.gens, include_relations=False)
+    n, p = ctx.nvars, ctx.char
+    rows = [_padded(g.terms.items()) for g in a.gens]
+    rows.append(_padded(f.terms.items(), (0,), -1) | {(0,) * n + (1,): 1})
+    rows += [_padded(r) for r in ctx.relations]
+    gb = buchberger_raw(rows, n + 1, p, grevlex)
+    return _eliminated(ctx, _saturate_rows(gb, n, p))
+
+
+def _saturate_variable(a: Ideal, i: int) -> Ideal:
+    """a : x_i^∞ from the grevlex basis of a."""
+    gb = a.gb()
+    if gb.is_unit() or gb.is_zero():
+        return a
+    ctx = a.ctx
+    return Ideal(ctx, [Polynomial(ctx, terms)
+                       for terms in _saturate_rows(gb.rows, i, ctx.char)])
 
 
 def _saturate(a: Ideal, b: Ideal) -> Ideal:

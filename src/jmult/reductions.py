@@ -8,6 +8,9 @@ elements x_1 .. x_s and their seed, and r = r_J(I) once verified.  The
 residuals J_i : I and the kernel K are its methods, and every route takes
 the reduction alone.
 
+The analytic spread eliminates u from the rows T_k - u g_k, whose T and u
+are exponents appended to the working ring's: no ring is built for them.
+
 Random coefficients are drawn from the whole prime field, so "general" holds
 with probability 1 - O(deg/p); every sample is deterministic in (generator
 order, seed) and the random stream is split by element index rather than call
@@ -20,10 +23,12 @@ import random
 import warnings
 from typing import NamedTuple
 
-from .ideals import AlgebraWarning, Ideal, eliminate, ring_dimension
+from .groebner import buchberger_raw, monomial_quotient_dimension
+from .ideals import (AlgebraWarning, Ideal, _eliminate_last, _padded,
+                     ring_dimension)
 from .lengths import (INFINITE, loc_quotient_length, pair_length,
                       signed_sum)
-from .ring import extend_context, lift_poly
+from .ring import grevlex
 
 REDUCTION_NUMBER_CAP = 30
 RETRY_CAP = 8
@@ -108,16 +113,19 @@ def analytic_spread(ideal: Ideal) -> int:
 
 def _fiber_dimension(ideal: Ideal) -> int:
     ctx = ideal.ctx
-    t = len(ideal.gens)
-    t_names = tuple(f"@T{k}" for k in range(t))
-    ext = extend_context(ctx, t_names + ("@u",))
-    u = ext.var(ext.nvars - 1)
-    rows = []
-    for k, g in enumerate(ideal.gens):
-        rows.append(ext.var(ctx.nvars + k) - u * lift_poly(g, ext))
-    rees = eliminate(Ideal(ext, rows))
-    x_vars = tuple(rees.ctx.var(k) for k in range(ctx.nvars))
-    return Ideal(rees.ctx, rees.gens + x_vars).dimension()
+    n, g, p = ctx.nvars, len(ideal.gens), ctx.char
+    w = n + g  # the variables x, then T_0 .. T_{g-1}
+
+    def var(i, k=w):
+        return tuple(int(j == i) for j in range(k))
+
+    # T_k - u f_k and the relations, the exponents of T and u appended
+    rows = [_padded(f.terms.items(), var(g, g + 1), -1) | {var(n + k, w + 1): 1}
+            for k, f in enumerate(ideal.gens)]
+    rows += [_padded(r, (0,) * (g + 1)) for r in ctx.relations]
+    rees = [dict(((le, 1),) + t) for le, t in _eliminate_last(rows, w, p)]
+    fiber = buchberger_raw(rees + [{var(i): 1} for i in range(n)], w, p, grevlex)
+    return monomial_quotient_dimension([le for le, _ in fiber], w)
 
 
 # --------------------------------------------------------------------------

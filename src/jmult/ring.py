@@ -8,7 +8,10 @@ removes the one auxiliary variable the ideal operations append.
 Scalars, monomials and polynomials are immutable and their operations are
 pure functions.  A :class:`RingContext` is immutable in its ring data but
 holds a mutable memo of computed results (:meth:`RingContext.memo`), so a
-context shared between threads needs a lock around its use.  The field is its
+context shared between threads needs a lock around its use.  The working
+ring's memo is the only mutable state of a computation: an auxiliary
+variable is an exponent slot the ideal layer appends to raw term dicts, not
+a context of its own, so no other context is built.  The field is its
 modulus: coefficients are plain integer residues in ``[0, p)``, an inverse is
 ``pow(c, -1, p)``, and :func:`check_char` admits an odd prime p below 2**31,
 so that intermediate products fit comfortably in 64 bits.
@@ -306,9 +309,8 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda t: grevlex(t[0]), reverse=True)
 
     def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        return self.scale(pow(self.lead_coef(), -1, self.ctx.char))
+        c = self.lead_coef() if self.terms else 1
+        return self if c == 1 else self.scale(pow(c, -1, self.ctx.char))
 
     # -- structural helpers --------------------------------------------------
 
@@ -354,20 +356,3 @@ def format_polynomial(f: Polynomial) -> str:
         else:
             parts.append(f"{sign}{term}")
     return "".join(parts)
-
-
-# --------------------------------------------------------------------------
-# ring extension (auxiliary variables go at the end)
-
-
-def extend_context(ctx: RingContext, extra_names: Iterable[str]) -> RingContext:
-    extras = tuple(extra_names)
-    pad = (0,) * len(extras)
-    lifted = [{e + pad: c for e, c in dict(data).items()} for data in ctx.relations]
-    return RingContext(ctx.var_names + extras, ctx.char, lifted)
-
-
-def lift_poly(f: Polynomial, big: RingContext) -> Polynomial:
-    pad = (0,) * (big.nvars - f.ctx.nvars)
-    return Polynomial(big, {e + pad: c for e, c in f.terms.items()})
-

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -6,7 +7,8 @@ import jmult.groebner
 import jmult.ideals
 from jmult import AlgebraWarning, Ideal, MonomialIdeal, Polynomial, RingContext
 from jmult.ideals import eliminate
-from jmult.ring import extend_context, lift_poly
+from jmult.parser import Options, parse_problem
+from jmult.runner import run_command
 
 from conftest import monomial_ideal, random_monomial_ideal
 
@@ -74,6 +76,37 @@ def test_equal_ideals_share_one_memo_entry(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("text", [
+    "ring char=32003 vars=x,y,z\nideal x,y,z\n",
+    "ring char=32003 vars=x,y,z\nmod x*z-y^2\nideal x,y\n",
+], ids=["m-xyz", "cone-xy"])
+def test_a_run_builds_no_ring_but_the_parsers(monkeypatch, text):
+    """An auxiliary variable is an exponent slot, not a ring: coeffs builds
+    no context beyond the parser's two, and with the cyclic collector off it
+    leaves nothing for it to free."""
+    built = []
+    init = RingContext.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["var_names"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RingContext, "__init__", counting)
+    gc.collect()
+    gc.disable()
+    try:
+        spec = parse_problem(text, Options(seed=1))
+        parsed = list(built)
+        _, code = run_command("coeffs", spec)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert code == 0
+    assert len(parsed) == 2
+    assert built == parsed
+    assert garbage == 0
+
+
 def test_intersect_examples(ctx2, xy):
     x, y = xy
     assert Ideal(ctx2, [x]).intersect(Ideal(ctx2, [y])) == Ideal(ctx2, [x * y])
@@ -116,9 +149,14 @@ def _random_poly(ctx, rng, max_terms, max_deg):
 def _rabinowitsch(a, f):
     """a : f^infinity as (a + (1 - s f)) ∩ R, mapped back to the ring of a."""
     ctx = a.ctx
-    ext = extend_context(ctx, ("@s",))
-    s = ext.var(ext.nvars - 1)
-    rows = [lift_poly(g, ext) for g in a.gens] + [ext.one - s * lift_poly(f, ext)]
+    ext = RingContext(ctx.var_names + ("@s",), ctx.char,
+                      [{e + (0,): c for e, c in r} for r in ctx.relations])
+
+    def lift(g):
+        return Polynomial(ext, {e + (0,): c for e, c in g.terms.items()})
+
+    s = ext.var("@s")
+    rows = [lift(g) for g in a.gens] + [ext.one - s * lift(f)]
     out = eliminate(Ideal(ext, rows))
     return Ideal(ctx, [Polynomial(ctx, g.terms) for g in out.gens])
 
