@@ -6,19 +6,17 @@ routes."""
 from .ring import (DEFAULT_CHAR, Polynomial, RingContext, check_char,
                    elimination_order, grevlex)
 from .groebner import ComputationLimitError, GroebnerBasis, groebner_basis
-from .ideals import AlgebraWarning, Ideal, eliminate, ring_dimension
+from .ideals import AlgebraWarning, Ideal, ring_dimension
 from .lengths import (INFINITE, ContainmentError, gamma_length,
                       loc_quotient_length, pair_length, truncated_dim)
 from .oracle import (MonomialIdeal, OracleError, mon_pair_length,
                      mon_quotient_length, oracle_hilbert_coefficients)
 from .hilbert import (FitError, HilbertRecord, binomial, binomial_basis_convert,
-                      fit_hilbert_polynomial, graded_torsion_length,
-                      hilbert_function)
+                      fit_hilbert_polynomial, graded_torsion_length)
 from .reductions import (GeneralReduction, ReductionSearchError,
                          analytic_spread, e_one_bar, fiber_length_sum,
                          fiber_length_term, general_minimal_reduction,
-                         is_reduction, j_zero, kernel_corrected_fiber_sum,
-                         local_ideal_equal, reduction_number,
+                         j_zero, local_ideal_equal, reduction_number,
                          residual_height_check, sample_general_elements,
                          valabrega_valla_check)
 from .omega import (OmegaEvaluator, j_one_depth_formula, j_via_sums,

@@ -23,9 +23,8 @@ against a Buchberger that reduces every pair, and by brute-force S-pair
 reduction.
 
 The raw engine knows no relations.  :func:`groebner_basis` adjoins the
-context relations to the generators, and the ideal layer and the analytic
-spread adjoin them themselves where they call :func:`buchberger_raw`
-directly, so a single code path serves both the polynomial ring and its
+context relations to the generators, and the ideal layer adjoins them
+itself where it calls :func:`buchberger_raw` directly, so a single code path serves both the polynomial ring and its
 quotients.
 """
 

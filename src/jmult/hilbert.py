@@ -152,11 +152,6 @@ def graded_torsion_length(ideal: Ideal, i: int) -> int:
     return torsion_length(ideal ** i, ideal ** (i + 1))
 
 
-def hilbert_function(ideal: Ideal, n: int) -> int:
-    """Partial sum of graded torsion lengths through i = n."""
-    return sum(graded_torsion_length(ideal, i) for i in range(n + 1))
-
-
 def fit_hilbert_polynomial(ideal: Ideal, window: int | None = None,
                            extend_to: int = 0) -> HilbertRecord:
     """Compute H until its d-th difference is constant over the window (plus

@@ -1,5 +1,6 @@
 """Ideal-level operator algebra: sum, product, power, intersection, colon,
-saturation, elimination, equality, membership, dimension and codimension.
+saturation, the Rees presentation, equality, membership, dimension and
+codimension.
 
 Every :class:`Ideal` lives over a :class:`~jmult.ring.RingContext` and
 implicitly contains the context relations, so all operations take place in the
@@ -16,7 +17,9 @@ eliminate it (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
 generators and relations, not a ring of its own: the rows go straight to
 :func:`~jmult.groebner.buchberger_raw` under one order
 (:func:`~jmult.ring.elimination_order`), one helper drops t, and the only
-ideal built is the result in the working ring.
+ideal built is the result in the working ring.  The Rees presentation behind
+the analytic spread (:func:`fiber_dimension`) is the same elimination, with
+one more slot per generator appended before the auxiliary one.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from __future__ import annotations
 import warnings
 from functools import reduce
 
-from .groebner import GroebnerBasis, buchberger_raw, groebner_basis
+from .groebner import (GroebnerBasis, buchberger_raw, groebner_basis,
+                       monomial_quotient_dimension)
 from .ring import (ContextMismatchError, Polynomial, RingContext,
                    elimination_order, grevlex, mono_degree, mono_div,
                    mono_divides)
@@ -49,20 +53,17 @@ class Ideal:
                  "_hash")
 
     def __new__(cls, ctx: RingContext, gens=()):
-        clean = []
-        seen = set()
+        seen = {}  # canonical terms -> the first generator with them
         for g in gens:
             if g.ctx != ctx:
                 raise ContextMismatchError("generator from a different context")
             if g.is_zero():
                 continue
             g = g.monic()
-            c = g.canonical()
-            if c not in seen:
-                seen.add(c)
-                clean.append(g)
-        clean = tuple(_prune_monomial_multiples(clean))
-        canon = tuple(g.canonical() for g in clean)
+            seen.setdefault(g.canonical(), g)
+        kept = _prune_monomial_multiples(seen.items())
+        clean = tuple(g for _, g in kept)
+        canon = tuple(c for c, _ in kept)
 
         def build():
             ideal = object.__new__(cls)
@@ -234,32 +235,45 @@ def ring_dimension(ctx: RingContext) -> int:
     return ctx.memo("ring_dim", lambda: Ideal.zero(ctx).dimension())
 
 
-def eliminate(a: Ideal) -> Ideal:
-    """Generators of a ∩ k[all variables but the last].
+def fiber_dimension(ideal: Ideal) -> int:
+    """Krull dimension of the special fiber of the ideal, from its Rees
+    presentation (Nishida & Ulrich, *Computing j-multiplicities*, JPAA 214,
+    2010).  One T-variable per generator g_k and an auxiliary u are exponent
+    slots appended to the working ring's.  The rows T_k - u g_k and the
+    relations present R[u], on which u is a nonzerodivisor, so eliminating u
+    needs no saturation and leaves the presentation L of the Rees algebra;
+    k[x, T]/(L + (x)) is the special fiber itself."""
+    ctx = ideal.ctx
+    n, g, p = ctx.nvars, len(ideal.gens), ctx.char
+    w = n + g  # the variables x, then T_0 .. T_{g-1}
 
-    The result lives in a fresh context on the remaining variables with an
-    empty relation list; the image of the original relations is already
-    carried by the returned generators.
-    """
-    ctx = a.ctx
-    base = RingContext(ctx.var_names[:-1], ctx.char)
-    return _eliminated(base, [g.terms for g in a.gens]
-                       + [dict(r) for r in ctx.relations])
+    def var(i, k=w):
+        return tuple(int(j == i) for j in range(k))
+
+    # T_k - u g_k and the relations, the exponents of T and u appended
+    rows = [_padded(f.terms.items(), var(g, g + 1), -1) | {var(n + k, w + 1): 1}
+            for k, f in enumerate(ideal.gens)]
+    rows += [_padded(r, (0,) * (g + 1)) for r in ctx.relations]
+    rees = [dict(((le, 1),) + t) for le, t in _eliminate_last(rows, w, p)]
+    fiber = buchberger_raw(rees + [{var(i): 1} for i in range(n)], w, p, grevlex)
+    return monomial_quotient_dimension([le for le, _ in fiber], w)
 
 
 # --------------------------------------------------------------------------
 # internals
 
 
-def _prune_monomial_multiples(gens):
-    """Drop monomial generators divisible by another monomial generator."""
-    monos = [(g.lead_exp(), g) for g in gens if g.is_monomial()]
-    out = [g for g in gens if not g.is_monomial()]
+def _prune_monomial_multiples(pairs):
+    """The (canonical terms, generator) pairs without the monomial generators
+    divisible by another monomial generator: the other generators in their
+    order, then the kept monomials by degree."""
+    monos = [(g.lead_exp(), (c, g)) for c, g in pairs if g.is_monomial()]
+    out = [(c, g) for c, g in pairs if not g.is_monomial()]
     kept = []
-    for e, g in sorted(monos, key=lambda t: mono_degree(t[0])):
+    for e, pair in sorted(monos, key=lambda t: mono_degree(t[0])):
         if not any(mono_divides(k, e) for k, _ in kept):
-            kept.append((e, g))
-    out.extend(g for _, g in kept)
+            kept.append((e, pair))
+    out.extend(pair for _, pair in kept)
     return out
 
 

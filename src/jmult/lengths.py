@@ -10,11 +10,12 @@ of each variable; so its degree is at most deg v + Σ_i (s_i - 1), and the
 count runs over the staircases below that degree.
 
 A/C has no m-torsion, so the localization of A/B at m has finite length
-exactly when that of A/C vanishes, that is when (C : A) + m is the unit
-ideal; the length is then dim_k C/B.  Otherwise it is infinite.  Components
-of A/B supported away from the origin are invisible, which is exactly the
-localization the working ring demands; that behaviour is deliberate and
-tested.
+exactly when that of A/C vanishes.  By Nakayama's lemma that holds exactly
+when A = C + mA, and the test is global: A/(C + mA) is killed by m, so it is
+supported at the origin alone.  The length is then dim_k C/B; otherwise it
+is infinite.  Components of A/B supported away from the origin are
+invisible, which is exactly the localization the working ring demands; that
+behaviour is deliberate and tested.
 
 A length has the one form the report prints: an ``int``, or the string
 ``INFINITE``.  The paper's formulas are signed sums of lengths, and
@@ -111,13 +112,8 @@ def _pair_length(a: Ideal, b: Ideal):
     if not a.contains_ideal(b):
         raise ContainmentError(f"{b} is not contained in {a}")
     c = torsion(a, b)
-    if c != a:
-        # (C : A) = ∩ (C : g) over the generators g of A lies in the prime m
-        # exactly when one of the C : g does
-        m = Ideal.maximal(a.ctx)
-        if any(not c.contains(g) and not (c.colon_element(g) + m).is_unit()
-               for g in a.gens):
-            return INFINITE
+    if c != a and not (c + Ideal.maximal(a.ctx) * a).contains_ideal(a):
+        return INFINITE
     return _gap(c, b)
 
 

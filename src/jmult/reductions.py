@@ -8,9 +8,6 @@ elements x_1 .. x_s and their seed, and r = r_J(I) once verified.  The
 residuals J_i : I and the kernel K are its methods, and every route takes
 the reduction alone.
 
-The analytic spread eliminates u from the rows T_k - u g_k, whose T and u
-are exponents appended to the working ring's: no ring is built for them.
-
 Random coefficients are drawn from the whole prime field, so "general" holds
 with probability 1 - O(deg/p); every sample is deterministic in (generator
 order, seed) and the random stream is split by element index rather than call
@@ -23,12 +20,9 @@ import random
 import warnings
 from typing import NamedTuple
 
-from .groebner import buchberger_raw, monomial_quotient_dimension
-from .ideals import (AlgebraWarning, Ideal, _eliminate_last, _padded,
-                     ring_dimension)
+from .ideals import AlgebraWarning, Ideal, fiber_dimension, ring_dimension
 from .lengths import (INFINITE, loc_quotient_length, pair_length,
                       signed_sum)
-from .ring import grevlex
 
 REDUCTION_NUMBER_CAP = 30
 RETRY_CAP = 8
@@ -99,41 +93,16 @@ def sample_general_elements(ideal: Ideal, s: int, seed: int) -> GeneralReduction
 
 
 def analytic_spread(ideal: Ideal) -> int:
-    """Krull dimension of the special fiber: present the blowup algebra with
-    one T-variable per generator and an auxiliary u, eliminate u, then set
-    the ambient variables to zero.  The graph ideal (T_k - u g_k) presents
-    R[u], on which u is a nonzerodivisor, so it needs no saturation by u;
-    adding the ambient variables to the presentation L of the Rees algebra
-    leaves k[x, T]/(L + (x)), the special fiber itself."""
+    """Krull dimension of the special fiber, read from the Rees presentation
+    (:func:`~jmult.ideals.fiber_dimension`) once per ideal."""
     if ideal.is_unit() or ideal.is_zero():
         raise ValueError("analytic spread needs a proper nonzero ideal")
     return ideal.ctx.memo(("spread", ideal),
-                          lambda: _fiber_dimension(ideal))
-
-
-def _fiber_dimension(ideal: Ideal) -> int:
-    ctx = ideal.ctx
-    n, g, p = ctx.nvars, len(ideal.gens), ctx.char
-    w = n + g  # the variables x, then T_0 .. T_{g-1}
-
-    def var(i, k=w):
-        return tuple(int(j == i) for j in range(k))
-
-    # T_k - u f_k and the relations, the exponents of T and u appended
-    rows = [_padded(f.terms.items(), var(g, g + 1), -1) | {var(n + k, w + 1): 1}
-            for k, f in enumerate(ideal.gens)]
-    rows += [_padded(r, (0,) * (g + 1)) for r in ctx.relations]
-    rees = [dict(((le, 1),) + t) for le, t in _eliminate_last(rows, w, p)]
-    fiber = buchberger_raw(rees + [{var(i): 1} for i in range(n)], w, p, grevlex)
-    return monomial_quotient_dimension([le for le, _ in fiber], w)
+                          lambda: fiber_dimension(ideal))
 
 
 # --------------------------------------------------------------------------
 # reductions and reduction numbers
-
-
-def is_reduction(ideal: Ideal, j: Ideal) -> bool:
-    return reduction_number(ideal, j) is not None
 
 
 def local_ideal_equal(a: Ideal, b: Ideal) -> bool:
@@ -225,21 +194,6 @@ def fiber_length_sum(red: GeneralReduction):
     r and vanish from r on."""
     return signed_sum((1, fiber_length_term(red, n))
                       for n in range(red.r))
-
-
-def kernel_corrected_fiber_sum(red: GeneralReduction):
-    """Sum over n < r of length(I^(n+1)/J I^n) minus the part meeting
-    K = J_{d-1} : I^infinity; the difference quotient embeds into the plain
-    fiber quotient, which vanishes from the reduction number r on."""
-    ideal, kernel, j_full = red.ideal, red.kernel(), red.full
-
-    def pairs():
-        for n in range(red.r):
-            yield 1, fiber_length_term(red, n)
-            yield -1, pair_length(kernel.intersect(ideal ** (n + 1)),
-                                  kernel.intersect(j_full * (ideal ** n)))
-
-    return signed_sum(pairs())
 
 
 def e_one_bar(red: GeneralReduction):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from jmult import Ideal, RingContext, grevlex
+from jmult import Ideal, RingContext, elimination_order, grevlex
+from jmult.groebner import buchberger_raw
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +32,15 @@ def block_order(n_last):
         k = len(e) - n_last
         return (grevlex(e[k:]), grevlex(e[:k]))
     return key
+
+
+def eliminate_last(rows, nvars, p):
+    """Term dicts of the elimination basis rows of the term dicts ``rows`` in
+    ``nvars`` variables that are free of the last variable, with its exponent
+    dropped: a reference elimination built from public code alone."""
+    raw = buchberger_raw(rows, nvars, p, elimination_order)
+    return [{e[:-1]: c for e, c in ((le, 1),) + tail}
+            for le, tail in raw if not le[-1]]
 
 
 def monomial_ideal(ctx, *exps):

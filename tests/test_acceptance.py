@@ -11,11 +11,12 @@ import time
 import pytest
 
 from jmult import (INFINITE, Ideal, MonomialIdeal, OmegaEvaluator, RingContext,
-                   e_one_bar, fit_hilbert_polynomial, general_minimal_reduction,
-                   j_via_sums, j_zero, kernel_corrected_fiber_sum,
+                   e_one_bar, fiber_length_term, fit_hilbert_polynomial,
+                   general_minimal_reduction, j_via_sums, j_zero,
                    master_identity_check, mon_pair_length, northcott_bound,
                    oracle_hilbert_coefficients, pair_length,
                    residual_height_check, valabrega_valla_check)
+from jmult.lengths import signed_sum
 from jmult.parser import Options, parse_problem
 from jmult.runner import run_command
 
@@ -193,6 +194,22 @@ def test_criterion_6_abcd_identity(ctx):
             print(f"  oracle disagreed with engine: {gens}")
         checked += 1
     report(6, ok, f"{checked} random quadruples, engine and oracle")
+
+
+def kernel_corrected_fiber_sum(red):
+    """Sum over n < r of length(I^(n+1)/J I^n) minus the part meeting
+    K = J_{d-1} : I^infinity; the difference quotient embeds into the plain
+    fiber quotient, which vanishes from the reduction number r on.  The
+    reference against which criterion 7 checks e_1 of the reduction ring."""
+    ideal, kernel, j_full = red.ideal, red.kernel(), red.full
+
+    def pairs():
+        for n in range(red.r):
+            yield 1, fiber_length_term(red, n)
+            yield -1, pair_length(kernel.intersect(ideal ** (n + 1)),
+                                  kernel.intersect(j_full * (ideal ** n)))
+
+    return signed_sum(pairs())
 
 
 def test_criterion_7_reduction_ring_sum_and_depth_consistency(ctx, suite):

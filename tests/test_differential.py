@@ -8,6 +8,11 @@ and C with 1-4 generators and exponents 0-3, then compares
   and ``mon_pair_length``;
 - A : m^∞, A : C and A ∩ C with the oracle's exponent-vector operations.
 
+A second test moves a monomial ideal I into generic coordinates by a
+unipotent triangular map φ, an automorphism fixing the origin, so every
+local length of φ(I) is that of I: the engine on the dense ideal φ(I) is
+compared with the oracle on I.
+
 The search is derandomized and keeps no example database, so every run
 draws the same examples.  Hypothesis also caches the literals of local
 modules on disk, while pytest collects the tests; that cache goes to the
@@ -21,8 +26,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from jmult import (INFINITE, Ideal, MonomialIdeal, RingContext,
-                   loc_quotient_length, mon_pair_length, mon_quotient_length,
-                   pair_length)
+                   graded_torsion_length, loc_quotient_length,
+                   mon_pair_length, mon_quotient_length, pair_length)
 
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "jmult-hypothesis")
 
@@ -71,3 +76,45 @@ def test_ideal_operations_match_oracle(pair):
     assert MonomialIdeal.from_ideal(a.saturate(m)) == ma.saturate(mm)
     assert MonomialIdeal.from_ideal(a.colon(c)) == ma.colon(mc)
     assert MonomialIdeal.from_ideal(a.intersect(c)) == ma.intersect(mc)
+
+
+@st.composite
+def generic_monomial_ideals(draw):
+    """(I, φ(I)): I has 1-3 generators with exponents 0-2, and φ maps x_i to
+    x_i + Σ_{j>i} c_ij x_j with 1 <= c_ij <= 50.  A generator is drawn as a
+    pure power or as any exponent vector: without the pure powers few
+    examples have a finite colength or any torsion."""
+    ctx = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    n = ctx.nvars
+    pure = st.builds(lambda i, k: tuple(k * (j == i) for j in range(n)),
+                     st.integers(0, n - 1), st.integers(1, 2))
+    exps = draw(st.lists(st.one_of(pure, st.tuples(*[st.integers(0, 2)] * n)),
+                         min_size=1, max_size=3))
+    images = []
+    for i in range(n):
+        image = ctx.var(i)
+        for j in range(i + 1, n):
+            image = image + ctx.var(j).scale(draw(st.integers(1, 50)))
+        images.append(image)
+
+    def phi(e):
+        out = ctx.one
+        for image, k in zip(images, e):
+            out = out * image ** k
+        return out
+
+    return MonomialIdeal(n, exps), Ideal(ctx, [phi(e) for e in exps])
+
+
+@DIFFERENTIAL
+@given(generic_monomial_ideals())
+def test_generic_coordinates_match_oracle(pair):
+    mono, ideal = pair
+    n = mono.nvars
+    assert loc_quotient_length(ideal) == _engine_form(mon_quotient_length(mono))
+    mm = MonomialIdeal(n, [tuple(int(j == i) for j in range(n))
+                           for i in range(n)])
+    for i in range(3):
+        low, high = mono.power(i), mono.power(i + 1)
+        want = mon_pair_length(high.saturate(mm).intersect(low), high)
+        assert graded_torsion_length(ideal, i) == want

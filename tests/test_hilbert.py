@@ -3,8 +3,7 @@ import random
 import pytest
 
 from jmult import (FitError, Ideal, binomial, binomial_basis_convert,
-                   fit_hilbert_polynomial, graded_torsion_length,
-                   hilbert_function)
+                   fit_hilbert_polynomial, graded_torsion_length)
 from jmult.hilbert import backward_difference, detect_polynomial_window
 
 from conftest import monomial_ideal
@@ -60,6 +59,11 @@ def test_graded_torsion_examples(ctx2, xy):
     for i in range(3):
         assert graded_torsion_length(m, i) == i + 1
         assert graded_torsion_length(Ideal(ctx2, [x]), i) == 0
+
+
+def hilbert_function(ideal, n):
+    """H(n), the partial sum of graded torsion lengths through i = n."""
+    return sum(graded_torsion_length(ideal, i) for i in range(n + 1))
 
 
 def test_hilbert_function_examples(ctx2, xy):

@@ -6,11 +6,10 @@ import pytest
 import jmult.groebner
 import jmult.ideals
 from jmult import AlgebraWarning, Ideal, MonomialIdeal, Polynomial, RingContext
-from jmult.ideals import eliminate
 from jmult.parser import Options, parse_problem
 from jmult.runner import run_command
 
-from conftest import monomial_ideal, random_monomial_ideal
+from conftest import eliminate_last, monomial_ideal, random_monomial_ideal
 
 
 def test_sum_product_power(ctx2, xy):
@@ -147,18 +146,16 @@ def _random_poly(ctx, rng, max_terms, max_deg):
 
 
 def _rabinowitsch(a, f):
-    """a : f^infinity as (a + (1 - s f)) ∩ R, mapped back to the ring of a."""
+    """a : f^infinity as (a + (1 - s f)) ∩ R, with the exponent of s
+    appended last to the generators and relations of a."""
     ctx = a.ctx
-    ext = RingContext(ctx.var_names + ("@s",), ctx.char,
-                      [{e + (0,): c for e, c in r} for r in ctx.relations])
-
-    def lift(g):
-        return Polynomial(ext, {e + (0,): c for e, c in g.terms.items()})
-
-    s = ext.var("@s")
-    rows = [lift(g) for g in a.gens] + [ext.one - s * lift(f)]
-    out = eliminate(Ideal(ext, rows))
-    return Ideal(ctx, [Polynomial(ctx, g.terms) for g in out.gens])
+    n, p = ctx.nvars, ctx.char
+    rows = [{e + (0,): c for e, c in g.terms.items()} for g in a.gens]
+    rows += [{e + (0,): c for e, c in r} for r in ctx.relations]
+    rows.append({(0,) * (n + 1): 1}
+                | {e + (1,): -c % p for e, c in f.terms.items()})
+    return Ideal(ctx, [Polynomial(ctx, terms)
+                       for terms in eliminate_last(rows, n + 1, p)])
 
 
 def test_saturate_matches_rabinowitsch(ctx2, xy):

@@ -1,10 +1,13 @@
-"""Every name a module of the package imports is used in that module, and
-every module-level private function is read somewhere in the package.  The
-package ``__init__`` exists to re-export names and is exempt from the first
-check.  No linter is assumed to be installed, so the checks walk the syntax
-tree themselves."""
+"""Every name a module of the package imports is used in that module, no
+module imports a private name from another module of the package, every
+module-level private function is read somewhere in the package, and so is
+every public function, class and method, but for a listed few.  The package
+``__init__`` exists to re-export names and is exempt from the first check,
+and its re-exports are no reader.  No linter is assumed to be installed, so
+the checks walk the syntax tree themselves."""
 
 import ast
+import fnmatch
 from collections import Counter
 from pathlib import Path
 
@@ -39,23 +42,60 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unread_private_functions(sources: dict):
-    """``module.name`` of each module-level function with a private name that
-    no module of ``sources`` (module name -> text) reads outside the
-    function's own body."""
+def private_imports(source: str):
+    """Private names imported from a module of the package, which is named
+    by a relative import or by its full ``jmult.`` path."""
+    return sorted(
+        f"{node.module}.{a.name}" for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("jmult"))
+        for a in node.names if a.name.startswith("_"))
+
+
+def test_check_sees_a_private_import():
+    source = ("from os import _exit\nfrom .a import _x, y\n"
+              "from jmult.b import _z\nfrom . import c\n")
+    assert private_imports(source) == ["a._x", "jmult.b._z"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []
+
+
+def _reads(node):
+    """The names a syntax tree reads, as names or as attributes."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def unread_definitions(sources: dict, private: bool):
+    """``module.name`` of each module-level function, or, when ``private`` is
+    false, each public module-level function, class and method, that no
+    module of ``sources`` (module name -> text) reads outside the
+    definition's own body.  A private function's name starts with one
+    underscore; a public one's with none."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
-    reads = Counter(node.id if isinstance(node, ast.Name) else node.attr
-                    for tree in trees.values() for node in ast.walk(tree)
-                    if isinstance(node, (ast.Name, ast.Attribute)))
+    reads = Counter(name for tree in trees.values() for name in _reads(tree))
     unread = []
     for mod, tree in trees.items():
-        for fn in tree.body:
-            if (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
-                    and not fn.name.startswith("__")):
-                own = sum(1 for node in ast.walk(fn)
-                          if isinstance(node, ast.Name) and node.id == fn.name)
-                if reads[fn.name] == own:
-                    unread.append(f"{mod}.{fn.name}")
+        found = [(node.name, node) for node in tree.body
+                 if isinstance(node, ast.FunctionDef)]
+        if not private:
+            for cls in tree.body:
+                if isinstance(cls, ast.ClassDef):
+                    found += [(cls.name, cls)] + [
+                        (f"{cls.name}.{fn.name}", fn) for fn in cls.body
+                        if isinstance(fn, ast.FunctionDef)]
+        for qual, fn in found:
+            name = fn.name
+            if name.startswith("_") != private or name.startswith("__"):
+                continue
+            if reads[name] == sum(1 for read in _reads(fn) if read == name):
+                unread.append(f"{mod}.{qual}")
     return sorted(unread)
 
 
@@ -64,9 +104,40 @@ def test_check_sees_an_unread_private_function():
         "a": "def _used():\n    pass\n\n\ndef _left(n):\n    return _left(n - 1)\n",
         "b": "from a import _used\n\n\ndef run():\n    return _used()\n",
     }
-    assert unread_private_functions(sources) == ["a._left"]
+    assert unread_definitions(sources, private=True) == ["a._left"]
 
 
 def test_every_private_function_has_a_reader():
     sources = {p.stem: p.read_text() for p in SOURCES}
-    assert unread_private_functions(sources) == []
+    assert unread_definitions(sources, private=True) == []
+
+
+# public definitions that nothing in the package reads, each with the reason
+# it stays
+UNREAD_PUBLIC = {
+    "lengths.truncated_dim": "the benchmark's span lengths.truncated_dim",
+    "groebner.GroebnerBasis.certify": "the tests' brute-force basis check",
+    "runner.Pipeline.cmd_*": "Pipeline.run dispatches them by name",
+    "oracle.*": "the independent reference, whole whatever the runner reads",
+}
+
+
+def test_check_sees_an_unread_public_definition():
+    sources = {
+        "a": ("class Box:\n    def open(self):\n        return self.open()\n"
+              "\n    def close(self):\n        pass\n\n\n"
+              "def run(n):\n    return run(n - 1)\n"),
+        "b": "from a import Box\n\n\ndef go():\n    Box().close()\n",
+    }
+    assert unread_definitions(sources, private=False) \
+        == ["a.Box.open", "a.run", "b.go"]
+
+
+def test_every_public_definition_has_a_reader():
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    unread = unread_definitions(sources, private=False)
+    assert [q for q in unread if not any(fnmatch.fnmatchcase(q, pattern)
+                                         for pattern in UNREAD_PUBLIC)] == []
+    # an entry that matches nothing has gained a reader or lost its definition
+    assert [pattern for pattern in UNREAD_PUBLIC
+            if not fnmatch.filter(unread, pattern)] == []

@@ -113,6 +113,20 @@ def test_loc_quotient_examples(ctx2, xy):
     assert loc_quotient_length(away) == 1
 
 
+def test_pair_length_below_a_proper_ideal(ctx2, xy):
+    """A ≠ R and C ≠ A, with y - 1 a unit at the origin: locally B is
+    (x, y^2), then (x, y), then (x^2)."""
+    x, y = xy
+    one = ctx2.one
+    a = Ideal(ctx2, [x, y])
+    b = Ideal(ctx2, [x * (y - one), y ** 2 * (y - one), x * x, x * y])
+    assert pair_length(a, b) == 1
+    b = Ideal(ctx2, [x * (y - one), y * (y - one), x * x, x * y])
+    assert pair_length(a, b) == 0
+    assert pair_length(Ideal(ctx2, [x]), Ideal(ctx2, [x * x * (y - one)])) \
+        == INFINITE
+
+
 def test_infinite_length_needs_no_truncation(ctx2, xy, monkeypatch):
     def refuse(ideal, m):
         raise AssertionError("truncated_dim called")
