@@ -20,6 +20,9 @@ generators and relations, not a ring of its own: the rows go straight to
 ideal built is the result in the working ring.  The Rees presentation behind
 the analytic spread (:func:`fiber_dimension`) is the same elimination, with
 one more slot per generator appended before the auxiliary one.
+
+A containment decides the trivial cases with no elimination; the operation
+memos hash both ideals by their reduced basis, so it costs normal forms only.
 """
 
 from __future__ import annotations
@@ -308,10 +311,10 @@ def _meet(left, right):
 
 
 def _intersect(a: Ideal, b: Ideal) -> Ideal:
-    if a.is_unit():
-        return b
-    if b.is_unit():
+    if b.contains_ideal(a):
         return a
+    if a.contains_ideal(b):
+        return b
     # the relations belong to both sides, so they are adjoined whole
     rows = _meet(a.gens, b.gens) + [_padded(r) for r in a.ctx.relations]
     return _eliminated(a.ctx, rows)
@@ -343,33 +346,26 @@ def _exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
 
 
 def _colon_element(a: Ideal, f: Polynomial) -> Ideal:
-    """a : f via (a ∩ (f)) / f, with the intersection taken at ambient level."""
+    """a : f via (a ∩ (f)) / f, at ambient level; R when f lies in a."""
     if f.is_zero():
         warnings.warn("colon by zero yields the unit ideal", AlgebraWarning,
                       stacklevel=2)
         return Ideal.unit(a.ctx)
-    if Ideal.zero(a.ctx).contains(f):
-        # f is zero in the working ring, so a : f is everything
+    if a.contains(f):
         return Ideal.unit(a.ctx)
-    if a.is_unit() or f.degree() == 0:
+    if f.degree() == 0:
         return a
     ctx = a.ctx
     meet = _eliminated(ctx, _meet(a.gens + tuple(ctx.relation_polys()), [f]))
     return Ideal(ctx, [_exact_divide(g, f) for g in meet.gens])
 
 
-def _nonzero_image_gens(b: Ideal):
-    zero = Ideal.zero(b.ctx)
-    return [g for g in b.gens if not zero.contains(g)]
-
-
 def _colon(a: Ideal, b: Ideal) -> Ideal:
-    gens = _nonzero_image_gens(b)
-    if not gens:
+    if b.is_zero():
         warnings.warn("colon by the zero ideal yields the unit ideal",
                       AlgebraWarning, stacklevel=2)
         return Ideal.unit(a.ctx)
-    return reduce(Ideal.intersect, (a.colon_element(f) for f in gens))
+    return reduce(Ideal.intersect, (a.colon_element(f) for f in b.gens))
 
 
 def _saturate_rows(rows, i: int, p: int):
@@ -418,7 +414,7 @@ def _saturate_variable(a: Ideal, i: int) -> Ideal:
 
 
 def _saturate(a: Ideal, b: Ideal) -> Ideal:
-    gens = _nonzero_image_gens(b)
+    gens = [f for f in b.gens if not a.contains(f)]  # a : f^∞ = R for f in a
     if not gens:
         return Ideal.unit(a.ctx)
     return reduce(Ideal.intersect, (_saturate_element(a, f) for f in gens))

@@ -111,6 +111,8 @@ def pair_length(a: Ideal, b: Ideal):
 def _pair_length(a: Ideal, b: Ideal):
     if not a.contains_ideal(b):
         raise ContainmentError(f"{b} is not contained in {a}")
+    if b.contains_ideal(a):
+        return 0
     c = torsion(a, b)
     if c != a and not (c + Ideal.maximal(a.ctx) * a).contains_ideal(a):
         return INFINITE

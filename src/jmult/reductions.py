@@ -110,7 +110,7 @@ def local_ideal_equal(a: Ideal, b: Ideal) -> bool:
     m-local length of a/b vanishes.  General elements of an ideal may differ
     from it at points away from the origin, so the global basis comparison
     would be too strict here."""
-    return a == b or pair_length(a, b) == 0
+    return pair_length(a, b) == 0
 
 
 def reduction_number(ideal: Ideal, j: Ideal):

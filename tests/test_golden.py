@@ -24,6 +24,8 @@ EXITS = GOLDEN / "exit_codes.json"
 M2 = "ring char=32003 vars=x,y\nideal x^2,x*y,y^2\n"
 FAMILY_XY = "ring char=32003 vars=x,y\nmod x^3-x^2*y\nideal x*y\n"
 NOT_M_PRIMARY = "ring char=32003 vars=x,y\nideal x^2,x*y\n"
+# NOT_M_PRIMARY under the coordinate change x -> x + 2y
+NOT_M_PRIMARY_PHI = "ring char=32003 vars=x,y\nideal x^2+4*x*y+4*y^2,x*y+2*y^2\n"
 CI_X2YZ = "ring char=32003 vars=x,y,z\nideal x^2,y,z\n"
 CONE_XY = "ring char=32003 vars=x,y,z\nmod x*z-y^2\nideal x,y\n"
 NONHOMOG = "ring char=32003 vars=x,y\nideal x-x^2,y\n"
@@ -36,6 +38,7 @@ CASES = {
                    "omega", "northcott", "oracle")},
     "coeffs-family-xy": (["coeffs"], FAMILY_XY),
     "coeffs-not-m-primary": (["coeffs"], NOT_M_PRIMARY),
+    "coeffs-not-m-primary-phi": (["coeffs"], NOT_M_PRIMARY_PHI),
     "northcott-m2-table": (["northcott", "--format", "table"], M2),
     "hilbert-x2yz": (["hilbert"], CI_X2YZ),
     "coeffs-cone-xy": (["coeffs"], CONE_XY),
@@ -58,6 +61,17 @@ def test_golden_report(name):
     text, code = run_case(name)
     assert text == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     assert code == json.loads(EXITS.read_text(encoding="utf-8"))[name]
+
+
+def test_golden_is_invariant_under_a_coordinate_change():
+    """Every answer is an invariant of the local ring and the ideal, so a
+    coordinate change fixing the origin moves only the input and the printed
+    reduction elements."""
+    plain, phi = (json.loads((GOLDEN / f"{name}.out").read_text(encoding="utf-8"))
+                  for name in ("coeffs-not-m-primary", "coeffs-not-m-primary-phi"))
+    for report in (plain, phi):
+        del report["input"], report["results"]["reduction"]["elements"]
+    assert phi == plain
 
 
 def regenerate():

@@ -5,7 +5,8 @@ import pytest
 
 import jmult.groebner
 import jmult.ideals
-from jmult import AlgebraWarning, Ideal, MonomialIdeal, Polynomial, RingContext
+from jmult import (AlgebraWarning, Ideal, MonomialIdeal, Polynomial, RingContext,
+                   pair_length)
 from jmult.parser import Options, parse_problem
 from jmult.runner import run_command
 
@@ -72,6 +73,33 @@ def test_equal_ideals_share_one_memo_entry(monkeypatch):
     for module in (jmult.groebner, jmult.ideals):
         monkeypatch.setattr(module, "buchberger_raw", counting)
     assert b.saturate(m) is sat
+    assert calls == []
+
+
+def test_a_containment_decides_with_no_basis(monkeypatch):
+    """Intersection, saturation, colon and an equal pair's length that one
+    side's containment in the other decides compute no Groebner basis once
+    the ideals' own bases are known."""
+    ctx = RingContext(("x", "y"), 32003)
+    x, y = ctx.var("x"), ctx.var("y")
+    a = Ideal(ctx, [x * x, x * y])
+    c = Ideal(ctx, [y ** 3 - x])
+    b, ac = a + c, a * c
+    for ideal in (a, b, ac, Ideal.zero(ctx), Ideal.unit(ctx)):
+        ideal.reduced()
+    calls = []
+    real = jmult.groebner.buchberger_raw
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (jmult.groebner, jmult.ideals):
+        monkeypatch.setattr(module, "buchberger_raw", counting)
+    assert a.intersect(b) is a
+    assert b.saturate(a).is_unit()
+    assert a.colon(ac).is_unit()
+    assert pair_length(b, b.reduced()) == 0
     assert calls == []
 
 
