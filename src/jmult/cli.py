@@ -70,12 +70,11 @@ def options_from_args(args) -> Options:
     return Options(seed=args.seed, char=args.char, nmax=args.nmax,
                    window=args.window, gd_asserted=args.assert_gd,
                    an_asserted=args.assert_an, s2_asserted=args.assert_s2,
-                   fmt=args.fmt, oracle=args.oracle)
+                   oracle=args.oracle)
 
 
-def _flag_error(spec: ProblemSpec) -> str | None:
+def _flag_error(spec: ProblemSpec, opt: Options) -> str | None:
     """Why --nmax or --window is out of range for the problem, if it is."""
-    opt = spec.options
     if opt.nmax is not None and opt.nmax < 0:
         return f"--nmax must be at least 0, got {opt.nmax}"
     if opt.nmax is None and opt.window is None:
@@ -104,14 +103,14 @@ def main(argv=None) -> int:
     options = options_from_args(args)
     try:
         spec = parse_problem(text, options)
-        error = _flag_error(spec)
+        error = _flag_error(spec, options)
     except ProblemError as exc:
         error = exc
     if error:
         print(f"error: {error}", file=sys.stderr)
         return PARSE_ERROR
-    report, code = run_command(args.command, spec)
-    sys.stdout.write(emit_report(report, options.fmt))
+    report, code = run_command(args.command, spec, options)
+    sys.stdout.write(emit_report(report, args.fmt))
     return code
 
 

@@ -219,14 +219,9 @@ class Ideal:
         return self.gb().dimension()
 
     def codimension(self) -> int:
-        """Height of this ideal in the working ring; the unit ideal gets the
-        flagged convention dim R + 1."""
-        d = ring_dimension(self.ctx)
-        if self.is_unit():
-            warnings.warn("codimension of the unit ideal uses the convention dim R + 1",
-                          AlgebraWarning, stacklevel=2)
-            return d + 1
-        return d - self.dimension()
+        """Height of this ideal in the working ring; the unit ideal, of
+        dimension -1, gets the convention dim R + 1."""
+        return ring_dimension(self.ctx) - self.dimension()
 
 
 # --------------------------------------------------------------------------
@@ -375,13 +370,10 @@ def _saturate_rows(rows, i: int, p: int):
     homogenization.  In grevlex on the variables ordered (others, h, x_i),
     x_i divides a homogeneous basis row exactly when it divides its lead, so
     dividing each row by the x_i-power of its lead saturates; then h = 1."""
-    last = rows[-1][0]
-    if not any(last):  # the unit ideal
-        return [{last: 1}]
     hom = [{e[:i] + e[i + 1:] + (mono_degree(le) - mono_degree(e), e[i]): c
             for e, c in ((le, 1),) + tail} for le, tail in rows]
     return [{e[:i] + (e[-1] - le[-1],) + e[i:-2]: c for e, c in ((le, 1),) + tail}
-            for le, tail in buchberger_raw(hom, len(last) + 1, p, grevlex)]
+            for le, tail in buchberger_raw(hom, len(rows[0][0]) + 1, p, grevlex)]
 
 
 def _saturate_element(a: Ideal, f: Polynomial) -> Ideal:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from .ideals import Ideal, ring_dimension
 from .lengths import (INFINITE, gamma_length, loc_quotient_length,
                       pair_length)
-from .parser import Options
 from .reductions import GeneralReduction, fiber_length_sum
 
 
@@ -47,19 +46,20 @@ def minimal_generator_count(ideal: Ideal):
 
 
 def assemble_northcott(red: GeneralReduction, j1: int | None,
-                       effective: bool, m_primary: bool, options: Options,
+                       effective: bool, m_primary: bool, flags: dict,
                        extra_notes=()) -> dict:
     """The report's JSON from precomputed pieces.  ``j1`` is the fitted
     coefficient, and ``red.r`` is None when no general minimal reduction was
     verified.  The caller resolves whether the hypotheses are in force
-    and whether the ideal is m-primary at the origin, and owns the
+    and whether the ideal is m-primary at the origin, passes the run's
+    asserted hypotheses as ``flags`` (``Options.flags_json``), and owns the
     cross-check of ``j1`` by the summation route.  ``bound`` is lambda(I/J)
     plus the second term whenever both are finite, and equality forces the
     inequality."""
     ideal, r = red.ideal, red.r
     d = ring_dimension(ideal.ctx)
     notes = list(extra_notes)
-    if m_primary and not (options.gd_asserted and options.an_asserted):
+    if m_primary and not (flags["gd_asserted"] and flags["an_asserted"]):
         notes.append("ideal is primary to the maximal ideal, so the residual "
                      "hypotheses hold automatically")
     report = {
@@ -77,7 +77,7 @@ def assemble_northcott(red: GeneralReduction, j1: int | None,
         "m_primary_implication": None,
         "complete_intersection_implication": None,
         "hypotheses_effective": effective,
-        "flags": options.flags_json(),
+        "flags": flags,
         "notes": notes,
         "decomposition": {},
     }

@@ -9,6 +9,10 @@ Polynomials are signed sums of products of powers and integer literals with
 an explicit ``*`` between factors; ``#`` starts a comment.  Syntax errors and
 semantic errors (unknown variable, non-prime characteristic, empty ideal) are
 reported with line and column, as distinct error types.
+
+A parsed problem is the pair (ring, ideal) and nothing else.  The run's
+configuration, :class:`Options`, travels beside it; the parser reads only its
+characteristic override.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ class Options(NamedTuple):
     gd_asserted: bool = False
     an_asserted: bool = False
     s2_asserted: bool = False
-    fmt: str = "json"
     oracle: bool = False
 
     def flags_json(self):
@@ -56,21 +59,10 @@ class Options(NamedTuple):
 
 
 class ProblemSpec(NamedTuple):
-    """A parsed problem; equality and hashing ignore the run options."""
+    """A parsed problem: the working ring and the ideal under study."""
 
     ring: RingContext
     ideal: Ideal
-    options: Options = Options()
-
-    def __eq__(self, other):
-        return (isinstance(other, ProblemSpec) and self.ring == other.ring
-                and self.ideal == other.ideal)
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash((self.ring, self.ideal))
 
 
 # --------------------------------------------------------------------------
@@ -269,7 +261,7 @@ def parse_problem(text: str, options: Options | None = None) -> ProblemSpec:
         extra = rest[1][2][0]
         raise ProblemSyntaxError(f"unexpected line starting with {extra.text!r}",
                                  extra.line, extra.col)
-    return ProblemSpec(ring=ctx, ideal=Ideal(ctx, gens), options=options)
+    return ProblemSpec(ring=ctx, ideal=Ideal(ctx, gens))
 
 
 def print_problem(spec: ProblemSpec) -> str:

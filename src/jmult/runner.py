@@ -1,10 +1,11 @@
 """Command dispatch and report assembly.
 
-One pipeline instance per problem: expensive artifacts (analytic spread, the
-fitted record, the sampled reduction, correction evaluators) are computed at
-most once and shared by whichever command is running.  Reports are plain
-dicts with a fixed key order, so identical (input, seed, config) runs emit
-byte-identical JSON.
+One pipeline instance per problem and run: expensive artifacts (analytic
+spread, the fitted record, the sampled reduction, correction evaluators) are
+computed at most once and shared by whichever command is running.  The run's
+``Options`` are passed beside the parsed problem, never inside it.  Reports
+are plain dicts with a fixed key order, so identical (input, seed, config)
+runs emit byte-identical JSON.
 
 Exit codes: 0 clean, 2 input error (parse error, zero ideal, an ideal or a
 relation outside the maximal ideal m at the origin, ring of dimension 0), 3
@@ -28,9 +29,9 @@ from .northcott import assemble_northcott
 from .omega import (OmegaEvaluator, combined_verdict, j_one_depth_formula,
                     j_via_sums, master_identity_check)
 from .oracle import MonomialIdeal, OracleError, mon_quotient_length, oracle_hilbert_coefficients
-from .parser import ProblemSpec, print_problem
+from .parser import Options, ProblemSpec, print_problem
 from .reductions import (GeneralReduction, ReductionSearchError,
-                         general_minimal_reduction, j_zero,
+                         analytic_spread, general_minimal_reduction, j_zero,
                          residual_height_check, sample_general_elements,
                          valabrega_valla_check, e_one_bar)
 
@@ -41,13 +42,13 @@ OK, PARSE_ERROR, HYPOTHESIS_FAIL, CAP_OR_INFINITE, CROSS_CHECK = 0, 2, 3, 4, 5
 
 
 class Pipeline:
-    """Shared lazy state for one parsed problem."""
+    """Shared lazy state for one parsed problem under one run's options."""
 
-    def __init__(self, spec: ProblemSpec):
+    def __init__(self, spec: ProblemSpec, options: Options):
         self.spec = spec
         self.ctx = spec.ring
         self.ideal = spec.ideal
-        self.opt = spec.options
+        self.opt = options
         self.diagnostics: list[str] = []
         self.severity = OK
 
@@ -80,7 +81,6 @@ class Pipeline:
 
     @cached_property
     def spread(self) -> int:
-        from .reductions import analytic_spread
         return analytic_spread(self.ideal)
 
     @cached_property
@@ -352,7 +352,8 @@ class Pipeline:
         report = assemble_northcott(
             red, j1,
             effective=self.hypotheses_effective,
-            m_primary=self.m_primary, options=self.opt, extra_notes=notes)
+            m_primary=self.m_primary, flags=self.opt.flags_json(),
+            extra_notes=notes)
         if report["equality_case"] == "violated":
             self.flag(CROSS_CHECK, "equality case and reduction number "
                                    "disagree under passing hypotheses")
@@ -404,9 +405,9 @@ def _agrees(value, expected: int):
 # emission
 
 
-def run_command(command: str, spec: ProblemSpec):
+def run_command(command: str, spec: ProblemSpec, options: Options):
     """Returns (report dict, exit code)."""
-    pipe = Pipeline(spec)
+    pipe = Pipeline(spec, options)
     report = pipe.run(command)
     return report, pipe.severity
 

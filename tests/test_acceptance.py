@@ -71,8 +71,7 @@ def test_criterion_1_family_reproduction():
         start = time.time()
         text = f"ring char={PRIME} vars=x,y\nmod x^3-x^2*y\nideal x*y^{t}\n" \
             if t else f"ring char={PRIME} vars=x,y\nmod x^3-x^2*y\nideal x\n"
-        spec = parse_problem(text, Options())
-        rep, code = run_command("coeffs", spec)
+        rep, code = run_command("coeffs", parse_problem(text), Options())
         elapsed = time.time() - start
         j = rep["results"]["j"]
         spread = rep["hypotheses"]["analytic_spread"]

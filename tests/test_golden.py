@@ -52,8 +52,9 @@ def run_case(name: str):
     argv, problem = CASES[name]
     args = build_arg_parser().parse_args([argv[0], "-", *argv[1:]])
     options = options_from_args(args)
-    report, code = run_command(args.command, parse_problem(problem, options))
-    return emit_report(report, options.fmt), code
+    report, code = run_command(args.command, parse_problem(problem, options),
+                               options)
+    return emit_report(report, args.fmt), code
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

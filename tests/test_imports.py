@@ -141,3 +141,42 @@ def test_every_public_definition_has_a_reader():
     # an entry that matches nothing has gained a reader or lost its definition
     assert [pattern for pattern in UNREAD_PUBLIC
             if not fnmatch.filter(unread, pattern)] == []
+
+
+
+# the modules that hold the mathematics, and the front end that parses
+# problems, holds the run's options and prints reports
+ALGEBRA = ("ring", "groebner", "ideals", "lengths", "hilbert", "reductions",
+           "omega", "northcott", "oracle")
+FRONT_END = {"parser", "runner", "cli"}
+
+
+def imported_names(source: str):
+    """The dotted name each import statement binds, with a relative import
+    read inside the package: ``from .parser import Options`` binds
+    ``jmult.parser.Options``."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["jmult" if node.level else "",
+                                          node.module]))
+            names += [f"{base}.{a.name}" for a in node.names]
+    return names
+
+
+def test_check_sees_every_import_form():
+    source = ("import os\nimport jmult.cli\nfrom .parser import Options\n"
+              "from jmult.runner import run_command\nfrom . import ring\n")
+    assert imported_names(source) == ["os", "jmult.cli", "jmult.parser.Options",
+                                      "jmult.runner.run_command", "jmult.ring"]
+
+
+@pytest.mark.parametrize("name", ALGEBRA)
+def test_algebra_does_not_import_the_front_end(name):
+    """An algebra module takes what it needs of the run's configuration as
+    arguments, so it imports none of the front end."""
+    source = (Path(jmult.__file__).parent / f"{name}.py").read_text()
+    assert {n.split(".")[1] for n in imported_names(source)
+            if n.startswith("jmult.")} & FRONT_END == set()

@@ -9,8 +9,7 @@ from conftest import monomial_ideal
 
 
 def _report(text, **opts):
-    spec = parse_problem(text, Options(**opts))
-    return run_command("northcott", spec)
+    return run_command("northcott", parse_problem(text), Options(**opts))
 
 
 def test_bound_m_primary(ctx2):

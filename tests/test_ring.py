@@ -19,6 +19,19 @@ def test_prime_validation():
         check_char(1 << 32)
 
 
+@pytest.mark.parametrize("n", [561, 2047, 1373653, 25326001, 46337 ** 2])
+def test_composites_that_fool_a_weak_test_are_rejected(n):
+    """The Carmichael number 561, strong pseudoprimes to the smallest bases,
+    and the square of the largest prime below sqrt(2**31), whose only
+    divisor is the last one trial division reaches."""
+    with pytest.raises(ValueError, match="not prime"):
+        check_char(n)
+
+
+def test_largest_prime_characteristic_is_accepted():
+    assert check_char((1 << 31) - 1) == (1 << 31) - 1
+
+
 def test_field_axioms_random(ctx2):
     p = ctx2.char
     rng = random.Random(11)

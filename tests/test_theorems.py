@@ -53,7 +53,7 @@ def problems(draw):
 @THEOREMS
 @given(problems())
 def test_theorems_hold_where_the_hypotheses_do(text):
-    report, code = run_command("coeffs", parse_problem(text, Options(seed=1)))
+    report, code = run_command("coeffs", parse_problem(text), Options(seed=1))
     assert code != 5, text
     if not (report["hypotheses"] or {}).get("effective"):
         return
