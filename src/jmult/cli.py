@@ -30,7 +30,8 @@ exit codes: 0 ok, 2 input error (parse error, out-of-range flag, zero ideal,
 an ideal or a relation with a nonzero constant term, ring of dimension 0), 3
 hypothesis-surrogate failure (results still printed, marked), 4 resource cap,
 or a compared value that is infinite, 5 internal cross-check violation (a
-finite compared value that is wrong, or an internal inconsistency).
+finite compared value that is wrong, an internal inconsistency, or any other
+unexpected internal error, reported without a traceback).
 """
 
 

@@ -1,15 +1,19 @@
 """Independent combinatorial oracle for monomial inputs.
 
 Lengths are lattice-point counts over staircase regions, colons are
-componentwise truncated subtraction, intersections are componentwise max, and
-saturations drop exponents of the saturating variables.  Nothing here touches
-the Groebner engine, which is the point: every shared operation can be
-cross-checked against this module on monomial instances.
+componentwise truncated subtraction, intersections are componentwise max,
+saturations drop exponents of the saturating variables, and the classical
+Hilbert coefficients are read from counted colengths with this module's own
+difference operator.  The module imports no other module of the package, so
+it shares no code with the Groebner engine or the Hilbert fit, which is the
+point: every shared operation can be cross-checked against it on monomial
+instances.
 """
 
 from __future__ import annotations
 
 from itertools import product as iter_product
+from math import comb
 
 
 class OracleError(ValueError):
@@ -191,26 +195,38 @@ def mon_quotient_length(a: MonomialIdeal):
 # classical Hilbert-Samuel route for m-primary monomial ideals
 
 
+def _difference(values, k: int, n: int) -> int:
+    """k-th backward difference at index n of a list of integers."""
+    return sum((-1) ** j * comb(k, j) * values[n - j] for j in range(k + 1))
+
+
 def oracle_hilbert_coefficients(a: MonomialIdeal):
-    """Classical coefficients of n -> length(R/a^(n+1)), for m-primary a.
+    """Classical coefficients (j_0 .. j_d) of P, the polynomial that
+    n -> length(R/a^(n+1)) eventually agrees with, for m-primary a.
 
-    Counts colengths directly, locates the region where the d-th difference
-    is constant and converts to the signed binomial basis.  This is the
-    anti-hallucination cross-check for the fitted route of the main engine.
+    Counts colengths until the d-th backward difference is constant at d + 4
+    consecutive n, steps P back from its last d + 1 values to n = -1 - d by
+    the vanishing (d + 1)-th difference, and reads j_i = (-1)^i times the
+    (d - i)-th backward difference of P at -1.  This is the
+    anti-hallucination cross-check for the fitted route of the main engine,
+    and shares no code with it.
     """
-    from .hilbert import binomial_basis_convert, detect_polynomial_window
-
     if not a.is_m_primary():
         raise OracleError("classical coefficients need an m-primary ideal")
     d = a.nvars
     values = []
     n_cap = 64
-    region = None
-    while region is None:
-        n = len(values)
-        if n > n_cap:
+    run, prev = 0, None
+    while run < d + 4:
+        if len(values) > n_cap:
             raise OracleError("colength counts did not become polynomial")
-        values.append(mon_quotient_length(a.power(n + 1)))
-        region = detect_polynomial_window(values, d, d + 2)
-    s, e = region
-    return binomial_basis_convert(values[s:e + 1], d, start=s)
+        values.append(mon_quotient_length(a.power(len(values) + 1)))
+        if len(values) > d:
+            cur = _difference(values, d, len(values) - 1)
+            run = run + 1 if cur == prev else 1
+            prev = cur
+    p = values[-d - 1:]
+    for _ in values:
+        p.insert(0, sum((-1) ** (j + 1) * comb(d + 1, j) * p[j - 1]
+                        for j in range(1, d + 2)))
+    return tuple((-1) ** i * _difference(p, d - i, d) for i in range(d + 1))

@@ -12,8 +12,9 @@ relation outside the maximal ideal m at the origin, ring of dimension 0), 3
 hypothesis-surrogate failure (results are still printed, marked), 4 a
 resource cap, or a compared value that is infinite, 5 internal cross-check
 violation: a compared value that is finite and wrong, or an internal
-inconsistency such as an exact division that failed or a length display
-whose smaller ideal is not contained in the larger one.
+inconsistency such as an exact division that failed, a length display whose
+smaller ideal is not contained in the larger one, or any other stray
+built-in error, reported instead of a traceback.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from functools import cached_property
 
 from .groebner import ComputationLimitError
 from .hilbert import FitError, fit_hilbert_polynomial
-from .ideals import InternalInconsistencyError, ring_dimension
-from .lengths import INFINITE, ContainmentError, loc_quotient_length
+from .ideals import ring_dimension
+from .lengths import INFINITE, loc_quotient_length
 from .northcott import assemble_northcott
 from .omega import (OmegaEvaluator, combined_verdict, j_one_depth_formula,
                     j_via_sums, master_identity_check)
@@ -191,7 +192,8 @@ class Pipeline:
         except (ComputationLimitError, FitError) as exc:
             self.flag(CAP_OR_INFINITE, str(exc))
             results = {"error": str(exc)}
-        except (InternalInconsistencyError, ContainmentError) as exc:
+        except (ArithmeticError, LookupError, RuntimeError, TypeError,
+                ValueError) as exc:
             self.flag(CROSS_CHECK, f"internal inconsistency: {exc}")
             results = {"error": str(exc)}
         return self.envelope(results, hypotheses)

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from jmult import Ideal, RingContext, elimination_order, grevlex
 from jmult.groebner import buchberger_raw
+from jmult.ideals import Ideal
+from jmult.ring import RingContext, elimination_order, grevlex
 
 
 @pytest.fixture(scope="session")

@@ -10,14 +10,18 @@ import time
 
 import pytest
 
-from jmult import (INFINITE, Ideal, MonomialIdeal, OmegaEvaluator, RingContext,
-                   e_one_bar, fiber_length_term, fit_hilbert_polynomial,
-                   general_minimal_reduction, j_via_sums, j_zero,
-                   master_identity_check, mon_pair_length, northcott_bound,
-                   oracle_hilbert_coefficients, pair_length,
-                   residual_height_check, valabrega_valla_check)
-from jmult.lengths import signed_sum
+from jmult.hilbert import fit_hilbert_polynomial
+from jmult.ideals import Ideal
+from jmult.lengths import INFINITE, pair_length, signed_sum
+from jmult.northcott import northcott_bound
+from jmult.omega import OmegaEvaluator, j_via_sums, master_identity_check
+from jmult.oracle import (MonomialIdeal, mon_pair_length,
+                          oracle_hilbert_coefficients)
 from jmult.parser import Options, parse_problem
+from jmult.reductions import (e_one_bar, fiber_length_term,
+                              general_minimal_reduction, j_zero,
+                              residual_height_check, valabrega_valla_check)
+from jmult.ring import RingContext
 from jmult.runner import run_command
 
 from conftest import monomial_ideal

@@ -421,6 +421,41 @@ def test_internal_inconsistency_exits_5(capsys, monkeypatch):
     assert code == 5
 
 
+@pytest.mark.parametrize("error", [ArithmeticError, ZeroDivisionError,
+                                   LookupError, KeyError, IndexError,
+                                   RuntimeError, TypeError, ValueError])
+def test_stray_exception_exits_5(capsys, monkeypatch, error):
+    """An exception that no route handles is a bug, reported in the JSON
+    with exit 5, never as a traceback."""
+    def broken(red):
+        raise error("stand-in stray error")
+
+    monkeypatch.setattr(jmult.runner, "j_zero", broken)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(M2))
+    code = main(["coeffs", "-"])
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    message = str(error("stand-in stray error"))
+    assert rep["results"] == {"error": message}
+    assert rep["diagnostics"] == [f"internal inconsistency: {message}"]
+    assert captured.err == ""
+    assert code == 5
+
+
+def test_exception_outside_the_bug_classes_propagates(capsys, monkeypatch):
+    """Only the built-in classes a bug raises are reported: any other
+    exception, such as a caller's timeout, leaves ``main``."""
+    class Interrupt(Exception):
+        pass
+
+    def interrupted(red):
+        raise Interrupt()
+
+    monkeypatch.setattr(jmult.runner, "j_zero", interrupted)
+    with pytest.raises(Interrupt):
+        run_cli(capsys, monkeypatch, "coeffs", M2)
+
+
 def test_cap_m_flag_is_rejected(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(M2))
     with pytest.raises(SystemExit) as exc:

@@ -25,9 +25,11 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from jmult import (INFINITE, Ideal, MonomialIdeal, RingContext,
-                   graded_torsion_length, loc_quotient_length,
-                   mon_pair_length, mon_quotient_length, pair_length)
+from jmult.hilbert import graded_torsion_length
+from jmult.ideals import Ideal
+from jmult.lengths import INFINITE, loc_quotient_length, pair_length
+from jmult.oracle import MonomialIdeal, mon_pair_length, mon_quotient_length
+from jmult.ring import RingContext
 
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "jmult-hypothesis")
 

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from jmult import Ideal, Polynomial, RingContext, groebner_basis
-from jmult.groebner import ComputationLimitError, buchberger_raw
+from jmult.groebner import (ComputationLimitError, buchberger_raw,
+                            groebner_basis)
+from jmult.ideals import Ideal
 from jmult.lengths import INFINITE, loc_quotient_length, truncated_dim
-from jmult.ring import elimination_order, grevlex
+from jmult.ring import Polynomial, RingContext, elimination_order, grevlex
 
 from conftest import (block_order, eliminate_last, monomial_ideal,
                       random_monomial_ideal)
@@ -115,7 +116,8 @@ def test_standard_count_matches_oracle_lattice(ctx2):
     monomial ideals in up to three variables: a finite colength through the
     truncation at a degree past the staircase (every exponent of a standard
     monomial is below 6), an infinite one through the local length."""
-    from jmult import RingContext, mon_quotient_length, MonomialIdeal
+    from jmult.oracle import MonomialIdeal, mon_quotient_length
+    from jmult.ring import RingContext
     ctx3 = RingContext(("x", "y", "z"), 32003)
     rng = random.Random(47)
     checked = 0

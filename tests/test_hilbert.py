@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from jmult import (FitError, Ideal, binomial, binomial_basis_convert,
-                   fit_hilbert_polynomial, graded_torsion_length)
-from jmult.hilbert import backward_difference, detect_polynomial_window
+from jmult.hilbert import (FitError, backward_difference, binomial,
+                           binomial_basis_convert, detect_polynomial_window,
+                           fit_hilbert_polynomial, graded_torsion_length)
+from jmult.ideals import Ideal
 
 from conftest import monomial_ideal
 
@@ -120,7 +121,7 @@ def test_sum_route_matches_fit(ctx2):
 
 def test_classical_coincidence_with_colengths(ctx2):
     """For an ideal primary to m the function equals the plain colength."""
-    from jmult import loc_quotient_length
+    from jmult.lengths import loc_quotient_length
     ideal = monomial_ideal(ctx2, (2, 0), (1, 1), (0, 2))
     for n in range(4):
         assert (hilbert_function(ideal, n)
@@ -137,7 +138,8 @@ def test_values_non_decreasing(ctx2, ctx_family):
 def test_degree_detects_analytic_spread(ctx2, ctx_family):
     """The leading coefficient is nonzero exactly when the analytic spread
     has the maximal value."""
-    from jmult import analytic_spread, ring_dimension
+    from jmult.ideals import ring_dimension
+    from jmult.reductions import analytic_spread
     X, Y = ctx_family.var("x"), ctx_family.var("y")
     cases = [
         (monomial_ideal(ctx2, (2, 0), (1, 1), (0, 2)), ctx2),

@@ -5,9 +5,11 @@ import pytest
 
 import jmult.groebner
 import jmult.ideals
-from jmult import (AlgebraWarning, Ideal, MonomialIdeal, Polynomial, RingContext,
-                   pair_length)
+from jmult.ideals import AlgebraWarning, Ideal
+from jmult.lengths import pair_length
+from jmult.oracle import MonomialIdeal
 from jmult.parser import Options, parse_problem
+from jmult.ring import Polynomial, RingContext
 from jmult.runner import run_command
 
 from conftest import eliminate_last, monomial_ideal, random_monomial_ideal

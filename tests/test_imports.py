@@ -1,13 +1,17 @@
 """Every name a module of the package imports is used in that module, no
 module imports a private name from another module of the package, every
 module-level private function is read somewhere in the package, and so is
-every public function, class and method, but for a listed few.  The package
-``__init__`` exists to re-export names and is exempt from the first check,
-and its re-exports are no reader.  No linter is assumed to be installed, so
-the checks walk the syntax tree themselves."""
+every public function, class and method, but for a listed few.  No linter
+is assumed to be installed, so the checks walk the syntax tree themselves.
+Each name has one home: the package root imports nothing, the oracle imports
+no module of the package, and a fresh interpreter loads only what it
+imports."""
 
 import ast
 import fnmatch
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -16,7 +20,6 @@ import pytest
 import jmult
 
 SOURCES = sorted(Path(jmult.__file__).parent.glob("*.py"))
-MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str):
@@ -37,7 +40,7 @@ def test_check_sees_an_unused_import():
         == ["match", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -180,3 +183,33 @@ def test_algebra_does_not_import_the_front_end(name):
     source = (Path(jmult.__file__).parent / f"{name}.py").read_text()
     assert {n.split(".")[1] for n in imported_names(source)
             if n.startswith("jmult.")} & FRONT_END == set()
+
+
+def test_oracle_imports_no_module_of_the_package():
+    """The oracle is the independent reference: it reads nothing of the
+    engine, not even inside a function."""
+    source = (Path(jmult.__file__).parent / "oracle.py").read_text()
+    assert [n for n in imported_names(source) if n.startswith("jmult.")] == []
+
+
+def loaded_modules(statement: str):
+    """The modules of the package that a fresh interpreter holds after
+    running ``statement``."""
+    src = str(Path(jmult.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = (f"{statement}\nimport sys\n"
+             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'jmult'))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    return proc.stdout.split()
+
+
+def test_an_import_loads_only_what_it_names():
+    """The package root re-exports nothing, so importing one module loads
+    that module and what it imports, and the CLI still loads every module,
+    as the benchmark's spans need."""
+    assert loaded_modules("import jmult") == ["jmult"]
+    assert loaded_modules("import jmult.oracle") == ["jmult", "jmult.oracle"]
+    assert loaded_modules("import jmult.cli") == sorted(
+        "jmult" if p.stem == "__init__" else f"jmult.{p.stem}" for p in SOURCES)

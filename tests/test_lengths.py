@@ -3,10 +3,12 @@ import random
 import pytest
 
 import jmult.lengths
-from jmult.lengths import signed_sum
-from jmult import (INFINITE, ContainmentError, Ideal, MonomialIdeal,
-                   RingContext, gamma_length, loc_quotient_length,
-                   mon_pair_length, pair_length, truncated_dim)
+from jmult.ideals import Ideal
+from jmult.lengths import (ContainmentError, INFINITE, gamma_length,
+                           loc_quotient_length, pair_length, signed_sum,
+                           truncated_dim)
+from jmult.oracle import MonomialIdeal, mon_pair_length
+from jmult.ring import RingContext
 
 from conftest import monomial_ideal, random_monomial_ideal
 

@@ -1,8 +1,9 @@
 import pytest
 
-from jmult import (Ideal, general_minimal_reduction,
-                   minimal_generator_count, northcott_bound)
+from jmult.ideals import Ideal
+from jmult.northcott import minimal_generator_count, northcott_bound
 from jmult.parser import Options, parse_problem
+from jmult.reductions import general_minimal_reduction
 from jmult.runner import run_command
 
 from conftest import monomial_ideal
@@ -87,8 +88,8 @@ def test_report_no_equality_with_small_r_outside_m_primary():
 def test_classical_northcott_comparison(ctx2):
     """For m-primary ideals the bound is lambda(I/J) and matches the classical
     difference of multiplicity and colength, computed independently."""
-    from jmult import (MonomialIdeal, loc_quotient_length,
-                       oracle_hilbert_coefficients)
+    from jmult.lengths import loc_quotient_length
+    from jmult.oracle import MonomialIdeal, oracle_hilbert_coefficients
     for exps in [((2, 0), (1, 1), (0, 2)), ((3, 0), (1, 1), (0, 3)),
                  ((2, 0), (0, 2))]:
         ideal = monomial_ideal(ctx2, *exps)

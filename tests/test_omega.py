@@ -2,9 +2,13 @@ import pytest
 
 import jmult.ideals
 
-from jmult import (INFINITE, Ideal, OmegaEvaluator, RingContext, fit_hilbert_polynomial,
-                   general_minimal_reduction, j_one_depth_formula, j_via_sums,
-                   master_identity_check, pair_length)
+from jmult.hilbert import fit_hilbert_polynomial
+from jmult.ideals import Ideal
+from jmult.lengths import INFINITE, pair_length
+from jmult.omega import (OmegaEvaluator, j_one_depth_formula, j_via_sums,
+                         master_identity_check)
+from jmult.reductions import general_minimal_reduction
+from jmult.ring import RingContext
 
 from conftest import monomial_ideal
 

@@ -1,7 +1,7 @@
 import pytest
 
-from jmult import (MonomialIdeal, OracleError, mon_pair_length,
-                   mon_quotient_length, oracle_hilbert_coefficients)
+from jmult.oracle import (MonomialIdeal, OracleError, mon_pair_length,
+                          mon_quotient_length, oracle_hilbert_coefficients)
 
 
 def test_pair_length_examples():

@@ -1,8 +1,7 @@
 import pytest
 
-from jmult import (ProblemSemanticError, ProblemSyntaxError, parse_problem,
-                   print_problem)
-from jmult.parser import Options
+from jmult.parser import (Options, ProblemSemanticError, ProblemSyntaxError,
+                          parse_problem, print_problem)
 
 
 def test_family_example_parses():

@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from jmult import (INFINITE, Ideal, Options, RingContext,
-                   analytic_spread, e_one_bar, fiber_length_sum,
-                   fiber_length_term, general_minimal_reduction, j_zero,
-                   local_ideal_equal, loc_quotient_length,
-                   parse_problem, reduction_number,
-                   residual_height_check, ring_dimension,
-                   sample_general_elements, valabrega_valla_check)
+from jmult.ideals import Ideal, ring_dimension
+from jmult.lengths import INFINITE, loc_quotient_length
+from jmult.parser import Options, parse_problem
+from jmult.reductions import (analytic_spread, e_one_bar, fiber_length_sum,
+                              fiber_length_term, general_minimal_reduction,
+                              j_zero, local_ideal_equal, reduction_number,
+                              residual_height_check, sample_general_elements,
+                              valabrega_valla_check)
+from jmult.ring import RingContext
 
 from conftest import monomial_ideal
 
@@ -202,7 +204,7 @@ def test_failing_case_located_by_search(ctx2):
     """Randomized search over equigenerated m-primary staircases with gaps
     must turn up at least one ideal violating the summation condition; the
     oracle confirms e1 on every candidate along the way."""
-    from jmult import oracle_hilbert_coefficients, MonomialIdeal
+    from jmult.oracle import MonomialIdeal, oracle_hilbert_coefficients
     rng = random.Random(2024)
     found = None
     for _ in range(40):

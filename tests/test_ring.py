@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from jmult import RingContext, check_char, elimination_order, grevlex
-from jmult.ring import ContextMismatchError, format_polynomial
+from jmult.ring import (ContextMismatchError, RingContext, check_char,
+                        elimination_order, format_polynomial, grevlex)
 
 from conftest import block_order
 
