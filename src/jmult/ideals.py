@@ -167,10 +167,7 @@ class Ideal:
 
     def __mul__(self, other: "Ideal") -> "Ideal":
         self._check(other)
-        if not self.gens or not other.gens:
-            return Ideal.zero(self.ctx)
-        prods = [a * b for a in self.gens for b in other.gens]
-        return Ideal(self.ctx, prods)
+        return Ideal(self.ctx, [a * b for a in self.gens for b in other.gens])
 
     def __pow__(self, n: int) -> "Ideal":
         if n < 0:

@@ -66,7 +66,8 @@ def truncated_dim(ideal_: Ideal, m: int) -> int:
 
 
 def torsion(a: Ideal, b: Ideal) -> Ideal:
-    """C = (B : m^∞) ∩ A, so that C/B is the m-torsion of A/B."""
+    """C = (B : m^∞) ∩ A, for any A and B: when B ⊆ A, C/B is the m-torsion
+    of A/B; otherwise C is the relative colon (B :_A m^∞) of the displays."""
     return b.saturate(Ideal.maximal(b.ctx)).intersect(a)
 
 

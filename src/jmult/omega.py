@@ -3,11 +3,11 @@ Hilbert coefficients.
 
 Every displayed module is evaluated literally in the working ring as a length
 of a quotient of ideal expressions built from sums, products, intersections,
-colons and m-saturations; a relative colon (A :_X m^infinity) is read as
-(A : m^infinity) ∩ X.  The colon element of Ktilde^i is the general element
-x_{i+1}, and its display is ((J_i : I) + I^(n+1)) : x_{i+1} over
-(J_i : I) + I^n, which is well-formed by construction.  In dimension up to two
-only i = 0 occurs.
+colons and m-saturations; a relative colon (A :_X m^infinity), that is
+(A : m^infinity) ∩ X, is ``lengths.torsion(X, A)``.  The colon element of
+Ktilde^i is the general element x_{i+1}, and its display is
+((J_i : I) + I^(n+1)) : x_{i+1} over (J_i : I) + I^n, which is well-formed by
+construction.  In dimension up to two only i = 0 occurs.
 
 A display method returns only its (numerator, denominator) pair.  One step,
 ``OmegaEvaluator.length``, turns any display into its length sequence: zero
@@ -32,7 +32,7 @@ from __future__ import annotations
 from .hilbert import HilbertRecord, backward_difference, binomial
 from .ideals import Ideal, ring_dimension
 from .lengths import (INFINITE, gamma_length, loc_quotient_length,
-                      pair_length, signed_sum)
+                      pair_length, signed_sum, torsion)
 from .reductions import GeneralReduction, fiber_length_sum, fiber_length_term
 
 
@@ -63,9 +63,6 @@ class OmegaEvaluator:
         the d-th difference of P - H past postulation + d."""
         return max(self.red.r, self.record.postulation + self.d)
 
-    def fiber(self, n: int):
-        return fiber_length_term(self.red, n)
-
     def length(self, display, i: int, n: int):
         """The length of the module ``display(i, n)``.  Sequences are
         extended by zero at n <= 0, which matches the literal displays: the
@@ -91,24 +88,21 @@ class OmegaEvaluator:
         return num, den
 
     def l_term(self, i: int, n: int):
-        I, m = self.ideal, Ideal.maximal(self.ctx)
+        I = self.ideal
         jci, jci1 = self.red.residual(i), self.red.residual(i + 1)
-        num = (jci.intersect(I ** n) + I ** (n + 1)).saturate(m) \
-            .intersect(jci1.intersect(I ** n))
-        inner = (jci.intersect(I ** (n - 1)) + I ** n).saturate(m) \
-            .intersect(I ** (n - 1))
+        num = torsion(jci1.intersect(I ** n),
+                      jci.intersect(I ** n) + I ** (n + 1))
+        inner = torsion(I ** (n - 1), jci.intersect(I ** (n - 1)) + I ** n)
         den = (jci.intersect(I ** n) + jci1.intersect(I ** (n + 1))
                + inner * Ideal(self.ctx, (self.red.elements[i],)))
         return num, den
 
     def n_term(self, i: int, n: int):
-        I, m = self.ideal, Ideal.maximal(self.ctx)
+        I = self.ideal
         jci, jci1 = self.red.residual(i), self.red.residual(i + 1)
-        num = (jci1.intersect(I ** n) + I ** (n + 1)).saturate(m) \
-            .intersect(I ** n)
+        num = torsion(I ** n, jci1.intersect(I ** n) + I ** (n + 1))
         den = jci1.intersect(I ** n) \
-            + (jci.intersect(I ** n) + I ** (n + 1)).saturate(m) \
-            .intersect(I ** n)
+            + torsion(I ** n, jci.intersect(I ** n) + I ** (n + 1))
         return num, den
 
     def colon_intersection(self, i: int, n: int):
@@ -189,7 +183,8 @@ def master_identity_check(ev: OmegaEvaluator, nmax: int) -> dict:
     ``combined_verdict`` of its rows."""
     rows = []
     for n in range(nmax + 1):
-        lhs = signed_sum(((1, ev.fiber(n)), (1, ev.omega(n)["total"])))
+        lhs = signed_sum(((1, fiber_length_term(ev.red, n)),
+                          (1, ev.omega(n)["total"])))
         rhs = ev.record.delta_p_minus_h(n)
         rows.append({"n": n, "lhs": lhs, "rhs": rhs,
                      "holds": None if lhs == INFINITE else lhs == rhs})
@@ -204,7 +199,7 @@ def j_via_sums(ev: OmegaEvaluator, i: int):
 
     def pairs():
         for n in range(i - 1, ev.last_sum_degree() + 1):
-            yield binomial(n, i - 1), ev.fiber(n)
+            yield binomial(n, i - 1), fiber_length_term(ev.red, n)
             yield binomial(n, i - 1), ev.omega(n)["total"]
 
     return signed_sum(pairs())

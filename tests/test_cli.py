@@ -257,6 +257,39 @@ def test_out_of_range_flag_is_input_error(capsys, monkeypatch, cmd, flags):
     assert flags[0] in captured.err
 
 
+def test_in_range_nmax_sets_the_rows(capsys, monkeypatch):
+    """An in-range --nmax passes the flag check and sets how many omega and
+    master-identity rows the report prints."""
+    code, out = run_cli(capsys, monkeypatch, "coeffs", M2, "--nmax", "1")
+    results = json.loads(out)["results"]
+    assert [row["n"] for row in results["omega"]] == [0, 1]
+    assert [row["n"] for row in results["master_identity"]["rows"]] == [0, 1]
+    assert results["master_identity"]["holds"] is True
+    assert code == 0
+
+
+def test_in_range_window_is_used_by_the_fit(capsys, monkeypatch):
+    code, out = run_cli(capsys, monkeypatch, "hilbert", M2, "--window", "5")
+    results = json.loads(out)["results"]
+    assert results["j"] == [4, 1, 0]
+    assert results["window"] == [0, 8]
+    assert code == 0
+
+
+def test_fit_failure_is_reported_in_the_json(capsys, monkeypatch):
+    """A window too large for the Hilbert table is a fit failure inside the
+    report: exit 4 with the message as the result, never a traceback."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(M2))
+    code = main(["hilbert", "-", "--window", "38"])
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    message = "no polynomial window of size 38 found up to n = 40"
+    assert rep["results"] == {"error": message}
+    assert message in rep["diagnostics"]
+    assert "Traceback" not in captured.err
+    assert code == 4
+
+
 def test_assert_flags_echoed(capsys, monkeypatch):
     code, out = run_cli(capsys, monkeypatch, "depthcheck", M2, "--assert-an")
     rep = json.loads(out)

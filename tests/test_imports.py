@@ -4,8 +4,9 @@ module-level private function is read somewhere in the package, and so is
 every public function, class and method, but for a listed few.  No linter
 is assumed to be installed, so the checks walk the syntax tree themselves.
 Each name has one home: the package root imports nothing, the oracle imports
-no module of the package, and a fresh interpreter loads only what it
-imports."""
+no module of the package, a fresh interpreter loads only what it imports,
+and the correction terms take their relative colons from ``lengths.torsion``
+rather than saturating by m themselves."""
 
 import ast
 import fnmatch
@@ -145,6 +146,29 @@ def test_every_public_definition_has_a_reader():
     assert [pattern for pattern in UNREAD_PUBLIC
             if not fnmatch.filter(unread, pattern)] == []
 
+
+def saturations(source: str):
+    """The ``.saturate(...)`` and ``Ideal.maximal(...)`` calls of a source,
+    by the name they call."""
+    return sorted(
+        ast.unparse(node.func) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and (node.func.attr == "saturate"
+             or ast.unparse(node.func) == "Ideal.maximal"))
+
+
+def test_check_sees_a_saturation():
+    source = ("m = Ideal.maximal(ctx)\nc = (a + b).saturate(m).intersect(x)\n"
+              "t = torsion(x, a + b)\n")
+    assert saturations(source) == ["(a + b).saturate", "Ideal.maximal"]
+
+
+def test_omega_takes_its_relative_colons_from_torsion():
+    """The correction terms' relative colons (A :_X m^inf) come from
+    ``lengths.torsion``, which also serves every pair length, so omega
+    neither saturates nor builds m itself."""
+    source = (Path(jmult.__file__).parent / "omega.py").read_text()
+    assert saturations(source) == []
 
 
 # the modules that hold the mathematics, and the front end that parses
