@@ -8,8 +8,9 @@ quotient ring.  Ideals are immutable, and there is one object per context and
 normalized generator list, which holds its reduced grevlex basis and powers;
 lists holding the same generators in another order share that basis.
 An ideal is its own memo key: equal ideals hash and compare alike by their
-reduced basis, itself an interned ideal (:meth:`Ideal.reduced`), so the same
-ideal reached through different generators shares every memoized result.
+reduced basis rows, which are canonical, so the same ideal reached through
+different generators shares every memoized result.  A computed basis is also
+recorded as the basis of its own rows, since a reduced basis is its own.
 
 Intersection, colon and saturation adjoin an auxiliary variable t and
 eliminate it (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
@@ -22,7 +23,8 @@ the analytic spread (:func:`fiber_dimension`) is the same elimination, with
 one more slot per generator appended before the auxiliary one.
 
 A containment decides the trivial cases with no elimination; the operation
-memos hash both ideals by their reduced basis, so it costs normal forms only.
+memos hash both ideals by their reduced basis rows, so once those bases are
+known it costs normal forms only.
 """
 
 from __future__ import annotations
@@ -48,12 +50,11 @@ class InternalInconsistencyError(RuntimeError):
 class Ideal:
     """Finitely generated ideal of the working ring: one object per context
     and normalized, ordered generator list, alive as long as the context.
-    Two ideals are equal exactly when their reduced grevlex bases coincide;
-    ``==`` performs that mathematical comparison and ``hash`` agrees with it.
+    Two ideals are equal exactly when the rows of their reduced grevlex
+    bases coincide; ``==`` compares those rows and ``hash`` hashes them.
     """
 
-    __slots__ = ("ctx", "gens", "_canon", "_gb", "_reduced", "_powers",
-                 "_hash")
+    __slots__ = ("ctx", "gens", "_canon", "_gb", "_powers", "_hash")
 
     def __new__(cls, ctx: RingContext, gens=()):
         seen = {}  # canonical terms -> the first generator with them
@@ -71,7 +72,7 @@ class Ideal:
         def build():
             ideal = object.__new__(cls)
             ideal.ctx, ideal.gens, ideal._canon = ctx, clean, canon
-            ideal._gb = ideal._reduced = ideal._hash = None
+            ideal._gb = ideal._hash = None
             ideal._powers = {}
             return ideal
 
@@ -91,48 +92,27 @@ class Ideal:
     def maximal(ctx: RingContext) -> "Ideal":
         return Ideal(ctx, tuple(ctx.var(i) for i in range(ctx.nvars)))
 
-    @classmethod
-    def _with_gb(cls, ctx: RingContext, gb: GroebnerBasis) -> "Ideal":
-        ideal = cls(ctx, [Polynomial(ctx, dict(((le, 1),) + tail))
-                          for le, tail in gb.rows])
-        if ideal._gb is None:
-            ideal._gb = ctx.memo(ideal._gens_key(), lambda: gb)
-        return ideal
-
     # -- bases and identity ----------------------------------------------------
 
-    def _gens_key(self):
-        """The generator set, in any order: lists that differ only in order
-        share one basis.  It reuses the canonical generators of the
-        interning key, so the two keys hold one copy of them."""
-        return ("gb",) + tuple(sorted(self._canon))
-
     def gb(self) -> GroebnerBasis:
+        """The reduced grevlex basis, memoized under the generator set in
+        any order: lists that differ only in order share one basis."""
         if self._gb is None:
             self._gb = self.ctx.memo(
-                self._gens_key(),
-                lambda: groebner_basis(self.ctx, self.gens))
+                _basis_key(self._canon),
+                lambda: _recorded(groebner_basis(self.ctx, self.gens)))
         return self._gb
-
-    def reduced(self) -> "Ideal":
-        """The ideal generated by the reduced basis: one object for every
-        generator list of this ideal in this context."""
-        if self._reduced is None:
-            self._reduced = Ideal._with_gb(self.ctx, self.gb())
-        return self._reduced
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):
             return NotImplemented
         if self.ctx != other.ctx:
             return False
-        if self.gens == other.gens:
-            return True
-        return self.reduced()._canon == other.reduced()._canon
+        return self.gens == other.gens or self.gb().rows == other.gb().rows
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ctx._sig, self.reduced()._canon))
+            self._hash = hash((self.ctx._sig, self.gb().rows))
         return self._hash
 
     def __repr__(self):
@@ -198,8 +178,19 @@ class Ideal:
                              lambda: _colon(self, other))
 
     def colon_element(self, f: Polynomial) -> "Ideal":
-        return self.ctx.memo(("colon_el", self, f),
-                             lambda: _colon_element(self, f))
+        """self : f via (self ∩ (f)) / f; R when f lies in self."""
+        ctx = self.ctx
+        if f.is_zero():
+            warnings.warn("colon by zero yields the unit ideal", AlgebraWarning,
+                          stacklevel=2)
+            return Ideal.unit(ctx)
+        if self.contains(f):
+            return Ideal.unit(ctx)
+        if f.degree() == 0:
+            return self
+        meet = _eliminated(ctx, _meet(self.gens + tuple(ctx.relation_polys()),
+                                      [f]))
+        return Ideal(ctx, [_exact_divide(g, f) for g in meet.gens])
 
     def saturate(self, other: "Ideal") -> "Ideal":
         """self : other^∞, the intersection over the generators f of other
@@ -288,10 +279,25 @@ def _eliminate_last(rows, nvars: int, p: int):
             for le, tail in raw if not le[-1]]
 
 
+def _basis_key(canon):
+    """The basis memo key of the canonical generators ``canon``, in any
+    order; an ideal's shares the terms of its interning key."""
+    return ("gb",) + tuple(sorted(canon))
+
+
+def _recorded(gb: GroebnerBasis) -> GroebnerBasis:
+    """The basis, recorded as the basis of its own rows: a reduced basis
+    generates its ideal and is its own basis."""
+    key = _basis_key(tuple(sorted(((le, 1),) + tail)) for le, tail in gb.rows)
+    return gb.ctx.memo(key, lambda: gb)
+
+
 def _eliminated(ctx: RingContext, rows) -> Ideal:
-    """(rows) ∩ R as an ideal of ``ctx`` with its basis seeded."""
-    gb = GroebnerBasis(ctx, _eliminate_last(rows, ctx.nvars, ctx.char))
-    return Ideal._with_gb(ctx, gb)
+    """(rows) ∩ R as the ideal of its recorded reduced basis rows."""
+    gb = _recorded(GroebnerBasis(ctx, _eliminate_last(rows, ctx.nvars,
+                                                      ctx.char)))
+    return Ideal(ctx, [Polynomial(ctx, dict(((le, 1),) + tail))
+                       for le, tail in gb.rows])
 
 
 def _meet(left, right):
@@ -335,21 +341,6 @@ def _exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
             else:
                 work.pop(ne, None)
     return Polynomial(ctx, quo)
-
-
-def _colon_element(a: Ideal, f: Polynomial) -> Ideal:
-    """a : f via (a ∩ (f)) / f, at ambient level; R when f lies in a."""
-    if f.is_zero():
-        warnings.warn("colon by zero yields the unit ideal", AlgebraWarning,
-                      stacklevel=2)
-        return Ideal.unit(a.ctx)
-    if a.contains(f):
-        return Ideal.unit(a.ctx)
-    if f.degree() == 0:
-        return a
-    ctx = a.ctx
-    meet = _eliminated(ctx, _meet(a.gens + tuple(ctx.relation_polys()), [f]))
-    return Ideal(ctx, [_exact_divide(g, f) for g in meet.gens])
 
 
 def _colon(a: Ideal, b: Ideal) -> Ideal:

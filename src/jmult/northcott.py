@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .ideals import Ideal, ring_dimension
 from .lengths import (INFINITE, gamma_length, loc_quotient_length,
-                      pair_length)
+                      pair_length, torsion)
 from .reductions import GeneralReduction, fiber_length_sum
 
 
@@ -32,9 +32,9 @@ def northcott_bound(red: GeneralReduction):
     d = ring_dimension(ideal.ctx)
     if d < 2:
         raise ValueError("the bound is defined for dimension at least two")
-    m = Ideal.maximal(ideal.ctx)
     lam = pair_length(ideal, red.full)
-    resid = red.residual(d - 1) + (red.residual(d - 2) + ideal).saturate(m)
+    resid = red.residual(d - 1) + torsion(Ideal.unit(ideal.ctx),
+                                          red.residual(d - 2) + ideal)
     second = loc_quotient_length(resid)
     return lam, second
 

@@ -184,19 +184,23 @@ class Pipeline:
             if msg:
                 self.flag(PARSE_ERROR, msg)
                 return self.envelope({"error": msg}, None)
-        hypotheses = None
+        results = self._captured(getattr(self, f"cmd_{command}"))
+        hypotheses = (None if command == "oracle"
+                      else self._captured(self.hypotheses_json))
+        return self.envelope(results, hypotheses)
+
+    def _captured(self, section):
+        """``section()``, or ``{"error": message}`` with exit 4 for a cap or
+        a failed fit and 5 for a bug, so it erases no other section."""
         try:
-            results = getattr(self, f"cmd_{command}")()
-            if command != "oracle":
-                hypotheses = self.hypotheses_json()
+            return section()
         except (ComputationLimitError, FitError) as exc:
             self.flag(CAP_OR_INFINITE, str(exc))
-            results = {"error": str(exc)}
+            return {"error": str(exc)}
         except (ArithmeticError, LookupError, RuntimeError, TypeError,
                 ValueError) as exc:
             self.flag(CROSS_CHECK, f"internal inconsistency: {exc}")
-            results = {"error": str(exc)}
-        return self.envelope(results, hypotheses)
+            return {"error": str(exc)}
 
     # -- commands ----------------------------------------------------------------
 

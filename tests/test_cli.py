@@ -278,13 +278,15 @@ def test_in_range_window_is_used_by_the_fit(capsys, monkeypatch):
 
 def test_fit_failure_is_reported_in_the_json(capsys, monkeypatch):
     """A window too large for the Hilbert table is a fit failure inside the
-    report: exit 4 with the message as the result, never a traceback."""
+    report: exit 4 with the message as the result, never a traceback, and
+    the hypotheses section is still reported."""
     monkeypatch.setattr(sys, "stdin", io.StringIO(M2))
     code = main(["hilbert", "-", "--window", "38"])
     captured = capsys.readouterr()
     rep = json.loads(captured.out)
     message = "no polynomial window of size 38 found up to n = 40"
     assert rep["results"] == {"error": message}
+    assert isinstance(rep["hypotheses"], dict)
     assert message in rep["diagnostics"]
     assert "Traceback" not in captured.err
     assert code == 4

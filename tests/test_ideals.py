@@ -51,20 +51,15 @@ def test_shared_ideals_are_one_object_per_context(ctx2, xy):
     assert Ideal.maximal(twin) == Ideal.maximal(ctx2)
 
 
-def test_equal_ideals_share_one_memo_entry(monkeypatch):
-    """An ideal is its own memo key: equal ideals with different generators
-    hash alike, share one reduced ideal, and so one memoized saturation."""
-    ctx = RingContext(("x", "y"), 32003)
-    x, y = ctx.var("x"), ctx.var("y")
-    a = Ideal(ctx, [x * x, x * y, y * y])
-    b = Ideal(ctx, [x * x + x * y, x * y, y * y])
-    assert a.gens != b.gens
-    assert a == b
-    assert hash(a) == hash(b)
-    assert a.reduced() is b.reduced()
-    m = Ideal.maximal(ctx)
-    sat = a.saturate(m)
-    b.gb()
+def basis_ideal(ideal):
+    """The ideal generated by the rows of the reduced basis of ``ideal``."""
+    ctx = ideal.ctx
+    return Ideal(ctx, [Polynomial(ctx, dict(((le, 1),) + tail))
+                       for le, tail in ideal.gb().rows])
+
+
+def counting_bases(monkeypatch):
+    """The argument lists of every ``buchberger_raw`` call from now on."""
     calls = []
     real = jmult.groebner.buchberger_raw
 
@@ -74,7 +69,29 @@ def test_equal_ideals_share_one_memo_entry(monkeypatch):
 
     for module in (jmult.groebner, jmult.ideals):
         monkeypatch.setattr(module, "buchberger_raw", counting)
+    return calls
+
+
+def test_equal_ideals_share_one_memo_entry(monkeypatch):
+    """An ideal is its own memo key: equal ideals with different generators
+    hash alike by their reduced basis rows, and so share one memoized
+    saturation; the ideal those rows generate shares the basis itself."""
+    ctx = RingContext(("x", "y"), 32003)
+    x, y = ctx.var("x"), ctx.var("y")
+    a = Ideal(ctx, [x * x, x * y, y * y])
+    b = Ideal(ctx, [x * x + x * y, x * y, y * y])
+    assert a.gens != b.gens
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a.gb().rows == b.gb().rows
+    m = Ideal.maximal(ctx)
+    sat = a.saturate(m)
+    b.gb()
+    calls = counting_bases(monkeypatch)
     assert b.saturate(m) is sat
+    rows = basis_ideal(b)
+    assert rows == a and hash(rows) == hash(a)
+    assert rows.saturate(m) is sat
     assert calls == []
 
 
@@ -88,20 +105,51 @@ def test_a_containment_decides_with_no_basis(monkeypatch):
     c = Ideal(ctx, [y ** 3 - x])
     b, ac = a + c, a * c
     for ideal in (a, b, ac, Ideal.zero(ctx), Ideal.unit(ctx)):
-        ideal.reduced()
-    calls = []
-    real = jmult.groebner.buchberger_raw
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for module in (jmult.groebner, jmult.ideals):
-        monkeypatch.setattr(module, "buchberger_raw", counting)
+        ideal.gb()
+    calls = counting_bases(monkeypatch)
     assert a.intersect(b) is a
     assert b.saturate(a).is_unit()
     assert a.colon(ac).is_unit()
-    assert pair_length(b, b.reduced()) == 0
+    assert pair_length(b, basis_ideal(b)) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("relations", [(), ("x^3-x^2*y",)],
+                         ids=["free", "quotient"])
+def test_an_elimination_equals_its_explicit_generators(relations):
+    """(x - y) ∩ (x + y, y^3) = (x^2 - y^2, xy^2 - y^3), in k[x, y] and
+    modulo x^2 (x - y), which lies in both: the intersection, an elimination
+    whose basis is recorded, and the same ideal written with other
+    generators compare equal and hash alike by their basis rows."""
+    spec = parse_problem("ring char=32003 vars=x,y\n"
+                         + "".join(f"mod {r}\n" for r in relations)
+                         + "ideal x\n")
+    ctx = spec.ring
+    x, y = ctx.var("x"), ctx.var("y")
+    meet = Ideal(ctx, [x - y]).intersect(Ideal(ctx, [x + y, y ** 3]))
+    f = x * x - y * y
+    explicit = Ideal(ctx, [f, f * y + x * y * y - y ** 3])
+    assert explicit.gens != meet.gens
+    assert not all(g.is_monomial() for g in explicit.gens)
+    assert meet == explicit and explicit == meet
+    assert hash(meet) == hash(explicit)
+    assert meet != Ideal(ctx, [x - y])
+
+
+def test_hashing_a_known_basis_touches_no_memo(monkeypatch):
+    """Hashing reads the basis rows: once an ideal's basis is known, by
+    ``gb()`` or as a recorded elimination, a hash adds no memo entry, builds
+    no ideal and computes no basis."""
+    ctx = RingContext(("x", "y"), 32003)
+    x, y = ctx.var("x"), ctx.var("y")
+    a = Ideal(ctx, [x * x + x * y, x * y, y ** 3 - x])
+    assert basis_ideal(a) is not a
+    meet = Ideal(ctx, [x - y]).intersect(Ideal(ctx, [x + y, y ** 3]))
+    a.gb()
+    before = dict(ctx._memo)
+    calls = counting_bases(monkeypatch)
+    hash(a), hash(meet)
+    assert ctx._memo == before
     assert calls == []
 
 

@@ -5,8 +5,8 @@ every public function, class and method, but for a listed few.  No linter
 is assumed to be installed, so the checks walk the syntax tree themselves.
 Each name has one home: the package root imports nothing, the oracle imports
 no module of the package, a fresh interpreter loads only what it imports,
-and the correction terms take their relative colons from ``lengths.torsion``
-rather than saturating by m themselves."""
+and every m-torsion comes from ``lengths.torsion``: outside ``ideals`` and
+``lengths`` no module saturates by m."""
 
 import ast
 import fnmatch
@@ -147,28 +147,43 @@ def test_every_public_definition_has_a_reader():
             if not fnmatch.filter(unread, pattern)] == []
 
 
-def saturations(source: str):
-    """The ``.saturate(...)`` and ``Ideal.maximal(...)`` calls of a source,
-    by the name they call."""
+def saturations_by_m(source: str):
+    """The ``.saturate(...)`` calls of a source that saturate by m: those
+    whose argument is an ``Ideal.maximal(...)`` call, or a name that an
+    assignment of the source binds to one."""
+    tree = ast.parse(source)
+
+    def maximal(node):
+        return (isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "Ideal.maximal")
+
+    m_names = {t.id for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and maximal(node.value)
+               for t in node.targets if isinstance(t, ast.Name)}
     return sorted(
-        ast.unparse(node.func) for node in ast.walk(ast.parse(source))
+        ast.unparse(node) for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and (node.func.attr == "saturate"
-             or ast.unparse(node.func) == "Ideal.maximal"))
+        and node.func.attr == "saturate" and node.args
+        and (maximal(node.args[0]) or (isinstance(node.args[0], ast.Name)
+                                       and node.args[0].id in m_names)))
 
 
 def test_check_sees_a_saturation():
     source = ("m = Ideal.maximal(ctx)\nc = (a + b).saturate(m).intersect(x)\n"
-              "t = torsion(x, a + b)\n")
-    assert saturations(source) == ["(a + b).saturate", "Ideal.maximal"]
+              "d = a.saturate(Ideal.maximal(a.ctx))\ne = a.saturate(i)\n"
+              "mi = m * i\nt = torsion(x, a + b)\n")
+    assert saturations_by_m(source) == ["(a + b).saturate(m)",
+                                        "a.saturate(Ideal.maximal(a.ctx))"]
 
 
 def test_omega_takes_its_relative_colons_from_torsion():
-    """The correction terms' relative colons (A :_X m^inf) come from
-    ``lengths.torsion``, which also serves every pair length, so omega
-    neither saturates nor builds m itself."""
-    source = (Path(jmult.__file__).parent / "omega.py").read_text()
-    assert saturations(source) == []
+    """Every m-torsion comes from ``lengths.torsion``, which serves every
+    pair length, the correction terms' relative colons (A :_X m^inf) and the
+    Northcott residual: no module but ``ideals``, which saturates, and
+    ``lengths``, which owns ``torsion``, saturates by m."""
+    found = {p.stem: saturations_by_m(p.read_text()) for p in SOURCES
+             if p.stem not in ("ideals", "lengths")}
+    assert {stem: calls for stem, calls in found.items() if calls} == {}
 
 
 # the modules that hold the mathematics, and the front end that parses
