@@ -42,6 +42,20 @@ COMMANDS = ("hilbert", "coeffs", "jmult", "reduction", "depthcheck", "omega",
 OK, PARSE_ERROR, HYPOTHESIS_FAIL, CAP_OR_INFINITE, CROSS_CHECK = 0, 2, 3, 4, 5
 
 
+class _piece(cached_property):
+    """A ``cached_property`` that keeps the exception it raised too, so a
+    failing piece costs its time once, though both report sections read it."""
+
+    def __get__(self, pipeline, owner=None):
+        if pipeline is not None and self.attrname in pipeline.failed:
+            raise pipeline.failed[self.attrname]
+        try:
+            return super().__get__(pipeline, owner)
+        except Exception as exc:
+            pipeline.failed[self.attrname] = exc
+            raise
+
+
 class Pipeline:
     """Shared lazy state for one parsed problem under one run's options."""
 
@@ -52,6 +66,7 @@ class Pipeline:
         self.opt = options
         self.diagnostics: list[str] = []
         self.severity = OK
+        self.failed: dict[str, Exception] = {}  # lazy piece -> its error
 
     # -- severity ----------------------------------------------------------
 
@@ -76,15 +91,15 @@ class Pipeline:
 
     # -- lazy shared pieces -------------------------------------------------
 
-    @cached_property
+    @_piece
     def dim(self) -> int:
         return ring_dimension(self.ctx)
 
-    @cached_property
+    @_piece
     def spread(self) -> int:
         return analytic_spread(self.ideal)
 
-    @cached_property
+    @_piece
     def reduction(self) -> GeneralReduction:
         """The general minimal reduction.  When the spread falls short of the
         dimension or the search fails, d elements are still sampled for the
@@ -108,16 +123,16 @@ class Pipeline:
             return self.opt.nmax
         return (r if r is not None else 0) + self.dim + 2
 
-    @cached_property
+    @_piece
     def record(self):
         return fit_hilbert_polynomial(self.ideal, window=self.opt.window,
                                       extend_to=self.nmax + self.dim + 1)
 
-    @cached_property
+    @_piece
     def surrogate(self):
         return residual_height_check(self.reduction)
 
-    @cached_property
+    @_piece
     def m_primary(self) -> bool:
         """Whether I is primary to m in the local ring at the origin, that
         is whether R/I has finite length there.  Components of I away from
@@ -131,7 +146,7 @@ class Pipeline:
         return (self.spread == self.dim and self.surrogate["passed"]
                 and (self.m_primary or asserted))
 
-    @cached_property
+    @_piece
     def evaluator(self) -> OmegaEvaluator:
         return OmegaEvaluator(self.reduction, self.record)
 

@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 import jmult
+import jmult.groebner
 import jmult.ideals
 import jmult.lengths
 import jmult.omega
@@ -289,6 +290,26 @@ def test_fit_failure_is_reported_in_the_json(capsys, monkeypatch):
     assert isinstance(rep["hypotheses"], dict)
     assert message in rep["diagnostics"]
     assert "Traceback" not in captured.err
+    assert code == 4
+
+
+def test_a_failed_shared_piece_is_computed_once(capsys, monkeypatch):
+    """The results and the hypotheses both read the analytic spread; when
+    it hits a cap, both sections report the error and it was computed
+    once."""
+    calls = []
+
+    def capped(ideal):
+        calls.append(ideal)
+        raise jmult.groebner.ComputationLimitError("stand-in pair cap")
+
+    monkeypatch.setattr(jmult.runner, "analytic_spread", capped)
+    code, out = run_cli(capsys, monkeypatch, "hilbert", M2)
+    rep = json.loads(out)
+    assert rep["results"] == {"error": "stand-in pair cap"}
+    assert rep["hypotheses"] == {"error": "stand-in pair cap"}
+    assert rep["diagnostics"] == ["stand-in pair cap"]
+    assert len(calls) == 1
     assert code == 4
 
 

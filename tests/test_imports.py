@@ -6,7 +6,8 @@ is assumed to be installed, so the checks walk the syntax tree themselves.
 Each name has one home: the package root imports nothing, the oracle imports
 no module of the package, a fresh interpreter loads only what it imports,
 and every m-torsion comes from ``lengths.torsion``: outside ``ideals`` and
-``lengths`` no module saturates by m."""
+``lengths`` no module saturates by m, and omega neither saturates nor builds
+m."""
 
 import ast
 import fnmatch
@@ -147,42 +148,63 @@ def test_every_public_definition_has_a_reader():
             if not fnmatch.filter(unread, pattern)] == []
 
 
+def saturations(source: str):
+    """The ``.saturate(...)`` and ``Ideal.maximal(...)`` calls of a source,
+    by the name they call."""
+    return sorted(
+        ast.unparse(node.func) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and (node.func.attr == "saturate"
+             or ast.unparse(node.func) == "Ideal.maximal"))
+
+
 def saturations_by_m(source: str):
     """The ``.saturate(...)`` calls of a source that saturate by m: those
-    whose argument is an ``Ideal.maximal(...)`` call, or a name that an
-    assignment of the source binds to one."""
+    whose argument is an ``Ideal.maximal(...)`` call, or a name or attribute
+    that an assignment of the source binds to one."""
     tree = ast.parse(source)
 
     def maximal(node):
         return (isinstance(node, ast.Call)
                 and ast.unparse(node.func) == "Ideal.maximal")
 
-    m_names = {t.id for node in ast.walk(tree)
-               if isinstance(node, ast.Assign) and maximal(node.value)
-               for t in node.targets if isinstance(t, ast.Name)}
+    m_names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and maximal(node.value):
+            m_names.update(ast.unparse(t) for t in node.targets)
+        elif isinstance(node, ast.AnnAssign) and maximal(node.value):
+            m_names.add(ast.unparse(node.target))
     return sorted(
         ast.unparse(node) for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
         and node.func.attr == "saturate" and node.args
-        and (maximal(node.args[0]) or (isinstance(node.args[0], ast.Name)
-                                       and node.args[0].id in m_names)))
+        and (maximal(node.args[0]) or ast.unparse(node.args[0]) in m_names))
 
 
 def test_check_sees_a_saturation():
     source = ("m = Ideal.maximal(ctx)\nc = (a + b).saturate(m).intersect(x)\n"
-              "d = a.saturate(Ideal.maximal(a.ctx))\ne = a.saturate(i)\n"
-              "mi = m * i\nt = torsion(x, a + b)\n")
+              "t = torsion(x, a + b)\n")
+    assert saturations(source) == ["(a + b).saturate", "Ideal.maximal"]
+    source += ("d = a.saturate(Ideal.maximal(a.ctx))\ne = a.saturate(i)\n"
+               "mi = m * i\nself.m: Ideal = Ideal.maximal(ctx)\n"
+               "f = b.saturate(self.m)\n")
     assert saturations_by_m(source) == ["(a + b).saturate(m)",
-                                        "a.saturate(Ideal.maximal(a.ctx))"]
+                                        "a.saturate(Ideal.maximal(a.ctx))",
+                                        "b.saturate(self.m)"]
 
 
 def test_omega_takes_its_relative_colons_from_torsion():
     """Every m-torsion comes from ``lengths.torsion``, which serves every
     pair length, the correction terms' relative colons (A :_X m^inf) and the
-    Northcott residual: no module but ``ideals``, which saturates, and
-    ``lengths``, which owns ``torsion``, saturates by m."""
-    found = {p.stem: saturations_by_m(p.read_text()) for p in SOURCES
-             if p.stem not in ("ideals", "lengths")}
+    Northcott residual.  Omega neither saturates nor builds m itself; no
+    other module but ``ideals``, which saturates, and ``lengths``, which owns
+    ``torsion``, saturates by m (``reductions`` saturates by I, and
+    ``northcott`` builds m for mI)."""
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    assert saturations(sources.pop("omega")) == []
+    found = {stem: saturations_by_m(source)
+             for stem, source in sources.items()
+             if stem not in ("ideals", "lengths")}
     assert {stem: calls for stem, calls in found.items() if calls} == {}
 
 
