@@ -11,10 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .hilbert import FIT_N_CAP
-from .ideals import ring_dimension
-from .parser import Options, ProblemError, ProblemSpec, parse_problem
-from .runner import COMMANDS, PARSE_ERROR, emit_report, run_command
+from .parser import Options, ProblemError, parse_problem
+from .runner import (COMMANDS, PARSE_ERROR, emit_report, flag_error,
+                     run_command)
 
 EPILOG = """\
 problem grammar (line oriented, '#' comments):
@@ -74,22 +73,6 @@ def options_from_args(args) -> Options:
                    oracle=args.oracle)
 
 
-def _flag_error(spec: ProblemSpec, opt: Options) -> str | None:
-    """Why --nmax or --window is out of range for the problem, if it is."""
-    if opt.nmax is not None and opt.nmax < 0:
-        return f"--nmax must be at least 0, got {opt.nmax}"
-    if opt.nmax is None and opt.window is None:
-        return None
-    d = ring_dimension(spec.ring)
-    if opt.nmax is not None and opt.nmax > FIT_N_CAP - d - 1:
-        return (f"--nmax must be at most {FIT_N_CAP} - d - 1 = "
-                f"{FIT_N_CAP - d - 1}, since the Hilbert table stops at "
-                f"n = {FIT_N_CAP}, got {opt.nmax}")
-    if opt.window is not None and opt.window < d + 2:
-        return f"--window must be at least d + 2 = {d + 2}, got {opt.window}"
-    return None
-
-
 def main(argv=None) -> int:
     args = build_arg_parser().parse_intermixed_args(argv)
     try:
@@ -104,7 +87,7 @@ def main(argv=None) -> int:
     options = options_from_args(args)
     try:
         spec = parse_problem(text, options)
-        error = _flag_error(spec, options)
+        error = flag_error(spec, options)
     except ProblemError as exc:
         error = exc
     if error:

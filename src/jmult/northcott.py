@@ -18,7 +18,8 @@ from __future__ import annotations
 from .ideals import Ideal, ring_dimension
 from .lengths import (INFINITE, gamma_length, loc_quotient_length,
                       pair_length, torsion)
-from .reductions import GeneralReduction, fiber_length_sum
+from .reductions import (GeneralReduction, fiber_length_sum,
+                         fiber_length_term)
 
 
 def northcott_bound(red: GeneralReduction):
@@ -32,7 +33,7 @@ def northcott_bound(red: GeneralReduction):
     d = ring_dimension(ideal.ctx)
     if d < 2:
         raise ValueError("the bound is defined for dimension at least two")
-    lam = pair_length(ideal, red.full)
+    lam = fiber_length_term(red, 0)
     resid = red.residual(d - 1) + torsion(Ideal.unit(ideal.ctx),
                                           red.residual(d - 2) + ideal)
     second = loc_quotient_length(resid)
@@ -86,7 +87,7 @@ def assemble_northcott(red: GeneralReduction, j1: int | None,
         notes.append("dimension one: the second bound term involves J_{d-2} "
                      "and is undefined; reporting the summation decomposition "
                      "of j_1 instead of a bound")
-        report["lambda_I_over_J"] = pair_length(ideal, red.full)
+        report["lambda_I_over_J"] = fiber_length_term(red, 0)
         report["decomposition"] = {
             "fiber_length_sum":
                 fiber_length_sum(red) if r is not None

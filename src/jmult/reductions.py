@@ -8,6 +8,9 @@ elements x_1 .. x_s and their seed, and r = r_J(I) once verified.  The
 residuals J_i : I and the kernel K are its methods, and every route takes
 the reduction alone.
 
+r is the first vanishing fiber term λ(I^(n+1)/J I^n): the terms are nonzero
+below r by definition, and zero from r on since J I^r = I^(r+1).
+
 Random coefficients are drawn from the whole prime field, so "general" holds
 with probability 1 - O(deg/p); every sample is deterministic in (generator
 order, seed) and the random stream is split by element index rather than call
@@ -104,37 +107,30 @@ def analytic_spread(ideal: Ideal) -> int:
 # reductions and reduction numbers
 
 
-def local_ideal_equal(a: Ideal, b: Ideal) -> bool:
-    """Equality of ideals in the local ring at the origin, for b ⊆ a: the
-    m-local length of a/b vanishes.  General elements of an ideal may differ
-    from it at points away from the origin, so the global basis comparison
-    would be too strict here."""
-    return pair_length(a, b) == 0
-
-
-def reduction_number(ideal: Ideal, j: Ideal):
-    """Least r with J I^r = I^(r+1) locally at the origin, or None when no
-    r <= REDUCTION_NUMBER_CAP works."""
-    if not ideal.contains_ideal(j):
-        raise ValueError("candidate reduction is not contained in the ideal")
-    for r in range(REDUCTION_NUMBER_CAP + 1):
-        if local_ideal_equal(ideal ** (r + 1), j * (ideal ** r)):
-            return r
-    return None
+def fiber_length_term(red: GeneralReduction, n: int):
+    """Length of I^(n+1) / J I^n at the origin; r_J(I) is the first n where
+    it vanishes.  General elements may differ from I away from the origin,
+    so comparing the global bases would be too strict.  At n = 0 the length
+    checks J ⊆ I, raising a ValueError otherwise."""
+    ideal = red.ideal
+    return pair_length(ideal ** (n + 1), red.full * (ideal ** n))
 
 
 def general_minimal_reduction(ideal: Ideal, seed: int = 0):
     """Sample analytic-spread many general elements and verify they reduce the
-    ideal; retries with fresh seeds are reported through the returned seed.
+    ideal: some fiber term with n <= REDUCTION_NUMBER_CAP vanishes.  Retries
+    with fresh seeds are reported through the returned seed.
 
-    Returns the reduction with its ``r`` set.  A retry indicates either bad
-    luck or a bug, so exhaustion raises rather than returning a wrong answer.
+    Returns the reduction with ``r`` the n of its first vanishing fiber term.
+    A retry indicates either bad luck or a bug, so exhaustion raises rather
+    than returning a wrong answer.
     """
     spread = analytic_spread(ideal)
     last = None
     for attempt in range(RETRY_CAP):
         red = sample_general_elements(ideal, spread, seed + attempt)
-        r = reduction_number(ideal, red.full)
+        r = next((n for n in range(REDUCTION_NUMBER_CAP + 1)
+                  if fiber_length_term(red, n) == 0), None)
         if r is not None:
             return red._replace(r=r)
         last = red
@@ -179,16 +175,9 @@ def j_zero(red: GeneralReduction):
     return loc_quotient_length(red.kernel() + Ideal(ctx, [x_last]))
 
 
-def fiber_length_term(red: GeneralReduction, n: int):
-    """Length of I^(n+1) / J I^n."""
-    ideal = red.ideal
-    return pair_length(ideal ** (n + 1), red.full * (ideal ** n))
-
-
 def fiber_length_sum(red: GeneralReduction):
     """Sum of the lengths of I^(n+1)/J I^n over n = 0 .. r - 1, where r is
-    the reduction number of I with respect to J: the terms are nonzero below
-    r and vanish from r on."""
+    the first n whose term vanishes."""
     return signed_sum((1, fiber_length_term(red, n))
                       for n in range(red.r))
 
@@ -223,10 +212,9 @@ def valabrega_valla_check(red: GeneralReduction, nmax: int,
     ideal = red.ideal
     d = ring_dimension(ideal.ctx)
     j_small = red.j(d - 1)
-    per_n = [
-        local_ideal_equal(j_small.intersect(ideal ** (n + 1)),
-                          j_small * (ideal ** n))
-        for n in range(nmax + 1)]
+    per_n = [pair_length(j_small.intersect(ideal ** (n + 1)),
+                         j_small * (ideal ** n)) == 0
+             for n in range(nmax + 1)]
     total = fiber_length_sum(red)
     e1 = e_one_bar(red)
     cond_b = all(per_n)

@@ -7,8 +7,9 @@ computed at most once and shared by whichever command is running.  The run's
 are plain dicts with a fixed key order, so identical (input, seed, config)
 runs emit byte-identical JSON.
 
-Exit codes: 0 clean, 2 input error (parse error, zero ideal, an ideal or a
-relation outside the maximal ideal m at the origin, ring of dimension 0), 3
+Exit codes: 0 clean, 2 input error (parse error, out-of-range option, zero
+ideal, an ideal or a relation outside the maximal ideal m at the origin,
+ring of dimension 0), 3
 hypothesis-surrogate failure (results are still printed, marked), 4 a
 resource cap, or a compared value that is infinite, 5 internal cross-check
 violation: a compared value that is finite and wrong, or an internal
@@ -23,7 +24,7 @@ import json
 from functools import cached_property
 
 from .groebner import ComputationLimitError
-from .hilbert import FitError, fit_hilbert_polynomial
+from .hilbert import FIT_N_CAP, FitError, fit_hilbert_polynomial
 from .ideals import ring_dimension
 from .lengths import INFINITE, loc_quotient_length
 from .northcott import assemble_northcott
@@ -40,6 +41,22 @@ COMMANDS = ("hilbert", "coeffs", "jmult", "reduction", "depthcheck", "omega",
             "northcott", "oracle")
 
 OK, PARSE_ERROR, HYPOTHESIS_FAIL, CAP_OR_INFINITE, CROSS_CHECK = 0, 2, 3, 4, 5
+
+
+def flag_error(spec: ProblemSpec, opt: Options) -> str | None:
+    """Why --nmax or --window is out of range for the problem, if it is."""
+    if opt.nmax is not None and opt.nmax < 0:
+        return f"--nmax must be at least 0, got {opt.nmax}"
+    if opt.nmax is None and opt.window is None:
+        return None
+    d = ring_dimension(spec.ring)
+    if opt.nmax is not None and opt.nmax > FIT_N_CAP - d - 1:
+        return (f"--nmax must be at most {FIT_N_CAP} - d - 1 = "
+                f"{FIT_N_CAP - d - 1}, since the Hilbert table stops at "
+                f"n = {FIT_N_CAP}, got {opt.nmax}")
+    if opt.window is not None and opt.window < d + 2:
+        return f"--window must be at least d + 2 = {d + 2}, got {opt.window}"
+    return None
 
 
 class _piece(cached_property):
@@ -182,10 +199,10 @@ class Pipeline:
     def run(self, command: str) -> dict:
         if command not in COMMANDS:
             raise ValueError(f"unknown command {command!r}")
-        if command != "oracle":
+        msg = flag_error(self.spec, self.opt)
+        if command != "oracle" and not msg:
             # a polynomial lies in m exactly when its constant term is zero
             origin = (0,) * self.ctx.nvars
-            msg = None
             if any(origin in f.terms for f in self.ctx.relation_polys()):
                 msg = ("a relation has a nonzero constant term, so the local "
                        "ring at the origin is zero")
@@ -196,9 +213,9 @@ class Pipeline:
                 msg = "the ideal must be nonzero"
             elif self.dim == 0:
                 msg = "the working ring must have positive dimension"
-            if msg:
-                self.flag(PARSE_ERROR, msg)
-                return self.envelope({"error": msg}, None)
+        if msg:
+            self.flag(PARSE_ERROR, msg)
+            return self.envelope({"error": msg}, None)
         results = self._captured(getattr(self, f"cmd_{command}"))
         hypotheses = (None if command == "oracle"
                       else self._captured(self.hypotheses_json))

@@ -17,6 +17,8 @@ from jmult.cli import main
 from jmult.ideals import InternalInconsistencyError
 from jmult.lengths import INFINITE, ContainmentError
 from jmult.omega import combined_verdict
+from jmult.parser import Options, parse_problem
+from jmult.runner import run_command
 
 M2 = "ring char=32003 vars=x,y\nideal x^2,x*y,y^2\n"
 FAMILY = "ring char=32003 vars=x,y\nmod x^3-x^2*y\nideal x*y\n"
@@ -256,6 +258,23 @@ def test_out_of_range_flag_is_input_error(capsys, monkeypatch, cmd, flags):
     assert code == 2
     assert captured.out == ""
     assert flags[0] in captured.err
+
+
+@pytest.mark.parametrize("opts,word", [
+    ({"window": 1}, "--window"),
+    ({"nmax": -1}, "--nmax"),
+], ids=["window-1", "nmax-minus-1"])
+def test_library_out_of_range_option_is_input_error(opts, word):
+    """A library caller gets the CLI's range check: exit 2 with the reason
+    as the whole result, not an internal inconsistency or empty rows."""
+    report, code = run_command("coeffs", parse_problem(M2), Options(**opts))
+    assert code == 2
+    assert list(report["results"]) == ["error"]
+    assert word in report["results"]["error"]
+    assert report["hypotheses"] is None
+    assert report["diagnostics"] == [report["results"]["error"]]
+    assert not any("internal inconsistency" in d
+                   for d in report["diagnostics"])
 
 
 def test_in_range_nmax_sets_the_rows(capsys, monkeypatch):

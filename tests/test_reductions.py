@@ -3,11 +3,11 @@ import random
 import pytest
 
 from jmult.ideals import Ideal, ring_dimension
-from jmult.lengths import INFINITE, loc_quotient_length
+from jmult.lengths import INFINITE, loc_quotient_length, pair_length
 from jmult.parser import Options, parse_problem
-from jmult.reductions import (analytic_spread, e_one_bar, fiber_length_sum,
-                              fiber_length_term, general_minimal_reduction,
-                              j_zero, local_ideal_equal, reduction_number,
+from jmult.reductions import (GeneralReduction, analytic_spread, e_one_bar,
+                              fiber_length_sum, fiber_length_term,
+                              general_minimal_reduction, j_zero,
                               residual_height_check, sample_general_elements,
                               valabrega_valla_check)
 from jmult.ring import RingContext
@@ -46,10 +46,13 @@ def test_partial_reductions_are_shared(ctx2, m2_setup):
 
 
 def test_reduction_carries_r_and_its_residuals(ctx2, m2_setup):
-    """A verified reduction carries r = r_J(I); J_i : I and
+    """A verified reduction carries r = r_J(I), the first vanishing fiber
+    term, and the terms past it vanish too; J_i : I and
     K = J_(d-1) : I^infinity are the ideal's own colon and saturation."""
     ideal, red, _ = m2_setup
-    assert red.r == reduction_number(ideal, red.full)
+    terms = [fiber_length_term(red, n) for n in range(red.r + 3)]
+    assert all(t != 0 for t in terms[:red.r])
+    assert terms[red.r:] == [0, 0, 0]
     assert sample_general_elements(ideal, 2, seed=0).r is None
     for i in range(red.count + 1):
         assert red.residual(i) is red.j(i).colon(ideal)
@@ -85,15 +88,20 @@ def test_analytic_spread_quotient_ring():
 
 
 def test_reduction_number_examples(ctx2):
+    """Hand-picked J: r_J(I) is the first n with a zero fiber term, and a J
+    not inside I is refused."""
+    def fiber_terms(ideal, j):
+        red = GeneralReduction(ideal, j.gens, 0)
+        return [fiber_length_term(red, n) for n in range(3)]
+
     m = Ideal.maximal(ctx2)
-    assert reduction_number(m, m) == 0
+    assert fiber_terms(m, m) == [0, 0, 0]
     m2 = monomial_ideal(ctx2, (2, 0), (1, 1), (0, 2))
     param = monomial_ideal(ctx2, (2, 0), (0, 2))
-    assert reduction_number(m2, param) == 1
-    assert reduction_number(m2, m2) == 0
-    assert reduction_number(m2, param) is not None
+    assert fiber_terms(m2, param) == [1, 0, 0]
+    assert fiber_terms(m2, m2) == [0, 0, 0]
     with pytest.raises(ValueError):
-        reduction_number(param, m2)
+        fiber_length_term(GeneralReduction(param, m2.gens, 0), 0)
 
 
 def test_local_equality_vs_global(ctx2, xy):
@@ -103,7 +111,7 @@ def test_local_equality_vs_global(ctx2, xy):
     a = Ideal(ctx2, [x])
     b = Ideal(ctx2, [x * (y - one), x * x])
     assert a != b
-    assert local_ideal_equal(a, b)
+    assert pair_length(a, b) == 0
 
 
 def test_general_minimal_reduction(ctx2, ctx_family, m2_setup):
