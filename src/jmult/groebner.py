@@ -31,11 +31,11 @@ quotients.
 from __future__ import annotations
 
 import heapq
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 
-from .ring import (Polynomial, RingContext, grevlex, mono_degree, mono_div,
-                   mono_divides, mono_lcm, mono_mul)
+from .ring import (Polynomial, RingContext, grevlex, mono_div, mono_divides,
+                   mono_lcm, mono_mul)
 
 DEFAULT_PAIR_CAP = 200_000
 TERM_CAP = 100_000
@@ -66,13 +66,11 @@ def _reduce_raw(f, rows, keyf, p: int) -> dict:
     while work:
         e = max(work, key=keyf)
         c = work.pop(e)
-        deg_e = mono_degree(e)
-        for le, tail in rows:
-            if mono_degree(le) <= deg_e and mono_divides(le, e):
-                break
-        else:
+        row = next((r for r in rows if mono_divides(r[0], e)), None)
+        if row is None:
             out[e] = c
             continue
+        le, tail = row
         shift = mono_div(e, le)
         for ge, gc in tail:
             ne = mono_mul(ge, shift)
@@ -136,7 +134,7 @@ def buchberger_raw(gens, nvars: int, p: int, order,
         kept = []
         for lcm, i in sorted(((mono_lcm(li, le), i)
                               for i, (li, _) in enumerate(rows)),
-                             key=lambda q: mono_degree(q[0])):
+                             key=lambda q: sum(q[0])):
             if not any(mono_divides(m, lcm) for m, _ in kept):
                 kept.append((lcm, i))
         for lcm, i in kept:
@@ -215,7 +213,7 @@ def monomial_quotient_dimension(leads, nvars: int) -> int:
     variable subset meeting no generator's support.  -1 for the unit ideal."""
     if any(not any(e) for e in leads):
         return -1
-    supports = [frozenset(i for i, x in enumerate(e) if x) for e in leads]
+    supports = [frozenset(compress(range(nvars), e)) for e in leads]
     for size in range(nvars, 0, -1):
         for combo in combinations(range(nvars), size):
             s = set(combo)

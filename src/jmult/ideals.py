@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import warnings
 from functools import reduce
+from itertools import compress
 
 from .groebner import (GroebnerBasis, buchberger_raw, groebner_basis,
                        monomial_quotient_dimension)
 from .ring import (ContextMismatchError, Polynomial, RingContext,
-                   elimination_order, grevlex, mono_degree, mono_div,
-                   mono_divides)
+                   elimination_order, grevlex, mono_div, mono_divides,
+                   mono_mul)
 
 
 class AlgebraWarning(UserWarning):
@@ -256,7 +257,7 @@ def _prune_monomial_multiples(pairs):
     monos = [(g.lead_exp(), (c, g)) for c, g in pairs if g.is_monomial()]
     out = [(c, g) for c, g in pairs if not g.is_monomial()]
     kept = []
-    for e, pair in sorted(monos, key=lambda t: mono_degree(t[0])):
+    for e, pair in sorted(monos, key=lambda t: sum(t[0])):
         if not any(mono_divides(k, e) for k, _ in kept):
             kept.append((e, pair))
     out.extend(pair for _, pair in kept)
@@ -334,7 +335,7 @@ def _exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
         c = work[e] * inv % p
         quo[q] = c
         for fe, fc in f.terms.items():
-            ne = tuple(x + y for x, y in zip(fe, q))
+            ne = mono_mul(fe, q)
             nc = (work.get(ne, 0) - c * fc) % p
             if nc:
                 work[ne] = nc
@@ -358,7 +359,7 @@ def _saturate_rows(rows, i: int, p: int):
     homogenization.  In grevlex on the variables ordered (others, h, x_i),
     x_i divides a homogeneous basis row exactly when it divides its lead, so
     dividing each row by the x_i-power of its lead saturates; then h = 1."""
-    hom = [{e[:i] + e[i + 1:] + (mono_degree(le) - mono_degree(e), e[i]): c
+    hom = [{e[:i] + e[i + 1:] + (sum(le) - sum(e), e[i]): c
             for e, c in ((le, 1),) + tail} for le, tail in rows]
     return [{e[:i] + (e[-1] - le[-1],) + e[i:-2]: c for e, c in ((le, 1),) + tail}
             for le, tail in buchberger_raw(hom, len(rows[0][0]) + 1, p, grevlex)]
@@ -370,10 +371,9 @@ def _saturate_element(a: Ideal, f: Polynomial) -> Ideal:
     ((a, t - f) : t^∞) ∩ R."""
     ctx = a.ctx
     if f.is_monomial():
-        for i, k in enumerate(f.lead_exp()):
-            if k:
-                a = ctx.memo(("saturate_var", a, i),
-                             lambda: _saturate_variable(a, i))
+        for i in compress(range(ctx.nvars), f.lead_exp()):
+            a = ctx.memo(("saturate_var", a, i),
+                         lambda: _saturate_variable(a, i))
         return a
     n, p = ctx.nvars, ctx.char
     rows = [_padded(g.terms.items()) for g in a.gens]

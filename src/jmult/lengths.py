@@ -29,7 +29,7 @@ from itertools import combinations_with_replacement
 
 from .groebner import count_standard_monomials, groebner_basis
 from .ideals import Ideal, InternalInconsistencyError
-from .ring import mono_degree, mono_divides
+from .ring import mono_divides
 
 
 class ContainmentError(ValueError):
@@ -86,12 +86,12 @@ def _gap(c: Ideal, b: Ideal) -> int:
     for v in lc:
         if any(mono_divides(u, v) for u in lb):
             continue
-        bound = mono_degree(v)
+        bound = sum(v)
         for i in range(n):
-            # x_i^s lies in (LT(B) : v) when a lead u agrees with v off x_i
+            # x_i^s lies in (LT(B) : v) when a lead u divides v off x_i
+            off = v[:i] + v[i + 1:]
             s = min((u[i] - v[i] for u in lb
-                     if all(u[j] <= v[j] for j in range(n) if j != i)),
-                    default=None)
+                     if mono_divides(u[:i] + u[i + 1:], off)), default=None)
             if s is None:
                 raise InternalInconsistencyError(
                     "m-torsion quotient is not of finite length")

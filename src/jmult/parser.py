@@ -230,12 +230,14 @@ def parse_problem(text: str, options: Options | None = None) -> ProblemSpec:
         raise ProblemSemanticError(str(exc), char_tok.line, char_tok.col) from None
     cur.expect("IDENT", "'vars'", "vars")
     cur.expect("SYM", "'='", "=")
-    names = [cur.expect("IDENT", "variable name").text]
+    name_toks = [cur.expect("IDENT", "variable name")]
     while cur.accept(","):
-        names.append(cur.expect("IDENT", "variable name").text)
+        name_toks.append(cur.expect("IDENT", "variable name"))
     cur.expect_end()
-    if len(set(names)) != len(names):
-        raise ProblemSemanticError("duplicate variable name", no, toks[0].col)
+    names = [t.text for t in name_toks]
+    for k, t in enumerate(name_toks):
+        if t.text in names[:k]:
+            raise ProblemSemanticError("duplicate variable name", t.line, t.col)
     base_ctx = RingContext(tuple(names), char)
 
     rest = lines[1:]

@@ -19,6 +19,7 @@ so that intermediate products fit comfortably in 64 bits.
 
 from __future__ import annotations
 
+import operator
 from math import isqrt
 from typing import Iterable, Mapping
 
@@ -54,38 +55,32 @@ def check_char(p: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# monomials (bare exponent tuples) and orders as sort keys
+# monomials (bare exponent tuples) and orders as sort keys; the engine's only
+# exponent arithmetic, each operation one builtin call over the tuples
 
 
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_divides(a: Exponents, b: Exponents) -> bool:
     """True when the monomial with exponents a divides the one with b."""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+    return all(map(operator.le, a, b))
 
 
 def mono_div(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_degree(a: Exponents) -> int:
-    return sum(a)
+    return tuple(map(max, a, b))
 
 
 def grevlex(e: Exponents):
     """Sort key of the graded reverse lexicographic order: total degree
     first, then the monomial with the smaller exponent in the last variable
     where the two differ is the larger."""
-    return (sum(e), tuple(-x for x in reversed(e)))
+    return (sum(e), tuple(map(operator.neg, reversed(e))))
 
 
 def elimination_order(e: Exponents):
@@ -218,7 +213,7 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((mono_degree(e) for e in self.terms), default=-1)
+        return max(map(sum, self.terms), default=-1)
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -167,6 +167,12 @@ def test_oracle_command(capsys, monkeypatch):
     code, out = run_cli(capsys, monkeypatch, "oracle",
                         "ring char=32003 vars=x,y\nideal x+y^2\n")
     assert code == 2
+    code, out = run_cli(capsys, monkeypatch, "oracle",
+                        "ring char=32003 vars=x,y\nideal x^2,x*y\n")
+    rep = json.loads(out)
+    assert rep["results"]["colength"] == INFINITE
+    assert rep["results"]["classical_coefficients"] == "not-applicable (not m-primary)"
+    assert code == 0
 
 
 def test_oracle_refuses_quotient_ring(capsys, monkeypatch):
@@ -194,6 +200,12 @@ def test_oracle_flag_cross_check(capsys, monkeypatch):
     code, out = run_cli(capsys, monkeypatch, "coeffs", M2, "--oracle")
     rep = json.loads(out)
     assert rep["results"]["oracle"]["agrees"] is True
+    assert code == 0
+    code, out = run_cli(capsys, monkeypatch, "coeffs",
+                        "ring char=32003 vars=x,y\nideal x^2+y^3,y^2\n", "--oracle")
+    rep = json.loads(out)
+    assert rep["results"]["oracle"] == (
+        "not-applicable (oracle only handles monomial ideals)")
     assert code == 0
 
 
@@ -582,11 +594,14 @@ def test_zero_dimensional_ring_is_input_error(capsys, monkeypatch, cmd):
     ("ring char=32003 vars=x,y\nmod x-1\nideal y\n",
      "a relation has a nonzero constant term, so the local ring at the origin "
      "is zero"),
-], ids=["unit-at-origin", "zero-local-ring"])
+    ("ring char=32003 vars=x,y\nideal 0\n", "the ideal must be nonzero"),
+    ("ring char=32003 vars=x,y\nmod x\nideal x\n", "the ideal must be nonzero"),
+], ids=["unit-at-origin", "zero-local-ring", "zero-ideal", "zero-mod-relations"])
 def test_outside_maximal_ideal_is_input_error(capsys, monkeypatch, text, msg):
     """Properness is local: an ideal that is the unit ideal at the origin,
     or a relation that makes the local ring zero, is an input error even
-    when the ideal is proper in the polynomial ring."""
+    when the ideal is proper in the polynomial ring.  So is an ideal that is
+    zero, as written or modulo the relations."""
     code, out = run_cli(capsys, monkeypatch, "coeffs", text)
     rep = json.loads(out)
     assert rep["hypotheses"] is None

@@ -56,6 +56,32 @@ def test_error_positions():
         parse_problem("ring char=32003 vars=x,y\n")
 
 
+@pytest.mark.parametrize("text, cls, where, message", [
+    ("ring char=32003 vars=x,x\nideal x\n", ProblemSemanticError, (1, 24),
+     "duplicate variable name"),
+    ("ring char=32003 vars=x,y,z,y\nideal x\n", ProblemSemanticError, (1, 28),
+     "duplicate variable name"),
+    ("ring char=32003 vars=x,y\nfoo x\n", ProblemSyntaxError, (2, 1),
+     "expected 'ideal', got 'foo'"),
+    ("ring char=32003 vars=x,y\nideal x\n  ideal y\n", ProblemSyntaxError,
+     (3, 3), "unexpected line starting with 'ideal'"),
+    ("# nothing\n\n", ProblemSyntaxError, (1, 1),
+     "empty problem: expected a ring line"),
+], ids=["duplicate-name", "duplicate-later-name", "not-ideal", "extra-line",
+        "empty"])
+def test_error_message_names_its_token(text, cls, where, message):
+    """Each error reports the line and column of the token it is about."""
+    with pytest.raises(cls) as err:
+        parse_problem(text)
+    assert (err.value.line, err.value.col) == where
+    assert err.value.message == message
+
+
+def test_leading_minus_parses():
+    spec = parse_problem("ring char=32003 vars=x,y\nideal -x^2+y^3,-y\n")
+    assert print_problem(spec) == "ring char=32003 vars=x,y\nideal y^3-x^2,y\n"
+
+
 def test_semantic_vs_syntax_types_are_distinct():
     assert issubclass(ProblemSemanticError, Exception)
     assert not issubclass(ProblemSemanticError, ProblemSyntaxError)

@@ -1,12 +1,31 @@
 import itertools
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from jmult.ring import (ContextMismatchError, RingContext, check_char,
-                        elimination_order, format_polynomial, grevlex)
+                        elimination_order, format_polynomial, grevlex,
+                        mono_div, mono_divides, mono_lcm, mono_mul)
 
 from conftest import block_order
+
+# the literal cache hypothesis writes while collecting stays out of the tree
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "jmult-hypothesis")
+
+KERNELS = settings(derandomize=True, database=None, deadline=None,
+                   max_examples=200)
+
+
+@st.composite
+def exponent_pairs(draw):
+    """Two exponent vectors of one length, 1 to 5, with entries 0 to 6."""
+    n = draw(st.integers(1, 5))
+    vec = st.tuples(*[st.integers(0, 6)] * n)
+    return draw(vec), draw(vec)
 
 
 def test_prime_validation():
@@ -90,6 +109,33 @@ def test_compare_grevlex_degree_tie():
     assert grevlex((2, 0)) > grevlex((1, 1)) > grevlex((0, 2))
     assert grevlex((1, 1)) == grevlex((1, 1))
     assert elimination_order((0, 1)) > elimination_order((3, 0))
+
+
+@KERNELS
+@given(exponent_pairs())
+def test_monomial_kernels_are_componentwise(pair):
+    a, b = pair
+    n = len(a)
+    assert mono_mul(a, b) == tuple(a[i] + b[i] for i in range(n))
+    assert mono_div(a, b) == tuple(a[i] - b[i] for i in range(n))
+    assert mono_lcm(a, b) == tuple(max(a[i], b[i]) for i in range(n))
+    assert mono_divides(a, b) == all(a[i] <= b[i] for i in range(n))
+    assert mono_divides(a, mono_mul(a, b)) and mono_divides(a, mono_lcm(a, b))
+
+
+@KERNELS
+@given(exponent_pairs())
+def test_grevlex_is_the_textbook_rule(pair):
+    """a > b when a has the larger degree, or at equal degree the smaller
+    exponent in the last variable where the two differ."""
+    a, b = pair
+    diff = [i for i in range(len(a)) if a[i] != b[i]]
+    if sum(a) != sum(b):
+        a_greater = sum(a) > sum(b)
+    else:
+        a_greater = bool(diff) and a[diff[-1]] < b[diff[-1]]
+    assert (grevlex(a) > grevlex(b)) == a_greater
+    assert (grevlex(a) == grevlex(b)) == (a == b)
 
 
 def test_elimination_order_is_the_one_block_order():
