@@ -174,16 +174,14 @@ def buchberger_raw(gens, nvars: int, p: int, order,
 
 def _interreduce(rows, keyf, p):
     """The reduced basis of monic rows that form a Groebner basis: drop each
-    row whose lead another lead divides, then reduce the tails."""
+    row whose lead another lead divides, then reduce each tail by the rows of
+    smaller lead: a lead dividing a tail term is at most that term."""
     kept = []
     for row in sorted(rows, key=lambda r: keyf(r[0])):
         if not any(mono_divides(k[0], row[0]) for k in kept):
             kept.append(row)
-    out = []
-    for idx, (le, tail) in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1:]
-        out.append((le, tuple(_reduce_raw(tail, others, keyf, p).items())))
-    return out[::-1]
+    return [(le, tuple(_reduce_raw(tail, kept[:i], keyf, p).items()))
+            for i, (le, tail) in enumerate(kept)][::-1]
 
 
 # --------------------------------------------------------------------------

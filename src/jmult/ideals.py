@@ -195,10 +195,13 @@ class Ideal:
 
     def saturate(self, other: "Ideal") -> "Ideal":
         """self : other^∞, the intersection over the generators f of other
-        of self : f^∞.  A variable saturates by one Groebner basis of the
-        homogenization (Bayer's method), a monomial one variable of its
-        support at a time, and any other f as ((self, t - f) : t^∞) ∩ R
-        with t a new variable."""
+        of self : f^∞.  That is R once f^k lies in self: k = 1, but for a
+        monomial f and a zero-dimensional self k is the degree of the lcm of
+        its leads, past which every monomial is a lead, so one normal form
+        decides an m-primary homogeneous self.  Otherwise a variable
+        saturates by one Groebner basis of the homogenization (Bayer's
+        method), a monomial one variable of its support at a time, and any
+        other f as ((self, t - f) : t^∞) ∩ R with t a new variable."""
         self._check(other)
         return self.ctx.memo(("saturate", self, other),
                              lambda: _saturate(self, other))
@@ -394,7 +397,8 @@ def _saturate_variable(a: Ideal, i: int) -> Ideal:
 
 
 def _saturate(a: Ideal, b: Ideal) -> Ideal:
-    gens = [f for f in b.gens if not a.contains(f)]  # a : f^∞ = R for f in a
-    if not gens:
-        return Ideal.unit(a.ctx)
-    return reduce(Ideal.intersect, (_saturate_element(a, f) for f in gens))
+    k = sum(map(max, zip(*a.gb().leads))) if a.dimension() == 0 else 1
+    gens = [f for f in b.gens  # a : f^∞ = R once f^k lies in a
+            if not a.contains(f ** k if f.is_monomial() else f)]
+    return reduce(Ideal.intersect, (_saturate_element(a, f) for f in gens),
+                  Ideal.unit(a.ctx))

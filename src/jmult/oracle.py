@@ -128,12 +128,9 @@ class MonomialIdeal:
 
     def saturate_vars(self, positions) -> "MonomialIdeal":
         """Saturation with respect to the ideal of the listed variables."""
-        out = None
-        for i in positions:
-            e = tuple(1 if j == i else 0 for j in range(self.nvars))
-            part = self.saturate_exp(e)
-            out = part if out is None else out.intersect(part)
-        return out if out is not None else self
+        exps = [tuple(int(j == i) for j in range(self.nvars))
+                for i in positions]
+        return self.saturate(MonomialIdeal(self.nvars, exps)) if exps else self
 
     def saturate(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Saturation by a monomial ideal, generator by generator."""
@@ -214,13 +211,14 @@ def oracle_hilbert_coefficients(a: MonomialIdeal):
     if not a.is_m_primary():
         raise OracleError("classical coefficients need an m-primary ideal")
     d = a.nvars
-    values = []
+    values, power = [], a  # power = a^(len(values) + 1)
     n_cap = 64
     run, prev = 0, None
     while run < d + 4:
         if len(values) > n_cap:
             raise OracleError("colength counts did not become polynomial")
-        values.append(mon_quotient_length(a.power(len(values) + 1)))
+        values.append(mon_quotient_length(power))
+        power = power.times(a)
         if len(values) > d:
             cur = _difference(values, d, len(values) - 1)
             run = run + 1 if cur == prev else 1

@@ -1,12 +1,13 @@
 import gc
 import random
+from functools import reduce
 
 import pytest
 
 import jmult.groebner
 import jmult.ideals
 from jmult.ideals import AlgebraWarning, Ideal
-from jmult.lengths import pair_length
+from jmult.lengths import pair_length, torsion
 from jmult.oracle import MonomialIdeal
 from jmult.parser import Options, parse_problem
 from jmult.ring import Polynomial, RingContext
@@ -114,6 +115,28 @@ def test_a_containment_decides_with_no_basis(monkeypatch):
     assert calls == []
 
 
+def test_an_m_primary_torsion_computes_no_basis(monkeypatch):
+    """For an m-primary B a power of each variable lies in B, so B : m^∞ is
+    R by normal forms alone, and the torsion of A/B is A."""
+    ctx = RingContext(("x", "y", "z"), 32003)
+    x, y, z = (ctx.var(v) for v in "xyz")
+    i = Ideal(ctx, [x * x, y * y, z * z, x * y])
+    a, b = i ** 2, i ** 3 + Ideal(ctx, [x * y + y * z]) * i ** 2
+    for ideal in (a, b, Ideal.maximal(ctx), Ideal.unit(ctx)):
+        ideal.gb()
+    calls = counting_bases(monkeypatch)
+    assert torsion(a, b) is a
+    assert calls == []
+
+
+def test_a_point_off_the_origin_still_saturates(ctx2, xy):
+    """(x^2 - x, y) is zero-dimensional, but its point (1, 0) keeps every
+    power of x out of it: saturating by m leaves (x - 1, y)."""
+    x, y = xy
+    a = Ideal(ctx2, [x * x - x, y])
+    assert a.saturate(Ideal.maximal(ctx2)) == Ideal(ctx2, [x - ctx2.one, y])
+
+
 @pytest.mark.parametrize("relations", [(), ("x^3-x^2*y",)],
                          ids=["free", "quotient"])
 def test_an_elimination_equals_its_explicit_generators(relations):
@@ -213,11 +236,13 @@ def test_saturate_examples(ctx2, xy):
     assert a.saturate(Ideal.unit(ctx2)) == a
 
 
-def _random_poly(ctx, rng, max_terms, max_deg):
+def _random_poly(ctx, rng, max_terms, max_deg, min_deg=1):
+    """A sum of up to ``max_terms`` random terms, each of a degree from
+    ``min_deg`` to ``max_deg``."""
     f = ctx.zero
     for _ in range(rng.randrange(1, max_terms + 1)):
         e = [0] * ctx.nvars
-        for _ in range(rng.randrange(1, max_deg + 1)):
+        for _ in range(rng.randrange(min_deg, max_deg + 1)):
             e[rng.randrange(ctx.nvars)] += 1
         f = f + ctx.monomial(e, rng.randrange(1, ctx.char))
     return f
@@ -236,26 +261,59 @@ def _rabinowitsch(a, f):
                        for terms in eliminate_last(rows, n + 1, p)])
 
 
+def _random_context(rng):
+    """k[x, y] or k[x, y, z], in 3 draws of 10 modulo x*z - y^2 (x*y - y^2
+    in two variables)."""
+    names = ("x", "y", "z")[:rng.randrange(2, 4)]
+    ctx = RingContext(names, 32003)
+    if rng.random() < 0.3:
+        v = ctx.var
+        rel = v("x") * v(names[-1]) - v("y") ** 2
+        ctx = RingContext(names, 32003, relations=[rel])
+    return ctx
+
+
 def test_saturate_matches_rabinowitsch(ctx2, xy):
     """Saturation by one element against the Rabinowitsch elimination, on
-    random non-homogeneous ideals, some in a quotient ring."""
+    random non-homogeneous ideals, and saturation of zero-dimensional ideals
+    by m against the intersection of the eliminations by each variable;
+    some in a quotient ring."""
     x, y = xy
     # the chain (x^9 y) : x^k needs ten colon steps to reach (y)
     assert Ideal(ctx2, [x ** 9 * y]).saturate(Ideal(ctx2, [x])) == Ideal(ctx2, [y])
     rng = random.Random(43)
     for _ in range(150):
-        names = ("x", "y", "z")[:rng.randrange(2, 4)]
-        ctx = RingContext(names, 32003)
-        if rng.random() < 0.3:
-            v = ctx.var
-            rel = v("x") * v(names[-1]) - v("y") ** 2
-            ctx = RingContext(names, 32003, relations=[rel])
+        ctx = _random_context(rng)
         a = Ideal(ctx, [_random_poly(ctx, rng, 3, 3)
                         for _ in range(rng.randrange(1, 4))])
         f = _random_poly(ctx, rng, 2, 2)
         while Ideal.zero(ctx).contains(f):
             f = _random_poly(ctx, rng, 2, 2)
         assert a.saturate(Ideal(ctx, [f])) == _rabinowitsch(a, f), (ctx, a, f)
+    # a pure power of every variable, in some draws minus a lower power for a
+    # point off the origin, plus random polynomials, homogeneous in some
+    # draws: without such a point the draw is m-primary and saturates to R
+    off_origin = 0
+    for _ in range(60):
+        ctx = _random_context(rng)
+        kind = rng.choice(("homogeneous", "off the origin", "neither"))
+        gens = []
+        for v in map(ctx.var, range(ctx.nvars)):
+            e = rng.randrange(1, 4)
+            gens.append(v ** e - v ** (e - 1) if kind == "off the origin"
+                        and rng.random() < 0.5 else v ** e)
+        for _ in range(rng.randrange(0, 3)):
+            deg = rng.randrange(1, 4)
+            gens.append(_random_poly(ctx, rng, 3, deg, deg)
+                        if kind == "homogeneous" else _random_poly(ctx, rng, 3, 3))
+        a = Ideal(ctx, gens)
+        assert a.dimension() <= 0  # the random polynomials may give R
+        m = Ideal.maximal(ctx)
+        want = reduce(Ideal.intersect, (_rabinowitsch(a, v) for v in m.gens))
+        assert a.saturate(m) == want, (ctx, a)
+        assert want.is_unit() or kind == "off the origin", (ctx, a)
+        off_origin += not want.is_unit()
+    assert off_origin > 0
 
 
 def test_equality_and_membership(ctx2, xy):
