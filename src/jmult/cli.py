@@ -58,7 +58,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--assert-an", action="store_true",
                     help="assert the Artin-Nagata hypothesis")
     ap.add_argument("--assert-s2", action="store_true",
-                    help="assert the weak residual (S2) hypothesis")
+                    help="echo the weak residual (S2) hypothesis in the "
+                         "report's flags; no verdict reads it")
     ap.add_argument("--format", dest="fmt", choices=("json", "table"),
                     default="json")
     ap.add_argument("--oracle", action="store_true",

@@ -24,8 +24,8 @@ reduction.
 
 The raw engine knows no relations.  :func:`groebner_basis` adjoins the
 context relations to the generators, and the ideal layer adjoins them
-itself where it calls :func:`buchberger_raw` directly, so a single code path serves both the polynomial ring and its
-quotients.
+itself where it calls :func:`buchberger_raw` directly, so a single code
+path serves both the polynomial ring and its quotients.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ import heapq
 from itertools import combinations, compress
 from math import comb
 
-from .ring import (Polynomial, RingContext, grevlex, mono_div, mono_divides,
-                   mono_lcm, mono_mul)
+from .ring import (Polynomial, RingContext, add_shifted, grevlex, mono_div,
+                   mono_divides, mono_lcm, mono_mul)
 
 DEFAULT_PAIR_CAP = 200_000
 TERM_CAP = 100_000
@@ -70,15 +70,7 @@ def _reduce_raw(f, rows, keyf, p: int) -> dict:
         if row is None:
             out[e] = c
             continue
-        le, tail = row
-        shift = mono_div(e, le)
-        for ge, gc in tail:
-            ne = mono_mul(ge, shift)
-            nc = (work.get(ne, 0) - c * gc) % p
-            if nc:
-                work[ne] = nc
-            else:
-                work.pop(ne, None)
+        add_shifted(work, row[1], -c, mono_div(e, row[0]), p)
         if len(work) > TERM_CAP:
             raise ComputationLimitError(
                 f"support exceeded {TERM_CAP} terms during reduction")
@@ -88,16 +80,9 @@ def _reduce_raw(f, rows, keyf, p: int) -> dict:
 def _spoly(f, g, lcm, p: int) -> dict:
     """(lcm / lead f) f - (lcm / lead g) g for monic rows f and g: the leads
     cancel, so only the shifted tails remain."""
-    shift = mono_div(lcm, f[0])
-    out = {mono_mul(e, shift): c for e, c in f[1]}
-    shift = mono_div(lcm, g[0])
-    for e, c in g[1]:
-        ne = mono_mul(e, shift)
-        nc = (out.get(ne, 0) - c) % p
-        if nc:
-            out[ne] = nc
-        else:
-            out.pop(ne, None)
+    out = {}
+    add_shifted(out, f[1], 1, mono_div(lcm, f[0]), p)
+    add_shifted(out, g[1], -1, mono_div(lcm, g[0]), p)
     return out
 
 

@@ -35,9 +35,8 @@ from itertools import compress
 
 from .groebner import (GroebnerBasis, buchberger_raw, groebner_basis,
                        monomial_quotient_dimension)
-from .ring import (ContextMismatchError, Polynomial, RingContext,
-                   elimination_order, grevlex, mono_div, mono_divides,
-                   mono_mul)
+from .ring import (ContextMismatchError, Polynomial, RingContext, add_shifted,
+                   elimination_order, grevlex, mono_div, mono_divides)
 
 
 class AlgebraWarning(UserWarning):
@@ -337,13 +336,7 @@ def _exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
         q = mono_div(e, lf)
         c = work[e] * inv % p
         quo[q] = c
-        for fe, fc in f.terms.items():
-            ne = mono_mul(fe, q)
-            nc = (work.get(ne, 0) - c * fc) % p
-            if nc:
-                work[ne] = nc
-            else:
-                work.pop(ne, None)
+        add_shifted(work, f.terms.items(), -c, q, p)
     return Polynomial(ctx, quo)
 
 

@@ -176,18 +176,24 @@ def combined_verdict(verdicts):
     return None if None in verdicts else True
 
 
+def route_agrees(value, expected: int):
+    """A route value (an int, or INFINITE) against the fit: True when they
+    are equal, False for a finite value that differs, None (undecided) for
+    INFINITE."""
+    return None if value == INFINITE else value == expected
+
+
 def master_identity_check(ev: OmegaEvaluator, nmax: int) -> dict:
     """Per degree n, lhs = fiber length + omega_n against rhs = the d-th
-    difference of P - H.  A row holds when both sides agree, and is
-    undecided (None) when lhs is INFINITE; the report holds per
-    ``combined_verdict`` of its rows."""
+    difference of P - H.  A row holds per ``route_agrees(lhs, rhs)``, and
+    the report per ``combined_verdict`` of its rows."""
     rows = []
     for n in range(nmax + 1):
         lhs = signed_sum(((1, fiber_length_term(ev.red, n)),
                           (1, ev.omega(n)["total"])))
         rhs = ev.record.delta_p_minus_h(n)
         rows.append({"n": n, "lhs": lhs, "rhs": rhs,
-                     "holds": None if lhs == INFINITE else lhs == rhs})
+                     "holds": route_agrees(lhs, rhs)})
     return {"rows": rows, "holds": combined_verdict(r["holds"] for r in rows)}
 
 

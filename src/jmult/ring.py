@@ -76,6 +76,19 @@ def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(max, a, b))
 
 
+def add_shifted(work: dict, terms, c: int, shift: Exponents, p: int) -> None:
+    """work += c * x^shift * terms over F_p, in place, for (exponent,
+    residue) pairs ``terms``: the engine's one sparse term update.  A term
+    that cancels leaves ``work``."""
+    for e, t in terms:
+        e = mono_mul(e, shift)
+        nc = (work.get(e, 0) + c * t) % p
+        if nc:
+            work[e] = nc
+        else:
+            work.pop(e, None)
+
+
 def grevlex(e: Exponents):
     """Sort key of the graded reverse lexicographic order: total degree
     first, then the monomial with the smaller exponent in the last variable
@@ -223,14 +236,9 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        p = self.ctx.char
         out = dict(self.terms)
         for e, c in other.terms.items():
-            nc = (out.get(e, 0) + c) % p
-            if nc:
-                out[e] = nc
-            else:
-                out.pop(e, None)
+            out[e] = out.get(e, 0) + c
         return Polynomial(self.ctx, out)
 
     def __neg__(self) -> "Polynomial":
@@ -242,16 +250,9 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        p = self.ctx.char
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = mono_mul(e1, e2)
-                nc = (out.get(e, 0) + c1 * c2) % p
-                if nc:
-                    out[e] = nc
-                else:
-                    out.pop(e, None)
+        for e, c in self.terms.items():
+            add_shifted(out, other.terms.items(), c, e, self.ctx.char)
         return Polynomial(self.ctx, out)
 
     def scale(self, c: int) -> "Polynomial":

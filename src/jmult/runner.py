@@ -29,7 +29,7 @@ from .ideals import ring_dimension
 from .lengths import INFINITE, loc_quotient_length
 from .northcott import assemble_northcott
 from .omega import (OmegaEvaluator, combined_verdict, j_one_depth_formula,
-                    j_via_sums, master_identity_check)
+                    j_via_sums, master_identity_check, route_agrees)
 from .oracle import MonomialIdeal, OracleError, mon_quotient_length, oracle_hilbert_coefficients
 from .parser import Options, ProblemSpec, print_problem
 from .reductions import (GeneralReduction, ReductionSearchError,
@@ -94,12 +94,10 @@ class Pipeline:
             self.diagnostics.append(note)
 
     def verdict(self, value, expected: int, mismatch: str, undecided: str):
-        """A route value (an int, or INFINITE) against the fitted
-        ``expected``: True when they agree; False for a finite mismatch, a
-        cross-check violation (exit 5, ``mismatch`` noted); None for
-        INFINITE, which leaves the comparison undecided (exit 4,
-        ``undecided`` noted)."""
-        agrees = _agrees(value, expected)
+        """``route_agrees(value, expected)``: False is a cross-check
+        violation (exit 5, ``mismatch`` noted), None an undecided comparison
+        (exit 4, ``undecided`` noted)."""
+        agrees = route_agrees(value, expected)
         if agrees is False:
             self.flag(CROSS_CHECK, mismatch)
         elif agrees is None:
@@ -280,7 +278,7 @@ class Pipeline:
             else:
                 word = {True: "agrees", False: "differs",
                         None: "not-applicable"}[
-                    combined_verdict(_agrees(v, j) for v, j in sums)]
+                    combined_verdict(route_agrees(v, j) for v, j in sums)]
                 agreement["fit_vs_sums"] = (f"diagnostic: {word} "
                                             "(hypotheses not in force)")
             table = self._omega_table()
@@ -431,12 +429,6 @@ class Pipeline:
             self.flag(CROSS_CHECK, "oracle classical coefficients disagree "
                                    "with the fitted route")
         return {"classical_coefficients": coeffs, "agrees": ok}
-
-
-def _agrees(value, expected: int):
-    """True or False for a route value that is an int; None for INFINITE,
-    which leaves the comparison undecided."""
-    return None if value == INFINITE else value == expected
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 
 import jmult.groebner
 import jmult.ideals
-from jmult.ideals import AlgebraWarning, Ideal
+from jmult.ideals import (AlgebraWarning, Ideal, InternalInconsistencyError,
+                          _exact_divide)
 from jmult.lengths import pair_length, torsion
 from jmult.oracle import MonomialIdeal
 from jmult.parser import Options, parse_problem
@@ -341,6 +342,22 @@ def test_colon_times_divisor_contained(ctx2):
         q = a.colon(b)
         for f in (q * b).gens:
             assert a.contains(f)
+
+
+def test_exact_division_recovers_the_quotient(ctx2):
+    """g / f for g = q f returns q, on random f and q in two and three
+    variables; q f + 1 is no multiple of a nonconstant f, and dividing it
+    is an internal inconsistency."""
+    ctx3 = RingContext(("x", "y", "z"), 32003)
+    rng = random.Random(37)
+    for ctx in (ctx2, ctx3) * 20:
+        f = _random_poly(ctx, rng, 4, 3)
+        q = _random_poly(ctx, rng, 4, 3, min_deg=0)
+        if f.is_zero():
+            continue
+        assert _exact_divide(q * f, f) == q
+        with pytest.raises(InternalInconsistencyError, match="inexact"):
+            _exact_divide(q * f + ctx.one, f)
 
 
 def test_saturation_idempotent_and_consistent(ctx2):

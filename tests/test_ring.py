@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from jmult.ring import (ContextMismatchError, RingContext, check_char,
-                        elimination_order, format_polynomial, grevlex,
-                        mono_div, mono_divides, mono_lcm, mono_mul)
+from jmult.ring import (ContextMismatchError, RingContext, add_shifted,
+                        check_char, elimination_order, format_polynomial,
+                        grevlex, mono_div, mono_divides, mono_lcm, mono_mul)
 
 from conftest import block_order
 
@@ -121,6 +121,44 @@ def test_monomial_kernels_are_componentwise(pair):
     assert mono_lcm(a, b) == tuple(max(a[i], b[i]) for i in range(n))
     assert mono_divides(a, b) == all(a[i] <= b[i] for i in range(n))
     assert mono_divides(a, mono_mul(a, b)) and mono_divides(a, mono_lcm(a, b))
+
+
+@st.composite
+def shifted_updates(draw):
+    """Arguments of ``add_shifted`` over F_7 in 1 to 4 variables: a work
+    dict, distinct (exponent, residue) terms, a coefficient (0 mod 7 now and
+    then) and a shift.  In about half the draws one work entry is set to
+    cancel the update's term at its exponent exactly; that exponent is
+    returned as well, else None."""
+    n = draw(st.integers(1, 4))
+    mono = st.tuples(*[st.integers(0, 2)] * n)
+    residue = st.integers(1, 6)
+    work = draw(st.dictionaries(mono, residue, max_size=8))
+    terms = list(draw(st.dictionaries(mono, residue, max_size=8)).items())
+    c, shift = draw(st.integers(-14, 14)), draw(mono)
+    cancelled = None
+    if terms and c % 7 and draw(st.booleans()):
+        e, t = draw(st.sampled_from(terms))
+        cancelled = mono_mul(e, shift)
+        work[cancelled] = -c * t % 7
+    return work, terms, c, shift, cancelled
+
+
+@KERNELS
+@given(shifted_updates())
+def test_add_shifted_matches_a_naive_sum(update):
+    """work += c * x^shift * terms, against integer sums reduced mod p at
+    the end; no zero residue stays in work."""
+    work, terms, c, shift, cancelled = update
+    want = dict(work)
+    for e, t in terms:
+        s = tuple(a + b for a, b in zip(e, shift))
+        want[s] = want.get(s, 0) + c * t
+    want = {e: v % 7 for e, v in want.items() if v % 7}
+    add_shifted(work, terms, c, shift, 7)
+    assert work == want
+    assert all(0 < v < 7 for v in work.values())
+    assert cancelled is None or cancelled not in work
 
 
 @KERNELS
