@@ -23,7 +23,7 @@ from math import comb
 from typing import NamedTuple
 
 from .ideals import Ideal, ring_dimension
-from .lengths import signed_sum, torsion_length
+from .lengths import pair_length, signed_sum, torsion
 
 FIT_N_CAP = 40
 
@@ -149,7 +149,7 @@ class HilbertRecord(NamedTuple):
 
 def graded_torsion_length(ideal: Ideal, i: int) -> int:
     """Length of the m-torsion of I^i / I^(i+1); always finite."""
-    return torsion_length(ideal ** i, ideal ** (i + 1))
+    return pair_length(torsion(ideal ** i, ideal ** (i + 1)), ideal ** (i + 1))
 
 
 def fit_hilbert_polynomial(ideal: Ideal, window: int | None = None,

@@ -17,6 +17,9 @@ is infinite.  Components of A/B supported away from the origin are
 invisible, which is exactly the localization the working ring demands; that
 behaviour is deliberate and tested.
 
+Every length is one memoized ``pair_length``, checked and counted once; the
+m-torsion length of A/B is that of (C, B), C being its own torsion.
+
 A length has the one form the report prints: an ``int``, or the string
 ``INFINITE``.  The paper's formulas are signed sums of lengths, and
 ``signed_sum`` evaluates them so that the first infinite term makes the sum
@@ -71,11 +74,6 @@ def torsion(a: Ideal, b: Ideal) -> Ideal:
     return b.saturate(Ideal.maximal(b.ctx)).intersect(a)
 
 
-def torsion_length(a: Ideal, b: Ideal) -> int:
-    """Length of the m-torsion of A/B, for B contained in A."""
-    return _gap(torsion(a, b), b)
-
-
 def _gap(c: Ideal, b: Ideal) -> int:
     """dim_k C/B for B ⊆ C with C/B supported at the origin: the monomials
     in LT(C) outside LT(B), all of degree at most the bound read off the
@@ -128,4 +126,4 @@ def loc_quotient_length(l: Ideal):
 
 def gamma_length(l: Ideal) -> int:
     """Length of the m-torsion submodule of R/L; always finite."""
-    return torsion_length(Ideal.unit(l.ctx), l)
+    return pair_length(torsion(Ideal.unit(l.ctx), l), l)

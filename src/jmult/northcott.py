@@ -46,7 +46,7 @@ def minimal_generator_count(ideal: Ideal):
     return pair_length(ideal, m * ideal)
 
 
-def assemble_northcott(red: GeneralReduction, j1: int | None,
+def assemble_northcott(red: GeneralReduction, j1: int,
                        effective: bool, m_primary: bool, flags: dict,
                        extra_notes=()) -> dict:
     """The report's JSON from precomputed pieces.  ``j1`` is the fitted
@@ -74,7 +74,7 @@ def assemble_northcott(red: GeneralReduction, j1: int | None,
         "equality": None,
         "reduction_number": r,
         "equality_case": "not-applicable",
-        "j1_nonnegative": None if j1 is None else j1 >= 0,
+        "j1_nonnegative": j1 >= 0,
         "m_primary_implication": None,
         "complete_intersection_implication": None,
         "hypotheses_effective": effective,
@@ -104,9 +104,8 @@ def assemble_northcott(red: GeneralReduction, j1: int | None,
     equality = None
     if INFINITE not in (lam, second):
         report["bound"] = bound = lam + second
-        if j1 is not None:
-            report["inequality_holds"] = j1 >= bound
-            report["equality"] = equality = j1 == bound
+        report["inequality_holds"] = j1 >= bound
+        report["equality"] = equality = j1 == bound
     else:
         notes.append("bound terms did not come out finite; analytic spread "
                      "below d or a failed sample")

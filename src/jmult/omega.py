@@ -43,9 +43,10 @@ class OmegaEvaluator:
 
     Each display method returns the (numerator, denominator) pair of its
     module at index i and degree n, and :meth:`length` takes its length.
-    Only display lengths are memoized here, under keys naming the ideal and
-    the reduction; fiber, beta and omega_0 lengths hit the pair-length memo.
-    The fitted Hilbert record of the ideal bounds the summation route.
+    Every length hits the pair-length memo.  Display lengths are memoized
+    here too, by ideal, reduction, display, i and n: building a display
+    costs products, sums and, for Ktilde, an elimination, before the pair
+    memo is read.  The fitted Hilbert record bounds the summation route.
     """
 
     def __init__(self, red: GeneralReduction, record: HilbertRecord):

@@ -1,17 +1,30 @@
 import heapq
+import itertools
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from jmult.groebner import (ComputationLimitError, _monic_row, _spoly,
-                            buchberger_raw, groebner_basis)
+                            buchberger_raw, count_standard_monomials,
+                            groebner_basis)
 from jmult.ideals import Ideal
 from jmult.lengths import INFINITE, loc_quotient_length, truncated_dim
-from jmult.ring import (Polynomial, RingContext, elimination_order, grevlex,
-                        mono_div, mono_lcm)
+from jmult.ring import (ContextMismatchError, Polynomial, RingContext,
+                        elimination_order, grevlex, mono_div, mono_divides,
+                        mono_lcm)
 
 from conftest import (block_order, eliminate_last, monomial_ideal,
                       random_monomial_ideal)
+
+# the literal cache hypothesis writes while collecting stays out of the tree
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "jmult-hypothesis")
+
+STAIRCASES = settings(derandomize=True, database=None, deadline=None,
+                      max_examples=200)
 
 
 def test_normal_form_examples(ctx2, xy):
@@ -34,6 +47,40 @@ def test_normal_form_idempotent(ctx2, xy):
                                   rng.randrange(32003))
         r = gb.normal_form(f)
         assert gb.normal_form(r) == r
+
+
+def test_foreign_polynomial_raises_context_mismatch(ctx2, xy):
+    x, y = xy
+    g = RingContext(("u", "v"), 32003).var("u")
+    with pytest.raises(ContextMismatchError):
+        groebner_basis(ctx2, [x]).normal_form(g)
+    with pytest.raises(ContextMismatchError):
+        Ideal(ctx2, [x, y * y]).contains(g)
+
+
+@st.composite
+def staircases(draw):
+    """Lead exponents of 1 to 4 variables with entries 0 to 3, the zero
+    vector (a unit lead) included, and a degree bound up to 8."""
+    n = draw(st.integers(1, 4))
+    leads = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=4))
+    return leads, n, draw(st.integers(-1, 8))
+
+
+@STAIRCASES
+@given(staircases())
+@example(([], 3, 5))
+@example(([(0, 0)], 2, 4))
+@example(([(1, 2)], 2, 0))
+@example(([], 1, -1))
+def test_count_standard_monomials_enumerates(case):
+    """The sliced count equals the monomials of degree below the bound that
+    no lead divides, enumerated one by one."""
+    leads, n, below = case
+    brute = sum(1 for e in itertools.product(range(max(below, 0)), repeat=n)
+                if sum(e) < below
+                and not any(mono_divides(u, e) for u in leads))
+    assert count_standard_monomials(leads, n, below) == brute
 
 
 def test_buchberger_examples(ctx2, xy):

@@ -1,14 +1,17 @@
 import random
+from collections import Counter
 
 import pytest
 
 import jmult.lengths
-from jmult.ideals import Ideal
+from jmult.ideals import Ideal, InternalInconsistencyError
 from jmult.lengths import (ContainmentError, INFINITE, gamma_length,
                            loc_quotient_length, pair_length, signed_sum,
                            truncated_dim)
 from jmult.oracle import MonomialIdeal, mon_pair_length
+from jmult.parser import Options, parse_problem
 from jmult.ring import RingContext
+from jmult.runner import run_command
 
 from conftest import monomial_ideal, random_monomial_ideal
 
@@ -137,6 +140,34 @@ def test_infinite_length_needs_no_truncation(ctx2, xy, monkeypatch):
     x, y = xy
     assert loc_quotient_length(Ideal(ctx2, [x])) == INFINITE
     assert loc_quotient_length(Ideal(ctx2, [x * x, x * y])) == INFINITE
+
+
+def test_gap_refuses_a_quotient_of_infinite_length(ctx2, xy):
+    """(x)/(x^2) has no pure power of y in (LT(B) : x), so the staircase
+    count has no degree bound."""
+    x, y = xy
+    with pytest.raises(InternalInconsistencyError,
+                       match="not of finite length"):
+        jmult.lengths._gap(Ideal(ctx2, [x]), Ideal(ctx2, [x * x]))
+
+
+def test_every_staircase_count_is_taken_once(monkeypatch):
+    """Every length of a coeffs run, the Hilbert fit's torsion terms
+    included, goes through the pair-length memo, so the staircase count runs
+    once per (C, B) pair."""
+    runs = Counter()
+    gap = jmult.lengths._gap
+
+    def counted(c, b):
+        runs[c, b] += 1
+        return gap(c, b)
+
+    monkeypatch.setattr(jmult.lengths, "_gap", counted)
+    text = "ring char=32003 vars=x,y\nideal x^2,x*y,y^2\n"
+    report, code = run_command("coeffs", parse_problem(text), Options())
+    assert code == 0
+    assert report["results"]["j"] == [4, 1, 0]
+    assert runs and set(runs.values()) == {1}, runs
 
 
 def test_gamma_examples(ctx2, xy):
