@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import heapq
 from itertools import combinations, compress
-from math import comb
 
 from .ring import (ContextMismatchError, Polynomial, RingContext, add_shifted,
                    grevlex, mono_div, mono_divides, mono_lcm, mono_mul)
@@ -173,21 +172,27 @@ def _interreduce(rows, keyf, p):
 # staircase combinatorics on leading monomials
 
 
-def count_standard_monomials(leads, nvars: int, below: int) -> int:
-    """Number of monomials of degree below ``below`` outside the monomial
-    ideal generated by ``leads``."""
-    if below <= 0 or any(not any(e) for e in leads):
+def count_monomials_between(upper, lower, nvars: int):
+    """Number of monomials in the ideal generated by ``upper`` outside the
+    one generated by ``lower``; None when there are infinitely many."""
+    if not upper:
         return 0
-    if not leads:
-        return comb(below - 1 + nvars, nvars)
+    if nvars == 1:
+        # (x^a) outside (x^b) holds x^a .. x^(b-1)
+        return max(min(lower)[0] - min(upper)[0], 0) if lower else None
     # x0^a times a monomial r: on each run lo <= a < hi the leads that can
-    # divide are fixed, and a slack last variable sums over a
-    cuts = sorted({0, below} | {e[0] for e in leads if e[0] < below})
+    # divide are those with first exponent at most lo; the last run is endless
+    cuts = sorted({0} | {e[0] for e in upper} | {e[0] for e in lower})
     total = 0
-    for lo, hi in zip(cuts, cuts[1:]):
-        rest = [e[1:] + (0,) for e in leads if e[0] <= lo]
-        total += (count_standard_monomials(rest, nvars, below - lo)
-                  - count_standard_monomials(rest, nvars, below - hi))
+    for lo, hi in zip(cuts, cuts[1:] + [None]):
+        part = count_monomials_between([e[1:] for e in upper if e[0] <= lo],
+                                       [e[1:] for e in lower if e[0] <= lo],
+                                       nvars - 1)
+        if part == 0:
+            continue
+        if part is None or hi is None:
+            return None
+        total += (hi - lo) * part
     return total
 
 

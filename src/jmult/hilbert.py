@@ -39,13 +39,8 @@ def binomial(n: int, k: int) -> int:
         return 0
     if n >= 0:
         return comb(n, k)
-    # generalized: product formula keeps exact integers for negative n
-    num = 1
-    for t in range(k):
-        num *= (n - t)
-    for t in range(2, k + 1):
-        num //= t
-    return num
+    # generalized: binom(n, k) = (-1)^k binom(k - n - 1, k) for n < 0
+    return (-1) ** k * comb(k - n - 1, k)
 
 
 def backward_difference(fn, k: int, n: int):

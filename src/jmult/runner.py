@@ -283,7 +283,7 @@ class Pipeline:
                                             "(hypotheses not in force)")
             table = self._omega_table()
         else:
-            routes["jzero"] = "not-applicable (analytic spread below dim)"
+            routes["jzero"] = "not-applicable (no general minimal reduction)"
 
         results = {
             "j": j_fit,

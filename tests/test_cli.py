@@ -12,6 +12,7 @@ import jmult.groebner
 import jmult.ideals
 import jmult.lengths
 import jmult.omega
+import jmult.reductions
 import jmult.runner
 from jmult.cli import main
 from jmult.ideals import InternalInconsistencyError
@@ -341,6 +342,27 @@ def test_a_failed_shared_piece_is_computed_once(capsys, monkeypatch):
     assert rep["hypotheses"] == {"error": "stand-in pair cap"}
     assert rep["diagnostics"] == ["stand-in pair cap"]
     assert len(calls) == 1
+    assert code == 4
+
+
+@pytest.mark.parametrize("cmd", ["reduction", "coeffs"])
+def test_a_failed_reduction_search_is_reported(capsys, monkeypatch, cmd):
+    """With no fiber term ever vanishing, every draw fails: exit 4 with the
+    search's message, r None, the hypotheses still reported, and coeffs
+    gives the missing reduction, not the spread, as why jzero is absent."""
+    monkeypatch.setattr(jmult.reductions, "fiber_length_term",
+                        lambda red, n: 1)
+    code, out = run_cli(capsys, monkeypatch, cmd, M2)
+    rep = json.loads(out)
+    results = rep["results"]
+    assert rep["diagnostics"][0].startswith(
+        "no general 2-element reduction found in 8 attempts from seed 0 ")
+    assert rep["hypotheses"]["analytic_spread"] == rep["hypotheses"]["dim"] == 2
+    if cmd == "coeffs":
+        assert results["routes"]["jzero"] == ("not-applicable (no general "
+                                              "minimal reduction)")
+        results = results["reduction"]
+    assert results["r"] is None
     assert code == 4
 
 

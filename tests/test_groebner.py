@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from jmult.groebner import (ComputationLimitError, _monic_row, _spoly,
-                            buchberger_raw, count_standard_monomials,
+                            buchberger_raw, count_monomials_between,
                             groebner_basis)
 from jmult.ideals import Ideal
 from jmult.lengths import INFINITE, loc_quotient_length, truncated_dim
@@ -59,28 +59,33 @@ def test_foreign_polynomial_raises_context_mismatch(ctx2, xy):
 
 
 @st.composite
-def staircases(draw):
-    """Lead exponents of 1 to 4 variables with entries 0 to 3, the zero
-    vector (a unit lead) included, and a degree bound up to 8."""
+def staircase_pairs(draw):
+    """Two lists of lead exponents in 1 to 4 variables with entries 0 to 3,
+    the zero vector (a unit lead) included."""
     n = draw(st.integers(1, 4))
-    leads = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=4))
-    return leads, n, draw(st.integers(-1, 8))
+    leads = st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=4)
+    return draw(leads), draw(leads), n
 
 
 @STAIRCASES
-@given(staircases())
-@example(([], 3, 5))
-@example(([(0, 0)], 2, 4))
-@example(([(1, 2)], 2, 0))
-@example(([], 1, -1))
-def test_count_standard_monomials_enumerates(case):
-    """The sliced count equals the monomials of degree below the bound that
-    no lead divides, enumerated one by one."""
-    leads, n, below = case
-    brute = sum(1 for e in itertools.product(range(max(below, 0)), repeat=n)
-                if sum(e) < below
-                and not any(mono_divides(u, e) for u in leads))
-    assert count_standard_monomials(leads, n, below) == brute
+@given(staircase_pairs())
+@example(([], [], 3))
+@example(([(0, 0)], [], 2))
+@example(([(0, 0)], [(2, 0), (1, 1), (0, 2)], 2))
+@example(([(1, 2)], [(0, 0)], 2))
+@example(([(1,)], [(3,)], 1))
+def test_count_monomials_between_enumerates(case):
+    """The sliced count equals the monomials in (upper) outside (lower),
+    enumerated one by one in a box one past the largest exponent.  Beyond
+    that exponent membership no longer changes, so a counted monomial on the
+    box's far face means infinitely many."""
+    upper, lower, n = case
+    top = 1 + max((max(e) for e in upper + lower), default=0)
+    counted = [e for e in itertools.product(range(top + 1), repeat=n)
+               if any(mono_divides(u, e) for u in upper)
+               and not any(mono_divides(u, e) for u in lower)]
+    brute = None if any(top in e for e in counted) else len(counted)
+    assert count_monomials_between(upper, lower, n) == brute
 
 
 def test_buchberger_examples(ctx2, xy):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -16,6 +17,13 @@ def test_binomial_generalized():
     assert binomial(-1, 1) == -1
     assert binomial(-2, 2) == 3
     assert binomial(7, 0) == 1
+    for n in range(-10, 11):
+        for k in range(9):
+            falling = 1
+            for t in range(k):
+                falling *= n - t
+            assert binomial(n, k) == falling // math.factorial(k), (n, k)
+    assert binomial(-3, -1) == 0
 
 
 def test_backward_difference_basics():

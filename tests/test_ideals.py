@@ -235,6 +235,8 @@ def test_saturate_examples(ctx2, xy):
     assert m.saturate(m).is_unit()
     a = monomial_ideal(ctx2, (2, 0), (0, 3))
     assert a.saturate(Ideal.unit(ctx2)) == a
+    # x^2 : x^∞ is R, so the step for y saturates the unit ideal
+    assert monomial_ideal(ctx2, (2, 0)).saturate(Ideal(ctx2, [x * y])).is_unit()
 
 
 def _random_poly(ctx, rng, max_terms, max_deg, min_deg=1):

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 import jmult.lengths
+from jmult.groebner import GroebnerBasis
 from jmult.ideals import Ideal, InternalInconsistencyError
 from jmult.lengths import (ContainmentError, INFINITE, gamma_length,
                            loc_quotient_length, pair_length, signed_sum,
@@ -143,12 +144,33 @@ def test_infinite_length_needs_no_truncation(ctx2, xy, monkeypatch):
 
 
 def test_gap_refuses_a_quotient_of_infinite_length(ctx2, xy):
-    """(x)/(x^2) has no pure power of y in (LT(B) : x), so the staircase
-    count has no degree bound."""
+    """(x)/(x^2) holds x y^k for every k, so the staircase count is
+    infinite."""
     x, y = xy
     with pytest.raises(InternalInconsistencyError,
                        match="not of finite length"):
         jmult.lengths._gap(Ideal(ctx2, [x]), Ideal(ctx2, [x * x]))
+
+
+def test_an_equal_pair_takes_only_the_containment_check(monkeypatch):
+    """The same ideal from two generator lists (xy = y(x + y^2) - y^3):
+    once B ⊆ A holds, A = B is read off the reduced bases, so the pair takes
+    one normal form per generator of B and no more."""
+    ctx = RingContext(("x", "y"), 32003)
+    x, y = ctx.var("x"), ctx.var("y")
+    a = Ideal(ctx, [x + y * y, y ** 3])
+    b = Ideal(ctx, [x * y, x + y * y])
+    assert a is not b and a == b
+    forms = []
+    normal_form = GroebnerBasis.normal_form
+
+    def counted(gb, f):
+        forms.append(f)
+        return normal_form(gb, f)
+
+    monkeypatch.setattr(GroebnerBasis, "normal_form", counted)
+    assert pair_length(a, b) == 0
+    assert len(forms) == len(b.gens) == 2
 
 
 def test_every_staircase_count_is_taken_once(monkeypatch):
