@@ -30,11 +30,6 @@ REDUCTION_NUMBER_CAP = 30
 RETRY_CAP = 8
 
 
-class ReductionSearchError(RuntimeError):
-    """No sampled candidate was a reduction within the retry cap; either very
-    bad luck over a large field, or the analytic spread is misreported."""
-
-
 class GeneralReduction(NamedTuple):
     """A sampled sequence of general elements of I, with ``r`` the reduction
     number r_J(I) of J = (x_1, ..., x_s) when ``general_minimal_reduction``
@@ -122,21 +117,17 @@ def general_minimal_reduction(ideal: Ideal, seed: int = 0):
     with fresh seeds are reported through the returned seed.
 
     Returns the reduction with ``r`` the n of its first vanishing fiber term.
-    A retry indicates either bad luck or a bug, so exhaustion raises rather
-    than returning a wrong answer.
+    A failed search is a value, not an exception: after RETRY_CAP draws it
+    returns the last draw with ``r`` None, for the caller to report.
     """
     spread = analytic_spread(ideal)
-    last = None
     for attempt in range(RETRY_CAP):
         red = sample_general_elements(ideal, spread, seed + attempt)
         r = next((n for n in range(REDUCTION_NUMBER_CAP + 1)
                   if fiber_length_term(red, n) == 0), None)
         if r is not None:
             return red._replace(r=r)
-        last = red
-    raise ReductionSearchError(
-        f"no general {spread}-element reduction found in {RETRY_CAP} attempts "
-        f"from seed {seed} (last candidate {[str(e) for e in last.elements]})")
+    return red
 
 
 # --------------------------------------------------------------------------

@@ -32,8 +32,8 @@ from .omega import (OmegaEvaluator, combined_verdict, j_one_depth_formula,
                     j_via_sums, master_identity_check, route_agrees)
 from .oracle import MonomialIdeal, OracleError, mon_quotient_length, oracle_hilbert_coefficients
 from .parser import Options, ProblemSpec, print_problem
-from .reductions import (GeneralReduction, ReductionSearchError,
-                         analytic_spread, general_minimal_reduction, j_zero,
+from .reductions import (RETRY_CAP, GeneralReduction, analytic_spread,
+                         general_minimal_reduction, j_zero,
                          residual_height_check, sample_general_elements,
                          valabrega_valla_check, e_one_bar)
 
@@ -116,20 +116,23 @@ class Pipeline:
 
     @_piece
     def reduction(self) -> GeneralReduction:
-        """The general minimal reduction.  When the spread falls short of the
-        dimension or the search fails, d elements are still sampled for the
-        surrogate, and their ``r`` is None."""
-        if self.spread == self.dim:
-            try:
-                return general_minimal_reduction(self.ideal, self.opt.seed)
-            except ReductionSearchError as exc:
-                self.flag(CAP_OR_INFINITE, str(exc))
-        else:
+        """The general minimal reduction, drawn by the search alone.  Its
+        ``r`` is None when the search failed, and the reduction is then the
+        last draw, flagged exit 4; when the spread falls short of the
+        dimension, d elements are sampled for the surrogate instead."""
+        if self.spread != self.dim:
             # hypotheses_json sets the exit code for this fact
             self.flag(OK, f"analytic spread {self.spread} is below the ring "
                           f"dimension {self.dim}; reduction-based routes are "
                           f"unavailable")
-        return sample_general_elements(self.ideal, self.dim, self.opt.seed)
+            return sample_general_elements(self.ideal, self.dim, self.opt.seed)
+        red = general_minimal_reduction(self.ideal, self.opt.seed)
+        if red.r is None:
+            self.flag(CAP_OR_INFINITE,
+                      f"no general {self.dim}-element reduction found in "
+                      f"{RETRY_CAP} attempts from seed {self.opt.seed} (last "
+                      f"candidate {[str(e) for e in red.elements]})")
+        return red
 
     @property
     def nmax(self) -> int:
@@ -338,15 +341,12 @@ class Pipeline:
     def cmd_reduction(self) -> dict:
         out = self._reduction_json()
         out["analytic_spread"] = self.spread
-        if out["r"] is None and self.spread == self.dim:
-            self.flag(CAP_OR_INFINITE, "no reduction found below the cap")
         return out
 
     def cmd_depthcheck(self) -> dict:
         red = self.reduction
         if red.r is None:
-            return {"error": "depth check needs a general minimal reduction "
-                             "(analytic spread must equal the dimension)"}
+            return {"error": "depth check needs a general minimal reduction"}
         rep = valabrega_valla_check(red, self.nmax,
                                     an_asserted=self.opt.an_asserted
                                     or self.m_primary)

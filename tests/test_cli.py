@@ -345,25 +345,37 @@ def test_a_failed_shared_piece_is_computed_once(capsys, monkeypatch):
     assert code == 4
 
 
-@pytest.mark.parametrize("cmd", ["reduction", "coeffs"])
+@pytest.mark.parametrize("cmd", ["reduction", "coeffs", "depthcheck"])
 def test_a_failed_reduction_search_is_reported(capsys, monkeypatch, cmd):
     """With no fiber term ever vanishing, every draw fails: exit 4 with the
-    search's message, r None, the hypotheses still reported, and coeffs
-    gives the missing reduction, not the spread, as why jzero is absent."""
+    search's message, and only it, r None, the hypotheses still reported, and
+    coeffs gives the missing reduction, not the spread, as why jzero is
+    absent.  The reduction reported is the last draw, the candidate the
+    message names."""
     monkeypatch.setattr(jmult.reductions, "fiber_length_term",
                         lambda red, n: 1)
     code, out = run_cli(capsys, monkeypatch, cmd, M2)
     rep = json.loads(out)
     results = rep["results"]
+    assert len(rep["diagnostics"]) == 1
     assert rep["diagnostics"][0].startswith(
         "no general 2-element reduction found in 8 attempts from seed 0 ")
     assert rep["hypotheses"]["analytic_spread"] == rep["hypotheses"]["dim"] == 2
+    assert code == 4
+    if cmd == "depthcheck":
+        assert results == {"error": "depth check needs a general minimal "
+                                    "reduction"}
+        return
     if cmd == "coeffs":
         assert results["routes"]["jzero"] == ("not-applicable (no general "
                                               "minimal reduction)")
         results = results["reduction"]
     assert results["r"] is None
-    assert code == 4
+    ideal = parse_problem(M2).ideal
+    assert results["seed"] == 7
+    assert results["elements"] == [
+        str(e) for e in
+        jmult.reductions.sample_general_elements(ideal, 2, 7).elements]
 
 
 def test_assert_flags_echoed(capsys, monkeypatch):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import jmult.reductions
 from jmult.ideals import Ideal, ring_dimension
 from jmult.lengths import INFINITE, loc_quotient_length, pair_length
 from jmult.parser import Options, parse_problem
@@ -128,6 +129,18 @@ def test_general_minimal_reduction(ctx2, ctx_family, m2_setup):
     redp = general_minimal_reduction(principal, seed=0)
     rp = redp.r
     assert rp == 0 and redp.count == 1
+
+
+def test_a_failed_search_returns_its_last_draw(ctx2, monkeypatch):
+    """With no fiber term ever vanishing, the search does not raise: it
+    returns its last draw, at seed 0 + RETRY_CAP - 1, with r None."""
+    monkeypatch.setattr(jmult.reductions, "fiber_length_term",
+                        lambda red, n: 1)
+    ideal = monomial_ideal(ctx2, (2, 0), (1, 1), (0, 2))
+    red = general_minimal_reduction(ideal, seed=0)
+    assert red.r is None
+    assert red.seed == 7
+    assert red.elements == sample_general_elements(ideal, 2, 7).elements
 
 
 def test_reduction_number_seed_stable(ctx2):
