@@ -194,13 +194,14 @@ class Ideal:
 
     def saturate(self, other: "Ideal") -> "Ideal":
         """self : other^∞, the intersection over the generators f of other
-        of self : f^∞.  That is R once f^k lies in self: k = 1, but for a
-        monomial f and a zero-dimensional self k is the degree of the lcm of
-        its leads, past which every monomial is a lead, so one normal form
-        decides an m-primary homogeneous self.  Otherwise a variable
-        saturates by one Groebner basis of the homogenization (Bayer's
-        method), a monomial one variable of its support at a time, and any
-        other f as ((self, t - f) : t^∞) ∩ R with t a new variable."""
+        of self : f^∞.  A monomial f saturates through its radical, the product
+        of its support, and drops out when another's support lies in its own.
+        self : f^∞ is R once f^k lies in self: k = 1, but for a monomial f and
+        a zero-dimensional self k is the degree of the lcm of its leads, past
+        which every monomial is a lead.  Otherwise a variable saturates by one
+        Groebner basis of the homogenization (Bayer's method), a squarefree
+        monomial one variable at a time, and any other f as
+        ((self, t - f) : t^∞) ∩ R with t a new variable."""
         self._check(other)
         return self.ctx.memo(("saturate", self, other),
                              lambda: _saturate(self, other))
@@ -362,14 +363,17 @@ def _saturate_rows(rows, i: int, p: int):
 
 
 def _saturate_element(a: Ideal, f: Polynomial) -> Ideal:
-    """a : f^∞.  A monomial saturates by each variable of its support.
-    Otherwise R[t]/(t - f) = R with t acting as f, so a : f^∞ is
-    ((a, t - f) : t^∞) ∩ R."""
+    """a : f^∞.  A squarefree monomial saturates by each variable of its
+    support in turn, from the grevlex basis of the last result.  Otherwise
+    R[t]/(t - f) = R with t acting as f, so a : f^∞ is ((a, t - f) : t^∞) ∩ R."""
     ctx = a.ctx
     if f.is_monomial():
         for i in compress(range(ctx.nvars), f.lead_exp()):
-            a = ctx.memo(("saturate_var", a, i),
-                         lambda: _saturate_variable(a, i))
+            gb = a.gb()
+            if gb.is_unit() or gb.is_zero():
+                return a
+            a = Ideal(ctx, [Polynomial(ctx, terms)
+                            for terms in _saturate_rows(gb.rows, i, ctx.char)])
         return a
     n, p = ctx.nvars, ctx.char
     rows = [_padded(g.terms.items()) for g in a.gens]
@@ -379,19 +383,13 @@ def _saturate_element(a: Ideal, f: Polynomial) -> Ideal:
     return _eliminated(ctx, _saturate_rows(gb, n, p))
 
 
-def _saturate_variable(a: Ideal, i: int) -> Ideal:
-    """a : x_i^∞ from the grevlex basis of a."""
-    gb = a.gb()
-    if gb.is_unit() or gb.is_zero():
-        return a
-    ctx = a.ctx
-    return Ideal(ctx, [Polynomial(ctx, terms)
-                       for terms in _saturate_rows(gb.rows, i, ctx.char)])
-
-
 def _saturate(a: Ideal, b: Ideal) -> Ideal:
+    ctx = a.ctx
+    # a : f^∞ = a : rad(f)^∞; the ideal drops the radicals another divides
+    b = Ideal(ctx, [ctx.monomial(min(e, 1) for e in f.lead_exp())
+                    if f.is_monomial() else f for f in b.gens])
     k = sum(map(max, zip(*a.gb().leads))) if a.dimension() == 0 else 1
     gens = [f for f in b.gens  # a : f^∞ = R once f^k lies in a
             if not a.contains(f ** k if f.is_monomial() else f)]
     return reduce(Ideal.intersect, (_saturate_element(a, f) for f in gens),
-                  Ideal.unit(a.ctx))
+                  Ideal.unit(ctx))

@@ -267,10 +267,13 @@ def test_criterion_8_engine_oracle_equivalence(ctx):
                 != ma.saturate_vars(range(n))):
             ok = False
             print(f"  saturation mismatch: {ma.gens}")
+        if MonomialIdeal.from_ideal(a.saturate(b)) != ma.saturate(mb):
+            ok = False
+            print(f"  saturation mismatch: {ma.gens} {mb.gens}")
         sub = a * m ** rng.randrange(1, 3)
         if pair_length(a, sub) != mon_pair_length(
                 ma, MonomialIdeal.from_ideal(sub)):
             ok = False
             print(f"  pair length mismatch: {ma.gens}")
         checked += 1
-    report(8, ok, f"{checked} random monomial instances, four shared operations")
+    report(8, ok, f"{checked} random monomial instances, five shared operations")

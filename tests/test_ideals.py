@@ -130,6 +130,31 @@ def test_an_m_primary_torsion_computes_no_basis(monkeypatch):
     assert calls == []
 
 
+def test_a_monomial_saturates_through_its_radical(monkeypatch):
+    """a : f^∞ depends on the support of a monomial f alone, and a larger
+    support saturates further: (x^2, xy) saturates as x, and
+    (x^2 y, xyz, y^3) as y, each in one Bayer step."""
+    steps = []
+    real = jmult.ideals._saturate_rows
+
+    def counting(*args):
+        steps.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(jmult.ideals, "_saturate_rows", counting)
+    ctx = RingContext(("x", "y"), 32003)
+    x, y = ctx.var("x"), ctx.var("y")
+    a = Ideal(ctx, [y * y])
+    assert a.saturate(Ideal(ctx, [x * x, x * y])) == a
+    assert len(steps) == 1
+    steps.clear()
+    ctx = RingContext(("x", "y", "z"), 32003)
+    x, y, z = (ctx.var(v) for v in "xyz")
+    a = Ideal(ctx, [x * z - y * y + y])
+    assert a.saturate(Ideal(ctx, [x * x * y, x * y * z, y ** 3])) == a
+    assert len(steps) == 1
+
+
 def test_a_point_off_the_origin_still_saturates(ctx2, xy):
     """(x^2 - x, y) is zero-dimensional, but its point (1, 0) keeps every
     power of x out of it: saturating by m leaves (x - 1, y)."""
@@ -277,10 +302,10 @@ def _random_context(rng):
 
 
 def test_saturate_matches_rabinowitsch(ctx2, xy):
-    """Saturation by one element against the Rabinowitsch elimination, on
-    random non-homogeneous ideals, and saturation of zero-dimensional ideals
-    by m against the intersection of the eliminations by each variable;
-    some in a quotient ring."""
+    """Saturation by one element, and by 2-3 monomials sharing a variable,
+    against the Rabinowitsch elimination, on random non-homogeneous ideals,
+    and saturation of zero-dimensional ideals by m against the intersection
+    of the eliminations by each variable; some in a quotient ring."""
     x, y = xy
     # the chain (x^9 y) : x^k needs ten colon steps to reach (y)
     assert Ideal(ctx2, [x ** 9 * y]).saturate(Ideal(ctx2, [x])) == Ideal(ctx2, [y])
@@ -293,6 +318,18 @@ def test_saturate_matches_rabinowitsch(ctx2, xy):
         while Ideal.zero(ctx).contains(f):
             f = _random_poly(ctx, rng, 2, 2)
         assert a.saturate(Ideal(ctx, [f])) == _rabinowitsch(a, f), (ctx, a, f)
+    # 2-3 monomials, none dividing another, each holding the variable x_s
+    for _ in range(60):
+        ctx = _random_context(rng)
+        a = Ideal(ctx, [_random_poly(ctx, rng, 3, 3)
+                        for _ in range(rng.randrange(1, 4))])
+        s, b = rng.randrange(ctx.nvars), Ideal.zero(ctx)
+        while len(b.gens) < 2:
+            b = Ideal(ctx, [ctx.monomial([rng.randrange(3) + (i == s)
+                                          for i in range(ctx.nvars)])
+                            for _ in range(rng.randrange(2, 4))])
+        want = reduce(Ideal.intersect, (_rabinowitsch(a, f) for f in b.gens))
+        assert a.saturate(b) == want, (ctx, a, b)
     # a pure power of every variable, in some draws minus a lower power for a
     # point off the origin, plus random polynomials, homogeneous in some
     # draws: without such a point the draw is m-primary and saturates to R
