@@ -22,15 +22,11 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
+from .groebner import ComputationLimitError
 from .ideals import Ideal, ring_dimension
 from .lengths import pair_length, signed_sum, torsion
 
 FIT_N_CAP = 40
-
-
-class FitError(RuntimeError):
-    """Hilbert values did not become polynomial below the n-cap; carries the
-    offending trace."""
 
 
 def binomial(n: int, k: int) -> int:
@@ -79,12 +75,14 @@ def binomial_basis_convert(values, d: int, start: int = 0):
 
     With P the Newton form through the first d + 1 values, the backward
     difference of P(n) = sum_i (-1)^i j_i binom(n + d - i, d - i) of order
-    d - i at n = -1 is (-1)^i j_i.  Raises FitError when the coefficients do
-    not reproduce every value, so the input lies on no such polynomial.
+    d - i at n = -1 is (-1)^i j_i.  Raises ValueError when the coefficients
+    do not reproduce every value, so the input lies on no such polynomial;
+    a window from ``detect_polynomial_window`` never does, since its d-th
+    difference is constant.
     """
     values = list(values)
     if len(values) < d + 1:
-        raise FitError(f"need at least {d + 1} values to fit degree {d}")
+        raise ValueError(f"need at least {d + 1} values to fit degree {d}")
     newton = [backward_difference(values.__getitem__, j, j) for j in range(d + 1)]
 
     def poly(n: int) -> int:
@@ -93,7 +91,7 @@ def binomial_basis_convert(values, d: int, start: int = 0):
     coeffs = tuple((-1) ** i * backward_difference(poly, d - i, -1)
                    for i in range(d + 1))
     if any(_binomial_form(coeffs, start + t) != v for t, v in enumerate(values)):
-        raise FitError("values do not lie on a polynomial of the expected degree")
+        raise ValueError("values do not lie on a polynomial of the expected degree")
     return coeffs
 
 
@@ -173,10 +171,11 @@ def fit_hilbert_polynomial(ideal: Ideal, window: int | None = None,
         n += 1
         if n > FIT_N_CAP:
             if region is not None:
-                raise FitError(f"the table of H was asked to reach n = "
-                               f"{extend_to}, past the cap n = {FIT_N_CAP}")
-            raise FitError(f"no polynomial window of size {window} "
-                           f"found up to n = {FIT_N_CAP}")
+                raise ComputationLimitError(
+                    f"the table of H was asked to reach n = {extend_to}, "
+                    f"past the cap n = {FIT_N_CAP}")
+            raise ComputationLimitError(f"no polynomial window of size "
+                                        f"{window} found up to n = {FIT_N_CAP}")
     s, e = region
     coeffs = binomial_basis_convert(values[s:e + 1], d, start=s)
     return HilbertRecord(dim=d, values=tuple(values), coefficients=coeffs,

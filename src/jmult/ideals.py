@@ -35,8 +35,8 @@ from itertools import compress
 
 from .groebner import (GroebnerBasis, buchberger_raw, groebner_basis,
                        monomial_quotient_dimension)
-from .ring import (ContextMismatchError, Polynomial, RingContext, add_shifted,
-                   elimination_order, grevlex, mono_div, mono_divides)
+from .ring import (Polynomial, RingContext, add_shifted, elimination_order,
+                   grevlex, mono_div, mono_divides)
 
 
 class AlgebraWarning(UserWarning):
@@ -60,7 +60,7 @@ class Ideal:
         seen = {}  # canonical terms -> the first generator with them
         for g in gens:
             if g.ctx != ctx:
-                raise ContextMismatchError("generator from a different context")
+                raise ValueError("generator from a different context")
             if g.is_zero():
                 continue
             g = g.monic()
@@ -139,7 +139,7 @@ class Ideal:
 
     def _check(self, other: "Ideal"):
         if self.ctx != other.ctx:
-            raise ContextMismatchError("ideals from different ring contexts")
+            raise ValueError("ideals from different ring contexts")
 
     def __add__(self, other: "Ideal") -> "Ideal":
         self._check(other)

@@ -33,10 +33,6 @@ from .groebner import count_monomials_between, groebner_basis
 from .ideals import Ideal, InternalInconsistencyError
 
 
-class ContainmentError(ValueError):
-    """pair_length(A, B) requires B to be contained in A."""
-
-
 INFINITE = "infinite"
 
 
@@ -85,14 +81,14 @@ def _gap(c: Ideal, b: Ideal) -> int:
 def pair_length(a: Ideal, b: Ideal):
     """m-local length of A/B for B contained in A.  Containment is verified
     once per pair, when the length is first computed; a pair that fails it
-    raises ContainmentError on every call."""
+    raises ValueError on every call."""
     return a.ctx.memo(("pairlen", a, b),
                       lambda: _pair_length(a, b))
 
 
 def _pair_length(a: Ideal, b: Ideal):
     if not a.contains_ideal(b):
-        raise ContainmentError(f"{b} is not contained in {a}")
+        raise ValueError(f"{b} is not contained in {a}")
     if a == b:
         return 0
     c = torsion(a, b)

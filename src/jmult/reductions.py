@@ -106,7 +106,7 @@ def fiber_length_term(red: GeneralReduction, n: int):
     """Length of I^(n+1) / J I^n at the origin; r_J(I) is the first n where
     it vanishes.  General elements may differ from I away from the origin,
     so comparing the global bases would be too strict.  At n = 0 the length
-    checks J ⊆ I, raising a ValueError otherwise."""
+    checks J ⊆ I, raising pair_length's built-in ValueError otherwise."""
     ideal = red.ideal
     return pair_length(ideal ** (n + 1), red.full * (ideal ** n))
 

@@ -29,10 +29,6 @@ MAX_CHAR = 1 << 31
 Exponents = tuple  # tuple[int, ...], one slot per ambient variable
 
 
-class ContextMismatchError(ValueError):
-    """Operands built over different ring contexts."""
-
-
 # --------------------------------------------------------------------------
 # characteristic
 
@@ -232,7 +228,7 @@ class Polynomial:
 
     def _check(self, other: "Polynomial"):
         if self.ctx != other.ctx:
-            raise ContextMismatchError("polynomials from different ring contexts")
+            raise ValueError("polynomials from different ring contexts")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)

@@ -24,7 +24,7 @@ import json
 from functools import cached_property
 
 from .groebner import ComputationLimitError
-from .hilbert import FIT_N_CAP, FitError, fit_hilbert_polynomial
+from .hilbert import FIT_N_CAP, fit_hilbert_polynomial
 from .ideals import ring_dimension
 from .lengths import INFINITE, loc_quotient_length
 from .northcott import assemble_northcott
@@ -136,10 +136,15 @@ class Pipeline:
 
     @property
     def nmax(self) -> int:
-        r = self.reduction.r
+        """--nmax, or r + d + 2 with r read as 0 when the reduction search
+        failed or hit a cap, so a capped search leaves the fit standing."""
         if self.opt.nmax is not None:
             return self.opt.nmax
-        return (r if r is not None else 0) + self.dim + 2
+        try:
+            r = self.reduction.r or 0
+        except ComputationLimitError:
+            r = 0
+        return r + self.dim + 2
 
     @_piece
     def record(self):
@@ -223,11 +228,12 @@ class Pipeline:
         return self.envelope(results, hypotheses)
 
     def _captured(self, section):
-        """``section()``, or ``{"error": message}`` with exit 4 for a cap or
-        a failed fit and 5 for a bug, so it erases no other section."""
+        """``section()``, or ``{"error": message}`` with exit 4 for a
+        ComputationLimitError (a Buchberger cap or the fit's n-cap) and 5
+        for any other error, a bug, so it erases no other section."""
         try:
             return section()
-        except (ComputationLimitError, FitError) as exc:
+        except ComputationLimitError as exc:
             self.flag(CAP_OR_INFINITE, str(exc))
             return {"error": str(exc)}
         except (ArithmeticError, LookupError, RuntimeError, TypeError,
@@ -274,10 +280,7 @@ class Pipeline:
             sums = zip(routes["sums"], j_fit[1:])
             if self.hypotheses_effective:
                 agreement["fit_vs_sums"] = combined_verdict(
-                    self.verdict(v, j, "summation route disagrees with the "
-                                       "fitted coefficients under passing "
-                                       "hypotheses", f"not-applicable: {v}")
-                    for v, j in sums)
+                    self._sums_verdict(v, j) for v, j in sums)
             else:
                 word = {True: "agrees", False: "differs",
                         None: "not-applicable"}[
@@ -302,6 +305,13 @@ class Pipeline:
         if self.opt.oracle:
             results["oracle"] = self._oracle_cross_check(j_fit)
         return results
+
+    def _sums_verdict(self, value, j: int):
+        """A summation-route coefficient against the fitted one, under
+        passing hypotheses; ``coeffs`` and ``northcott`` share its note."""
+        return self.verdict(value, j, "summation route disagrees with the "
+                                      "fitted coefficients under passing "
+                                      "hypotheses", f"not-applicable: {value}")
 
     def _jzero_verdict(self, jz, j0: int):
         """The reduction-ring multiplicity against the fitted j_0."""
@@ -379,10 +389,8 @@ class Pipeline:
         j1 = rec.coefficients[1]
         notes = []
         if red.r is not None and self.hypotheses_effective:
-            cross = j_via_sums(self.evaluator, 1)
-            if self.verdict(cross, j1, "summation route for the first "
-                                       "coefficient disagrees with the fit",
-                            f"not-applicable: {cross}") is False:
+            if self._sums_verdict(j_via_sums(self.evaluator, 1),
+                                  j1) is False:
                 notes.append("route disagreement: fitted value kept, see "
                              "diagnostics")
         report = assemble_northcott(

@@ -16,7 +16,7 @@ import jmult.reductions
 import jmult.runner
 from jmult.cli import main
 from jmult.ideals import InternalInconsistencyError
-from jmult.lengths import INFINITE, ContainmentError
+from jmult.lengths import INFINITE
 from jmult.omega import combined_verdict
 from jmult.parser import Options, parse_problem
 from jmult.runner import run_command
@@ -336,12 +336,29 @@ def test_a_failed_shared_piece_is_computed_once(capsys, monkeypatch):
         raise jmult.groebner.ComputationLimitError("stand-in pair cap")
 
     monkeypatch.setattr(jmult.runner, "analytic_spread", capped)
-    code, out = run_cli(capsys, monkeypatch, "hilbert", M2)
+    code, out = run_cli(capsys, monkeypatch, "reduction", M2)
     rep = json.loads(out)
     assert rep["results"] == {"error": "stand-in pair cap"}
     assert rep["hypotheses"] == {"error": "stand-in pair cap"}
     assert rep["diagnostics"] == ["stand-in pair cap"]
     assert len(calls) == 1
+    assert code == 4
+
+
+def test_a_capped_reduction_leaves_the_fit(capsys, monkeypatch):
+    """The fit needs no reduction: with the spread capped, ``hilbert``
+    tabulates H to n = 2d + 3, as after a failed search, and only the
+    hypotheses report the cap."""
+    def capped(ideal):
+        raise jmult.groebner.ComputationLimitError("stand-in pair cap")
+
+    monkeypatch.setattr(jmult.runner, "analytic_spread", capped)
+    code, out = run_cli(capsys, monkeypatch, "hilbert", M2)
+    rep = json.loads(out)
+    assert rep["results"]["j"] == [4, 1, 0]
+    assert rep["results"]["values"] == [3, 10, 21, 36, 55, 78, 105, 136]
+    assert rep["hypotheses"] == {"error": "stand-in pair cap"}
+    assert rep["diagnostics"] == ["stand-in pair cap"]
     assert code == 4
 
 
@@ -465,8 +482,8 @@ def test_northcott_finite_mismatch_is_cross_check(capsys, monkeypatch):
     code, out = run_cli(capsys, monkeypatch, "northcott", M2)
     rep = json.loads(out)
     assert rep["results"]["j1"] == 1
-    assert rep["diagnostics"] == ["summation route for the first coefficient "
-                                  "disagrees with the fit"]
+    assert rep["diagnostics"] == ["summation route disagrees with the fitted "
+                                  "coefficients under passing hypotheses"]
     assert ("route disagreement: fitted value kept, see diagnostics"
             in rep["results"]["notes"])
     assert code == 5
@@ -492,8 +509,8 @@ def test_sums_finite_mismatch_is_cross_check(capsys, monkeypatch):
     code, out = run_cli(capsys, monkeypatch, "coeffs", M2)
     rep = json.loads(out)
     assert rep["results"]["agreement"]["fit_vs_sums"] is False
-    assert ("summation route disagrees with the fitted coefficients under "
-            "passing hypotheses") in rep["diagnostics"]
+    assert rep["diagnostics"] == ["summation route disagrees with the fitted "
+                                  "coefficients under passing hypotheses"]
     assert code == 5
 
 
@@ -597,7 +614,7 @@ def test_containment_failure_exits_5(capsys, monkeypatch):
     """Every correction-term display is contained by construction, so a
     containment failure is an internal bug: exit 5, never a degraded term."""
     def broken(a, b):
-        raise ContainmentError("stand-in containment failure")
+        raise ValueError("stand-in containment failure")
 
     monkeypatch.setattr(jmult.omega, "pair_length", broken)
     code, out = run_cli(capsys, monkeypatch, "coeffs", M2)

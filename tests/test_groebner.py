@@ -13,9 +13,8 @@ from jmult.groebner import (ComputationLimitError, _monic_row, _spoly,
                             groebner_basis)
 from jmult.ideals import Ideal
 from jmult.lengths import INFINITE, loc_quotient_length, truncated_dim
-from jmult.ring import (ContextMismatchError, Polynomial, RingContext,
-                        elimination_order, grevlex, mono_div, mono_divides,
-                        mono_lcm)
+from jmult.ring import (Polynomial, RingContext, elimination_order, grevlex,
+                        mono_div, mono_divides, mono_lcm)
 
 from conftest import (block_order, eliminate_last, monomial_ideal,
                       random_monomial_ideal)
@@ -52,9 +51,9 @@ def test_normal_form_idempotent(ctx2, xy):
 def test_foreign_polynomial_raises_context_mismatch(ctx2, xy):
     x, y = xy
     g = RingContext(("u", "v"), 32003).var("u")
-    with pytest.raises(ContextMismatchError):
+    with pytest.raises(ValueError, match="polynomial from a different context"):
         groebner_basis(ctx2, [x]).normal_form(g)
-    with pytest.raises(ContextMismatchError):
+    with pytest.raises(ValueError, match="polynomial from a different context"):
         Ideal(ctx2, [x, y * y]).contains(g)
 
 

@@ -7,7 +7,7 @@ Each name has one home: the package root imports nothing, the oracle imports
 no module of the package, a fresh interpreter loads only what it imports,
 and every m-torsion comes from ``lengths.torsion``: outside ``ideals`` and
 ``lengths`` no module saturates by m, and omega neither saturates nor builds
-m."""
+m.  The package defines one error class per outcome."""
 
 import ast
 import fnmatch
@@ -206,6 +206,39 @@ def test_omega_takes_its_relative_colons_from_torsion():
              for stem, source in sources.items()
              if stem not in ("ideals", "lengths")}
     assert {stem: calls for stem, calls in found.items() if calls} == {}
+
+
+def exception_classes(sources: dict):
+    """``module.Name(Base, ...)`` of each module-level class of ``sources``
+    (module name -> text) whose name or some base's name ends in Error,
+    Warning or Exception."""
+    ends = ("Error", "Warning", "Exception")
+    found = []
+    for mod, text in sources.items():
+        for node in ast.parse(text).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = [ast.unparse(b) for b in node.bases]
+            if any(n.endswith(ends) for n in [node.name, *bases]):
+                found.append(f"{mod}.{node.name}({', '.join(bases)})")
+    return sorted(found)
+
+
+def test_one_error_class_per_outcome():
+    """The engine has one class for a resource cap (exit 4) and one for a
+    broken construction guarantee (exit 5); a bad argument is a built-in
+    ValueError.  The oracle keeps its own error, since it imports nothing of
+    the engine, and the parser its line-and-column family."""
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    assert exception_classes(sources) == sorted([
+        "groebner.ComputationLimitError(RuntimeError)",
+        "ideals.InternalInconsistencyError(RuntimeError)",
+        "ideals.AlgebraWarning(UserWarning)",
+        "oracle.OracleError(ValueError)",
+        "parser.ProblemError(ValueError)",
+        "parser.ProblemSyntaxError(ProblemError)",
+        "parser.ProblemSemanticError(ProblemError)",
+    ])
 
 
 # the modules that hold the mathematics, and the front end that parses
