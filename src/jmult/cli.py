@@ -50,9 +50,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="override the characteristic from the ring line")
     ap.add_argument("--nmax", type=int, default=None,
                     help="degree bound for per-n checks (default r + d + 2)")
-    ap.add_argument("--window", type=int, default=None,
-                    help="constant-difference window for the polynomial fit "
-                         "(default d + 2)")
     ap.add_argument("--assert-gd", action="store_true",
                     help="assert the residual generation hypothesis")
     ap.add_argument("--assert-an", action="store_true",
@@ -69,9 +66,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def options_from_args(args) -> Options:
     return Options(seed=args.seed, char=args.char, nmax=args.nmax,
-                   window=args.window, gd_asserted=args.assert_gd,
-                   an_asserted=args.assert_an, s2_asserted=args.assert_s2,
-                   oracle=args.oracle)
+                   gd_asserted=args.assert_gd, an_asserted=args.assert_an,
+                   s2_asserted=args.assert_s2, oracle=args.oracle)
 
 
 def main(argv=None) -> int:

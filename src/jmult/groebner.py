@@ -172,27 +172,35 @@ def _interreduce(rows, keyf, p):
 # staircase combinatorics on leading monomials
 
 
-def count_monomials_between(upper, lower, nvars: int):
-    """Number of monomials in the ideal generated by ``upper`` outside the
-    one generated by ``lower``; None when there are infinitely many."""
-    if not upper:
-        return 0
-    if nvars == 1:
-        # (x^a) outside (x^b) holds x^a .. x^(b-1)
-        return max(min(lower)[0] - min(upper)[0], 0) if lower else None
+def count_monomials_between(upper, lower, nvars: int, graded: int = 0):
+    """The monomials in the ideal generated by ``upper`` outside the one
+    generated by ``lower``, counted by their degree in the last ``graded``
+    variables: the coefficient list of the numerator N(t) of their series
+    N(t)/(1 - t)^graded, so with ``graded`` 0 the count alone, or [] for
+    none.  None when some degree holds infinitely many."""
+    if not upper or not nvars:
+        return [1] if upper and not lower else []
     # x0^a times a monomial r: on each run lo <= a < hi the leads that can
-    # divide are those with first exponent at most lo; the last run is endless
+    # divide are those with first exponent at most lo; the last run is
+    # endless.  A graded x0 makes a run's series (t^lo - t^hi)/(1 - t), an
+    # endless one's t^lo/(1 - t), times the rest; another x0 makes it hi - lo
+    # times the rest, and an endless run that counts holds infinitely many.
+    sliced = nvars == graded
     cuts = sorted({0} | {e[0] for e in upper} | {e[0] for e in lower})
-    total = 0
+    total = []
     for lo, hi in zip(cuts, cuts[1:] + [None]):
         part = count_monomials_between([e[1:] for e in upper if e[0] <= lo],
                                        [e[1:] for e in lower if e[0] <= lo],
-                                       nvars - 1)
-        if part == 0:
+                                       nvars - 1, graded - sliced)
+        if part == []:
             continue
-        if part is None or hi is None:
+        if part is None or (hi is None and not sliced):
             return None
-        total += (hi - lo) * part
+        for shift, scale in ((lo, 1), (hi, -1)) if sliced else ((0, hi - lo),):
+            if shift is not None:  # total += scale * t^shift * part
+                total.extend([0] * (shift + len(part) - len(total)))
+                for k, c in enumerate(part, shift):
+                    total[k] += scale * c
     return total
 
 

@@ -1,31 +1,33 @@
-"""Generalized Hilbert-Samuel function, polynomial fit, and coefficient
-extraction in the signed binomial basis.
+"""Generalized Hilbert-Samuel function, its polynomial, and the coefficients
+in the signed binomial basis.
 
 The function value at n is the partial sum through i = n of the lengths of
-the m-torsion of the graded pieces I^i/I^(i+1).  It eventually agrees with a
-polynomial of degree at most d written as
+the m-torsion of the graded pieces I^i/I^(i+1).  Its series is read exactly
+from one Rees presentation (:func:`~jmult.ideals.graded_torsion_series`):
+with g generators it is N(t)/(1 - t)^(g+1), and since H is eventually a
+polynomial of degree at most d the pole reduces to Q(t)/(1 - t)^(d+1).
+Then H(n) = sum_{k <= n} q_k binom(n - k + d, d), and the polynomial is
 
     P(n) = sum_i (-1)^i j_i binom(n + d - i, d - i),
+    j_i = sum_k binom(k, i) q_k.
 
-and the coefficients are read off with exact integer arithmetic: one
-backward difference operator serves the window search, the Newton form
-through the window, j_i = (-1)^i (backward difference of order d - i of
-P at -1), and the correction terms of ``omega``.  No a-priori postulation
-bound exists, so the fit looks for a constant d-th difference over a window
-and then confirms with two extra points; the coefficients must reproduce
-every window value, and the detected postulation point is reported so a user
-can rerun with a larger window.
+H and P agree from n = len(Q) - d on, so the postulation number, the first
+n from which they agree, is exact.  The reported window is the postulation
+through postulation + 2d + 3.  One backward difference operator serves the
+record's difference-sum route and the correction terms of ``omega``.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 from typing import NamedTuple
 
-from .groebner import ComputationLimitError
-from .ideals import Ideal, ring_dimension
-from .lengths import pair_length, signed_sum, torsion
+from .ideals import (Ideal, InternalInconsistencyError, graded_torsion_series,
+                     ring_dimension)
+from .lengths import signed_sum
 
+# the longest Hilbert table a run may ask for, which bounds --nmax
 FIT_N_CAP = 40
 
 
@@ -46,55 +48,6 @@ def backward_difference(fn, k: int, n: int):
                       for j in range(k + 1))
 
 
-def detect_polynomial_window(values, d: int, window: int):
-    """Earliest region where the d-th backward difference of ``values`` is
-    constant over ``window`` points plus two confirmation points.
-
-    Returns (start, end) indices of the polynomial region (inclusive), or
-    None when no such run has appeared yet.
-    """
-    need = window + 2
-    n = len(values)
-    run = 0
-    prev = None
-    for a in range(d, n):
-        cur = backward_difference(values.__getitem__, d, a)
-        if prev is not None and cur == prev:
-            run += 1
-        else:
-            run = 1
-        prev = cur
-        if run >= need:
-            return (a - need + 1 - d, a)
-    return None
-
-
-def binomial_basis_convert(values, d: int, start: int = 0):
-    """Coefficients (j_0 .. j_d) of the degree-<= d integer polynomial through
-    ``values`` at consecutive arguments start, start+1, ...
-
-    With P the Newton form through the first d + 1 values, the backward
-    difference of P(n) = sum_i (-1)^i j_i binom(n + d - i, d - i) of order
-    d - i at n = -1 is (-1)^i j_i.  Raises ValueError when the coefficients
-    do not reproduce every value, so the input lies on no such polynomial;
-    a window from ``detect_polynomial_window`` never does, since its d-th
-    difference is constant.
-    """
-    values = list(values)
-    if len(values) < d + 1:
-        raise ValueError(f"need at least {d + 1} values to fit degree {d}")
-    newton = [backward_difference(values.__getitem__, j, j) for j in range(d + 1)]
-
-    def poly(n: int) -> int:
-        return sum(c * binomial(n - start, j) for j, c in enumerate(newton))
-
-    coeffs = tuple((-1) ** i * backward_difference(poly, d - i, -1)
-                   for i in range(d + 1))
-    if any(_binomial_form(coeffs, start + t) != v for t, v in enumerate(values)):
-        raise ValueError("values do not lie on a polynomial of the expected degree")
-    return coeffs
-
-
 def _binomial_form(coeffs, n: int) -> int:
     """sum_i (-1)^i j_i binom(n + d - i, d - i) for coeffs = (j_0 .. j_d)."""
     d = len(coeffs) - 1
@@ -103,7 +56,7 @@ def _binomial_form(coeffs, n: int) -> int:
 
 
 class HilbertRecord(NamedTuple):
-    """Fitted generalized Hilbert-Samuel data for one ideal."""
+    """Generalized Hilbert-Samuel data for one ideal."""
 
     dim: int
     values: tuple            # H(0), H(1), ...
@@ -116,7 +69,7 @@ class HilbertRecord(NamedTuple):
 
     def h_value(self, n: int) -> int:
         """H(n), with H(n) := 0 for n < 0; beyond the computed table the
-        confirmed polynomial continues the function."""
+        polynomial continues the function."""
         if n < 0:
             return 0
         if n < len(self.values):
@@ -140,43 +93,29 @@ class HilbertRecord(NamedTuple):
                    for n in range(i - 1, stop + 1))
 
 
-def graded_torsion_length(ideal: Ideal, i: int) -> int:
-    """Length of the m-torsion of I^i / I^(i+1); always finite."""
-    return pair_length(torsion(ideal ** i, ideal ** (i + 1)), ideal ** (i + 1))
+def fit_hilbert_polynomial(ideal: Ideal, extend_to: int = 0) -> HilbertRecord:
+    """H, its polynomial and its postulation number, from the series of the
+    ideal's Rees presentation.  The table of H values reaches the end of
+    the window, and at least index ``extend_to``, which the
+    difference-operator consumers upstream rely on."""
+    d = ring_dimension(ideal.ctx)
+    q = graded_torsion_series(ideal)
+    for _ in range(d - len(ideal.gens)):  # times 1 - t
+        q = [a - b for a, b in zip(q + [0], [0] + q)]
+    for _ in range(len(ideal.gens) - d):  # over 1 - t
+        if sum(q):
+            raise InternalInconsistencyError(
+                f"the Hilbert series has a pole of order above d + 1 = {d + 1}")
+        q = list(accumulate(q))[:-1]
+    coeffs = tuple(sum(comb(k, i) * c for k, c in enumerate(q))
+                   for i in range(d + 1))
 
+    def h(n: int) -> int:
+        return sum(c * comb(n - k + d, d) for k, c in enumerate(q[:n + 1]))
 
-def fit_hilbert_polynomial(ideal: Ideal, window: int | None = None,
-                           extend_to: int = 0) -> HilbertRecord:
-    """Compute H until its d-th difference is constant over the window (plus
-    two confirmation points), then read off the coefficients.
-
-    ``extend_to`` forces the table of true H values to reach at least that
-    index, which the difference-operator consumers upstream rely on.
-    """
-    ctx = ideal.ctx
-    d = ring_dimension(ctx)
-    window = window if window is not None else d + 2
-    if window < d + 2:
-        raise ValueError("window must be at least d + 2")
-    values = []
-    total = 0
-    region = None
-    n = 0
-    while True:
-        total += graded_torsion_length(ideal, n)
-        values.append(total)
-        region = detect_polynomial_window(values, d, window)
-        if region is not None and n >= extend_to:
-            break
-        n += 1
-        if n > FIT_N_CAP:
-            if region is not None:
-                raise ComputationLimitError(
-                    f"the table of H was asked to reach n = {extend_to}, "
-                    f"past the cap n = {FIT_N_CAP}")
-            raise ComputationLimitError(f"no polynomial window of size "
-                                        f"{window} found up to n = {FIT_N_CAP}")
-    s, e = region
-    coeffs = binomial_basis_convert(values[s:e + 1], d, start=s)
-    return HilbertRecord(dim=d, values=tuple(values), coefficients=coeffs,
-                         window=(s, e), postulation=s)
+    postulation = 1 + max((n for n in range(len(q))
+                           if h(n) != _binomial_form(coeffs, n)), default=-1)
+    end = postulation + 2 * d + 3
+    values = tuple(h(n) for n in range(max(end, extend_to) + 1))
+    return HilbertRecord(dim=d, values=values, coefficients=coeffs,
+                         window=(postulation, end), postulation=postulation)

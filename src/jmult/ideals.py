@@ -18,9 +18,12 @@ eliminate it (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
 generators and relations, not a ring of its own: the rows go straight to
 :func:`~jmult.groebner.buchberger_raw` under one order
 (:func:`~jmult.ring.elimination_order`), one helper drops t, and the only
-ideal built is the result in the working ring.  The Rees presentation behind
-the analytic spread (:func:`fiber_dimension`) is the same elimination, with
-one more slot per generator appended before the auxiliary one.
+ideal built is the result in the working ring.  The Rees presentation
+(:func:`rees_presentation`) is the same elimination, with one more slot per
+generator appended before the auxiliary one; its rows stay rows.  The
+analytic spread reads them, and so does the series of the generalized
+Hilbert function (:func:`graded_torsion_series`), which saturates and
+intersects them with the same row-level steps the ideals use.
 
 A containment decides the trivial cases with no elimination; the operation
 memos hash both ideals by their reduced basis rows, so once those bases are
@@ -33,7 +36,8 @@ import warnings
 from functools import reduce
 from itertools import compress
 
-from .groebner import (GroebnerBasis, buchberger_raw, groebner_basis,
+from .groebner import (GroebnerBasis, buchberger_raw,
+                       count_monomials_between, groebner_basis,
                        monomial_quotient_dimension)
 from .ring import (Polynomial, RingContext, add_shifted, elimination_order,
                    grevlex, mono_div, mono_divides)
@@ -188,8 +192,8 @@ class Ideal:
             return Ideal.unit(ctx)
         if f.degree() == 0:
             return self
-        meet = _eliminated(ctx, _meet(self.gens + tuple(ctx.relation_polys()),
-                                      [f]))
+        left = self.gens + tuple(ctx.relation_polys())
+        meet = _eliminated(ctx, _meet([g.terms for g in left], [f.terms]))
         return Ideal(ctx, [_exact_divide(g, f) for g in meet.gens])
 
     def saturate(self, other: "Ideal") -> "Ideal":
@@ -225,28 +229,65 @@ def ring_dimension(ctx: RingContext) -> int:
     return ctx.memo("ring_dim", lambda: Ideal.zero(ctx).dimension())
 
 
+def rees_presentation(ideal: Ideal):
+    """The reduced grevlex basis rows of the presentation L of the Rees
+    algebra, R[It] = k[x, T]/L, with one T-variable per generator g_k, in
+    their order, as exponent slots appended to the working ring's (Nishida &
+    Ulrich, *Computing j-multiplicities*, JPAA 214, 2010).  With one more
+    slot u, the rows T_k - u g_k and the relations present R[u], on which u
+    is a nonzerodivisor, so eliminating u needs no saturation and leaves L.
+    One value per generator list, memoized on the ring context."""
+    ctx = ideal.ctx
+
+    def build():
+        n, g = ctx.nvars, len(ideal.gens)
+        rows = [_padded(f.terms.items(), (0,) * g + (1,), -1)
+                | {(0,) * (n + k) + (1,) + (0,) * (g - k): 1}
+                for k, f in enumerate(ideal.gens)]
+        rows += [_padded(r, (0,) * (g + 1)) for r in ctx.relations]
+        return _eliminate_last(rows, n + g, ctx.char)
+
+    return ctx.memo(("rees",) + ideal._canon, build)
+
+
 def fiber_dimension(ideal: Ideal) -> int:
-    """Krull dimension of the special fiber of the ideal, from its Rees
-    presentation (Nishida & Ulrich, *Computing j-multiplicities*, JPAA 214,
-    2010).  One T-variable per generator g_k and an auxiliary u are exponent
-    slots appended to the working ring's.  The rows T_k - u g_k and the
-    relations present R[u], on which u is a nonzerodivisor, so eliminating u
-    needs no saturation and leaves the presentation L of the Rees algebra;
-    k[x, T]/(L + (x)) is the special fiber itself."""
+    """Krull dimension of the special fiber k[x, T]/(L + (x)) of the
+    ideal, L its Rees presentation."""
+    ctx = ideal.ctx
+    w = ctx.nvars + len(ideal.gens)
+    rows = [_terms(row) for row in rees_presentation(ideal)]
+    rows += [{(0,) * i + (1,) + (0,) * (w - i - 1): 1} for i in range(ctx.nvars)]
+    fiber = buchberger_raw(rows, w, ctx.char, grevlex)
+    return monomial_quotient_dimension([le for le, _ in fiber], w)
+
+
+def graded_torsion_series(ideal: Ideal):
+    """The numerator N(t) of Σ_i λ(H⁰_m(I^i/I^(i+1))) t^i = N(t)/(1 - t)^g,
+    g the number of generators, as a coefficient list.  k[x, T]/B with
+    B = L + IS is the associated graded ring, the T-degree i piece being
+    I^i/I^(i+1), so its m-torsion is C/B with C = B : m^∞ (Polini & Xie,
+    J. Algebra 379, 2013), the intersection over the x-variables of
+    B : x_i^∞.  C/B is killed by a power of m, so the length of each piece
+    is its dimension: the monomials of that T-degree in LT(C) outside
+    LT(B)."""
     ctx = ideal.ctx
     n, g, p = ctx.nvars, len(ideal.gens), ctx.char
-    w = n + g  # the variables x, then T_0 .. T_{g-1}
-
-    def var(i, k=w):
-        return tuple(int(j == i) for j in range(k))
-
-    # T_k - u g_k and the relations, the exponents of T and u appended
-    rows = [_padded(f.terms.items(), var(g, g + 1), -1) | {var(n + k, w + 1): 1}
-            for k, f in enumerate(ideal.gens)]
-    rows += [_padded(r, (0,) * (g + 1)) for r in ctx.relations]
-    rees = [dict(((le, 1),) + t) for le, t in _eliminate_last(rows, w, p)]
-    fiber = buchberger_raw(rees + [{var(i): 1} for i in range(n)], w, p, grevlex)
-    return monomial_quotient_dimension([le for le, _ in fiber], w)
+    w = n + g
+    b = buchberger_raw([_terms(row) for row in rees_presentation(ideal)]
+                       + [_padded(f.terms.items(), (0,) * g) for f in ideal.gens],
+                       w, p, grevlex)
+    if not b:  # the zero ideal of a polynomial ring, with no torsion
+        return []
+    c = buchberger_raw(_saturate_rows(b, 0, p), w, p, grevlex)
+    for i in range(1, n):
+        c = _eliminate_last(_meet([_terms(row) for row in c],
+                                  _saturate_rows(b, i, p)), w, p)
+    series = count_monomials_between([le for le, _ in c], [le for le, _ in b],
+                                     w, g)
+    if series is None:
+        raise InternalInconsistencyError(
+            "m-torsion of a graded piece is not of finite length")
+    return series
 
 
 # --------------------------------------------------------------------------
@@ -271,6 +312,11 @@ def _padded(terms, tail=(0,), scale=1):
     """The term dict of the (exponent, residue) pairs ``terms`` times
     ``scale`` and the monomial ``tail`` in auxiliary variables appended."""
     return {e + tail: scale * c for e, c in terms}
+
+
+def _terms(row) -> dict:
+    """The term dict of a monic basis row (lead, tail)."""
+    return dict(((row[0], 1),) + row[1])
 
 
 def _eliminate_last(rows, nvars: int, p: int):
@@ -300,16 +346,15 @@ def _eliminated(ctx: RingContext, rows) -> Ideal:
     """(rows) ∩ R as the ideal of its recorded reduced basis rows."""
     gb = _recorded(GroebnerBasis(ctx, _eliminate_last(rows, ctx.nvars,
                                                       ctx.char)))
-    return Ideal(ctx, [Polynomial(ctx, dict(((le, 1),) + tail))
-                       for le, tail in gb.rows])
+    return Ideal(ctx, [Polynomial(ctx, _terms(row)) for row in gb.rows])
 
 
 def _meet(left, right):
-    """The rows t*left + (1 - t)*right of polynomials, whose elimination of
+    """The rows t*left + (1 - t)*right of term dicts, whose elimination of
     t leaves (left) ∩ (right)."""
-    return ([_padded(g.terms.items(), (1,)) for g in left]
-            + [_padded(g.terms.items()) | _padded(g.terms.items(), (1,), -1)
-               for g in right])
+    return ([_padded(f.items(), (1,)) for f in left]
+            + [_padded(f.items()) | _padded(f.items(), (1,), -1)
+               for f in right])
 
 
 def _intersect(a: Ideal, b: Ideal) -> Ideal:
@@ -318,7 +363,8 @@ def _intersect(a: Ideal, b: Ideal) -> Ideal:
     if a.contains_ideal(b):
         return b
     # the relations belong to both sides, so they are adjoined whole
-    rows = _meet(a.gens, b.gens) + [_padded(r) for r in a.ctx.relations]
+    rows = (_meet([g.terms for g in a.gens], [g.terms for g in b.gens])
+            + [_padded(r) for r in a.ctx.relations])
     return _eliminated(a.ctx, rows)
 
 

@@ -16,8 +16,9 @@ is infinite.  Components of A/B supported away from the origin are
 invisible, which is exactly the localization the working ring demands; that
 behaviour is deliberate and tested.
 
-Every length is one memoized ``pair_length``, checked and counted once; the
-m-torsion length of A/B is that of (C, B), C being its own torsion.
+Every length of an ideal pair is one memoized ``pair_length``, checked and
+counted once; the m-torsion length of A/B is that of (C, B), C being its own
+torsion.
 
 A length has the one form the report prints: an ``int``, or the string
 ``INFINITE``.  The paper's formulas are signed sums of lengths, and
@@ -59,7 +60,7 @@ def truncated_dim(ideal_: Ideal, m: int) -> int:
             e[k] += 1
         power.append(ctx.monomial(e))
     gb = groebner_basis(ctx, list(ideal_.gens) + power)
-    return count_monomials_between([(0,) * ctx.nvars], gb.leads, ctx.nvars)
+    return sum(count_monomials_between([(0,) * ctx.nvars], gb.leads, ctx.nvars))
 
 
 def torsion(a: Ideal, b: Ideal) -> Ideal:
@@ -75,7 +76,7 @@ def _gap(c: Ideal, b: Ideal) -> int:
     if count is None:
         raise InternalInconsistencyError(
             "m-torsion quotient is not of finite length")
-    return count
+    return sum(count)
 
 
 def pair_length(a: Ideal, b: Ideal):

@@ -45,7 +45,6 @@ class Options(NamedTuple):
     seed: int = 0
     char: int | None = None
     nmax: int | None = None
-    window: int | None = None
     gd_asserted: bool = False
     an_asserted: bool = False
     s2_asserted: bool = False

@@ -44,18 +44,16 @@ OK, PARSE_ERROR, HYPOTHESIS_FAIL, CAP_OR_INFINITE, CROSS_CHECK = 0, 2, 3, 4, 5
 
 
 def flag_error(spec: ProblemSpec, opt: Options) -> str | None:
-    """Why --nmax or --window is out of range for the problem, if it is."""
-    if opt.nmax is not None and opt.nmax < 0:
-        return f"--nmax must be at least 0, got {opt.nmax}"
-    if opt.nmax is None and opt.window is None:
+    """Why --nmax is out of range for the problem, if it is."""
+    if opt.nmax is None:
         return None
+    if opt.nmax < 0:
+        return f"--nmax must be at least 0, got {opt.nmax}"
     d = ring_dimension(spec.ring)
-    if opt.nmax is not None and opt.nmax > FIT_N_CAP - d - 1:
+    if opt.nmax > FIT_N_CAP - d - 1:
         return (f"--nmax must be at most {FIT_N_CAP} - d - 1 = "
                 f"{FIT_N_CAP - d - 1}, since the Hilbert table stops at "
                 f"n = {FIT_N_CAP}, got {opt.nmax}")
-    if opt.window is not None and opt.window < d + 2:
-        return f"--window must be at least d + 2 = {d + 2}, got {opt.window}"
     return None
 
 
@@ -148,7 +146,7 @@ class Pipeline:
 
     @_piece
     def record(self):
-        return fit_hilbert_polynomial(self.ideal, window=self.opt.window,
+        return fit_hilbert_polynomial(self.ideal,
                                       extend_to=self.nmax + self.dim + 1)
 
     @_piece
@@ -229,16 +227,23 @@ class Pipeline:
 
     def _captured(self, section):
         """``section()``, or ``{"error": message}`` with exit 4 for a
-        ComputationLimitError (a Buchberger cap or the fit's n-cap) and 5
-        for any other error, a bug, so it erases no other section."""
+        ComputationLimitError (a Buchberger or a term cap) and 5 for any
+        other error, a bug, so it erases no other section."""
         try:
-            return section()
-        except ComputationLimitError as exc:
-            self.flag(CAP_OR_INFINITE, str(exc))
-            return {"error": str(exc)}
+            return self._capped(section)
         except (ArithmeticError, LookupError, RuntimeError, TypeError,
                 ValueError) as exc:
             self.flag(CROSS_CHECK, f"internal inconsistency: {exc}")
+            return {"error": str(exc)}
+
+    def _capped(self, route):
+        """``route()``, or ``{"error": message}`` with exit 4 when it hits a
+        cap, so a capped route of ``coeffs`` erases none of the others; any
+        other error is a bug and fails the whole section."""
+        try:
+            return route()
+        except ComputationLimitError as exc:
+            self.flag(CAP_OR_INFINITE, str(exc))
             return {"error": str(exc)}
 
     # -- commands ----------------------------------------------------------------
@@ -272,13 +277,16 @@ class Pipeline:
             ev = self.evaluator
             routes["jzero"] = j_zero(red)
             routes["e1_reduction_ring"] = e_one_bar(red)
-            routes["sums"] = [j_via_sums(ev, i) for i in range(1, d + 1)]
+            routes["sums"] = self._capped(
+                lambda: [j_via_sums(ev, i) for i in range(1, d + 1)])
             routes["depth_formula"] = j_one_depth_formula(red)
 
             agreement["j0_vs_jzero"] = self._jzero_verdict(routes["jzero"],
                                                            j_fit[0])
             sums = zip(routes["sums"], j_fit[1:])
-            if self.hypotheses_effective:
+            if isinstance(routes["sums"], dict):  # the route hit a cap
+                agreement["fit_vs_sums"] = routes["sums"]
+            elif self.hypotheses_effective:
                 agreement["fit_vs_sums"] = combined_verdict(
                     self._sums_verdict(v, j) for v, j in sums)
             else:
@@ -287,7 +295,9 @@ class Pipeline:
                     combined_verdict(route_agrees(v, j) for v, j in sums)]
                 agreement["fit_vs_sums"] = (f"diagnostic: {word} "
                                             "(hypotheses not in force)")
-            table = self._omega_table()
+            table = self._capped(self._omega_table)
+            if "error" in table:
+                table = dict.fromkeys(("omega", "master_identity"), table)
         else:
             routes["jzero"] = "not-applicable (no general minimal reduction)"
 
@@ -296,7 +306,7 @@ class Pipeline:
             "routes": routes,
             "agreement": agreement,
             "reduction": self._reduction_json(),
-            "northcott": self.cmd_northcott(),
+            "northcott": self._capped(self.cmd_northcott),
             "postulation": rec.postulation,
             "hilbert_values": list(rec.values),
             "window": list(rec.window),

@@ -4,6 +4,7 @@ import pytest
 
 from jmult.groebner import buchberger_raw
 from jmult.ideals import Ideal
+from jmult.lengths import pair_length, torsion
 from jmult.ring import RingContext, elimination_order, grevlex
 
 
@@ -56,3 +57,10 @@ def random_monomial_ideal(ctx, rng: random.Random, max_gens=4, max_deg=5):
         if any(e):
             gens.append(ctx.monomial(e))
     return Ideal(ctx, gens)
+
+
+def graded_torsion_length(ideal, i):
+    """Length of the m-torsion of I^i / I^(i+1), one power at a time: the
+    reference for the series that ``fit_hilbert_polynomial`` reads from the
+    Rees presentation."""
+    return pair_length(torsion(ideal ** i, ideal ** (i + 1)), ideal ** (i + 1))

@@ -9,6 +9,7 @@ import pytest
 
 import jmult
 import jmult.groebner
+import jmult.hilbert
 import jmult.ideals
 import jmult.lengths
 import jmult.omega
@@ -259,11 +260,9 @@ def test_undecodable_stdin_is_input_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("cmd,flags", [
-    ("hilbert", ["--window", "0"]),
-    ("hilbert", ["--window", "3"]),   # d + 2 = 4 for k[x,y]
     ("coeffs", ["--nmax", "-3"]),
     ("hilbert", ["--nmax", "38"]),    # H up to n = 38 + d + 1 = 41 > 40
-])
+], ids=["coeffs-flags2", "hilbert-flags3"])
 def test_out_of_range_flag_is_input_error(capsys, monkeypatch, cmd, flags):
     monkeypatch.setattr(sys, "stdin", io.StringIO(M2))
     code = main([cmd, "-", *flags])
@@ -274,9 +273,8 @@ def test_out_of_range_flag_is_input_error(capsys, monkeypatch, cmd, flags):
 
 
 @pytest.mark.parametrize("opts,word", [
-    ({"window": 1}, "--window"),
     ({"nmax": -1}, "--nmax"),
-], ids=["window-1", "nmax-minus-1"])
+], ids=["nmax-minus-1"])
 def test_library_out_of_range_option_is_input_error(opts, word):
     """A library caller gets the CLI's range check: exit 2 with the reason
     as the whole result, not an internal inconsistency or empty rows."""
@@ -299,30 +297,6 @@ def test_in_range_nmax_sets_the_rows(capsys, monkeypatch):
     assert [row["n"] for row in results["master_identity"]["rows"]] == [0, 1]
     assert results["master_identity"]["holds"] is True
     assert code == 0
-
-
-def test_in_range_window_is_used_by_the_fit(capsys, monkeypatch):
-    code, out = run_cli(capsys, monkeypatch, "hilbert", M2, "--window", "5")
-    results = json.loads(out)["results"]
-    assert results["j"] == [4, 1, 0]
-    assert results["window"] == [0, 8]
-    assert code == 0
-
-
-def test_fit_failure_is_reported_in_the_json(capsys, monkeypatch):
-    """A window too large for the Hilbert table is a fit failure inside the
-    report: exit 4 with the message as the result, never a traceback, and
-    the hypotheses section is still reported."""
-    monkeypatch.setattr(sys, "stdin", io.StringIO(M2))
-    code = main(["hilbert", "-", "--window", "38"])
-    captured = capsys.readouterr()
-    rep = json.loads(captured.out)
-    message = "no polynomial window of size 38 found up to n = 40"
-    assert rep["results"] == {"error": message}
-    assert isinstance(rep["hypotheses"], dict)
-    assert message in rep["diagnostics"]
-    assert "Traceback" not in captured.err
-    assert code == 4
 
 
 def test_a_failed_shared_piece_is_computed_once(capsys, monkeypatch):
@@ -608,6 +582,54 @@ def test_omega_colon_flag_is_rejected(capsys, monkeypatch):
         main(["coeffs", "-", "--omega-colon", "x1"])
     assert exc.value.code == 2
     assert "--omega-colon" in capsys.readouterr().err
+
+
+def test_window_flag_is_rejected(capsys, monkeypatch):
+    """The Hilbert series is exact, so there is no fit window to set."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(M2))
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbert", "-", "--window", "5"])
+    assert exc.value.code == 2
+    assert "--window" in capsys.readouterr().err
+
+
+def test_a_series_past_degree_d_exits_5(capsys, monkeypatch):
+    """H is eventually a polynomial of degree at most d, so a series whose
+    pole does not reduce to order d + 1 is a bug: exit 5, reported in the
+    results, and the hypotheses still print."""
+    monkeypatch.setattr(jmult.hilbert, "graded_torsion_series",
+                        lambda ideal: [1])
+    code, out = run_cli(capsys, monkeypatch, "hilbert", M2)
+    rep = json.loads(out)
+    message = "the Hilbert series has a pole of order above d + 1 = 3"
+    assert rep["results"] == {"error": message}
+    assert isinstance(rep["hypotheses"], dict)
+    assert f"internal inconsistency: {message}" in rep["diagnostics"]
+    assert code == 5
+
+
+def test_a_capped_omega_table_leaves_the_routes(capsys, monkeypatch):
+    """A cap in the correction terms fails the omega table, the summation
+    route and the Northcott check that reads it; those keys read the error,
+    the run exits 4, and the fit, the record sums, the reduction and the
+    Hilbert values stay in the report."""
+    def capped(self, n):
+        raise jmult.groebner.ComputationLimitError("stand-in pair cap")
+
+    monkeypatch.setattr(jmult.omega.OmegaEvaluator, "omega", capped)
+    code, out = run_cli(capsys, monkeypatch, "coeffs", M2)
+    results = json.loads(out)["results"]
+    error = {"error": "stand-in pair cap"}
+    assert results["j"] == [4, 1, 0]
+    assert results["routes"]["fit"] == [4, 1, 0]
+    assert results["routes"]["record_sums"] == [1, 0]
+    assert results["routes"]["sums"] == error
+    assert results["agreement"]["fit_vs_sums"] == error
+    assert results["reduction"]["r"] == 1
+    assert results["hilbert_values"] == [3, 10, 21, 36, 55, 78, 105, 136, 171]
+    assert results["omega"] == results["master_identity"] == error
+    assert results["northcott"] == error
+    assert code == 4
 
 
 def test_containment_failure_exits_5(capsys, monkeypatch):

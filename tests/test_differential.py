@@ -11,7 +11,8 @@ and C with 1-4 generators and exponents 0-3, then compares
 A second test moves a monomial ideal I into generic coordinates by a
 unipotent triangular map φ, an automorphism fixing the origin, so every
 local length of φ(I) is that of I: the engine on the dense ideal φ(I) is
-compared with the oracle on I.
+compared with the oracle on I, the graded torsion lengths both one power at
+a time and as the partial sums H(0..2) of the Hilbert series.
 
 The search is derandomized and keeps no example database, so every run
 draws the same examples.  Hypothesis also caches the literals of local
@@ -25,11 +26,13 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from jmult.hilbert import graded_torsion_length
+from jmult.hilbert import fit_hilbert_polynomial
 from jmult.ideals import Ideal
 from jmult.lengths import INFINITE, loc_quotient_length, pair_length
 from jmult.oracle import MonomialIdeal, mon_pair_length, mon_quotient_length
 from jmult.ring import RingContext
+
+from conftest import graded_torsion_length
 
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "jmult-hypothesis")
 
@@ -116,7 +119,11 @@ def test_generic_coordinates_match_oracle(pair):
     assert loc_quotient_length(ideal) == _engine_form(mon_quotient_length(mono))
     mm = MonomialIdeal(n, [tuple(int(j == i) for j in range(n))
                            for i in range(n)])
+    record = fit_hilbert_polynomial(ideal)
+    total = 0
     for i in range(3):
         low, high = mono.power(i), mono.power(i + 1)
         want = mon_pair_length(high.saturate(mm).intersect(low), high)
         assert graded_torsion_length(ideal, i) == want
+        total += want
+        assert record.h_value(i) == total

@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import random
+from collections import Counter
 import tempfile
 from pathlib import Path
 
@@ -60,31 +61,48 @@ def test_foreign_polynomial_raises_context_mismatch(ctx2, xy):
 @st.composite
 def staircase_pairs(draw):
     """Two lists of lead exponents in 1 to 4 variables with entries 0 to 3,
-    the zero vector (a unit lead) included."""
+    the zero vector (a unit lead) included, and how many of the last
+    variables are graded."""
     n = draw(st.integers(1, 4))
     leads = st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=4)
-    return draw(leads), draw(leads), n
+    return draw(leads), draw(leads), n, draw(st.integers(0, n))
 
 
 @STAIRCASES
 @given(staircase_pairs())
-@example(([], [], 3))
-@example(([(0, 0)], [], 2))
-@example(([(0, 0)], [(2, 0), (1, 1), (0, 2)], 2))
-@example(([(1, 2)], [(0, 0)], 2))
-@example(([(1,)], [(3,)], 1))
+@example(([], [], 3, 0))
+@example(([(0, 0)], [], 2, 0))
+@example(([(0, 0)], [(2, 0), (1, 1), (0, 2)], 2, 0))
+@example(([(1, 2)], [(0, 0)], 2, 0))
+@example(([(1,)], [(3,)], 1, 0))
+@example(([(1,)], [(3,)], 1, 1))
+@example(([(0, 0)], [], 2, 1))
+@example(([(0, 0, 0)], [(2, 0, 0), (1, 1, 0), (0, 2, 1)], 3, 2))
 def test_count_monomials_between_enumerates(case):
     """The sliced count equals the monomials in (upper) outside (lower),
-    enumerated one by one in a box one past the largest exponent.  Beyond
-    that exponent membership no longer changes, so a counted monomial on the
-    box's far face means infinitely many."""
-    upper, lower, n = case
+    enumerated one by one and split by their degree in the last ``graded``
+    variables.  The other exponents run one past the largest exponent:
+    beyond it membership no longer changes, so a counted monomial on that
+    far face means infinitely many in its degree.  The graded degrees run to
+    twice that bound, and the count's series N(t)/(1 - t)^graded, expanded by
+    taking partial sums once per graded variable, must match each one."""
+    upper, lower, n, graded = case
     top = 1 + max((max(e) for e in upper + lower), default=0)
-    counted = [e for e in itertools.product(range(top + 1), repeat=n)
-               if any(mono_divides(u, e) for u in upper)
+    far = 2 * top
+    box = [range(top + 1)] * (n - graded) + [range(far + 1)] * graded
+    counted = [e for e in itertools.product(*box)
+               if sum(e[n - graded:]) <= far
+               and any(mono_divides(u, e) for u in upper)
                and not any(mono_divides(u, e) for u in lower)]
-    brute = None if any(top in e for e in counted) else len(counted)
-    assert count_monomials_between(upper, lower, n) == brute
+    got = count_monomials_between(upper, lower, n, graded)
+    if any(top in e[:n - graded] for e in counted):
+        assert got is None
+        return
+    series = got + [0] * (far + 1)
+    for _ in range(graded):
+        series = list(itertools.accumulate(series))
+    degrees = Counter(sum(e[n - graded:]) for e in counted)
+    assert series[:far + 1] == [degrees[i] for i in range(far + 1)]
 
 
 def test_buchberger_examples(ctx2, xy):

@@ -1,15 +1,14 @@
 import math
-import random
 
 import pytest
 
-from jmult.groebner import ComputationLimitError
-from jmult.hilbert import (backward_difference, binomial,
-                           binomial_basis_convert, detect_polynomial_window,
-                           fit_hilbert_polynomial, graded_torsion_length)
+from jmult.hilbert import backward_difference, binomial, fit_hilbert_polynomial
 from jmult.ideals import Ideal
+from jmult.parser import Options, parse_problem
+from jmult.runner import Pipeline, run_command
 
-from conftest import monomial_ideal
+from conftest import graded_torsion_length, monomial_ideal
+from test_golden import CASES
 
 
 def test_binomial_generalized():
@@ -31,36 +30,6 @@ def test_backward_difference_basics():
     assert backward_difference(lambda n: 7, 1, 5) == 0
     assert backward_difference(lambda n: n * n, 2, 5) == 2
     assert backward_difference(lambda n: n * n * n, 0, 4) == 64
-
-
-def test_basis_convert_examples():
-    vals = [3 * binomial(n + 2, 2) - 2 * binomial(n + 1, 1) + 5 for n in range(8)]
-    assert binomial_basis_convert(vals, 2) == (3, 2, 5)
-    assert binomial_basis_convert([7] * 5, 0) == (7,)
-    assert binomial_basis_convert([binomial(n + 2, 2) for n in range(6)], 2) == (1, 0, 0)
-    with pytest.raises(ValueError, match="values do not lie on a polynomial"):
-        binomial_basis_convert([0, 0, 1, 0, 0, 0], 2)
-    # round trips j -> values -> j from a nonzero start
-    rng = random.Random(11)
-    for _ in range(200):
-        d, start = rng.randrange(5), rng.randrange(1, 6)
-        j = tuple(rng.randrange(-20, 21) for _ in range(d + 1))
-        vals = [sum((-1) ** i * j[i] * binomial(n + d - i, d - i)
-                    for i in range(d + 1))
-                for n in range(start, start + d + 1 + rng.randrange(4))]
-        assert binomial_basis_convert(vals, d, start=start) == j
-
-
-def test_basis_convert_with_offset():
-    vals = [4 * binomial(n + 2, 2) - binomial(n + 1, 1) for n in range(3, 10)]
-    assert binomial_basis_convert(vals, 2, start=3) == (4, 1, 0)
-
-
-def test_window_detection():
-    # linear from index 2 on
-    vals = [0, 0, 1, 2, 3, 4, 5, 6, 7]
-    assert detect_polynomial_window(vals, 1, 3) == (1, 6)
-    assert detect_polynomial_window([0, 0, 1], 1, 3) is None
 
 
 def test_graded_torsion_examples(ctx2, xy):
@@ -89,19 +58,15 @@ def test_fit_classical(ctx2, xy):
     x, y = xy
     assert fit_hilbert_polynomial(Ideal.maximal(ctx2)).coefficients == (1, 0, 0)
     assert fit_hilbert_polynomial(Ideal(ctx2, [x])).coefficients == (0, 0, 0)
-    rec = fit_hilbert_polynomial(monomial_ideal(ctx2, (2, 0), (1, 1), (0, 2)))
+    for ideal in (Ideal.zero(ctx2), Ideal.unit(ctx2)):  # no torsion at all
+        rec = fit_hilbert_polynomial(ideal)
+        assert (rec.coefficients, set(rec.values)) == ((0, 0, 0), {0})
+    rec =fit_hilbert_polynomial(monomial_ideal(ctx2, (2, 0), (1, 1), (0, 2)))
     assert rec.coefficients == (4, 1, 0)
     # fitted polynomial reproduces every value on the window
     s, e = rec.window
     for n in range(s, e + 1):
         assert rec.polynomial_value(n) == rec.values[n]
-
-
-def test_fit_past_the_cap_names_the_table_length(ctx2):
-    """A window is found, but the table asked for is longer than the cap:
-    the error says so rather than that no window exists."""
-    with pytest.raises(ComputationLimitError, match="reach n = 41"):
-        fit_hilbert_polynomial(Ideal.maximal(ctx2), extend_to=41)
 
 
 def test_fit_quotient_family(ctx_family):
@@ -159,3 +124,45 @@ def test_degree_detects_analytic_spread(ctx2, ctx_family):
         rec = fit_hilbert_polynomial(ideal)
         spread = analytic_spread(ideal)
         assert (rec.coefficients[0] != 0) == (spread == ring_dimension(c))
+
+
+# each golden input once, named by its first case
+GOLDEN_INPUTS = {problem: name for name, (_, problem) in sorted(CASES.items(),
+                                                                reverse=True)}
+
+
+@pytest.mark.parametrize("problem", sorted(GOLDEN_INPUTS),
+                         ids=lambda p: GOLDEN_INPUTS[p])
+def test_series_matches_the_per_power_route(problem):
+    """On every golden input the table that the series gives equals the
+    partial sums of the graded torsion lengths, taken one power at a time,
+    for n <= nmax + d + 1, as far as the reports read; the polynomial
+    agrees with H exactly from the postulation number on."""
+    pipe = Pipeline(parse_problem(problem), Options())
+    rec, last = pipe.record, pipe.nmax + pipe.dim + 1
+    assert len(rec.values) > last
+    total = 0
+    for n in range(last + 1):
+        total += graded_torsion_length(pipe.ideal, n)
+        assert rec.values[n] == total, n
+        if n >= rec.postulation:
+            assert rec.polynomial_value(n) == total, n
+    if rec.postulation:
+        n = rec.postulation - 1
+        assert rec.polynomial_value(n) != rec.values[n]
+    assert rec.window == (rec.postulation, rec.postulation + 2 * rec.dim + 3)
+
+
+@pytest.mark.parametrize("problem,j", [
+    ("ring char=32003 vars=x,y,z,w\nideal x*y,x*z,x*w,y*z,y*w,z*w\n",
+     (8, 12, 1, -6, -3)),
+    ("ring char=32003 vars=x,y,z\n"
+     "ideal x^3,y^3,z^3,x^2*y,x*y^2,x^2*z,y^2*z,x*z^2\n", (27, 18, 1, -2)),
+], ids=["4-axes", "8-generators"])
+def test_series_reaches_four_variables(problem, j):
+    """``hilbert`` on the 4-axes ideal in k[x,y,z,w] and on an 8-generator
+    m-primary ideal in k[x,y,z] exits 0 with the coefficients that a fit of
+    the per-power table found."""
+    report, code = run_command("hilbert", parse_problem(problem), Options())
+    assert report["results"]["j"] == list(j)
+    assert code == 0

@@ -173,9 +173,8 @@ def test_an_equal_pair_takes_only_the_containment_check(monkeypatch):
 
 
 def test_every_staircase_count_is_taken_once(monkeypatch):
-    """Every length of a coeffs run, the Hilbert fit's torsion terms
-    included, goes through the pair-length memo, so the staircase count runs
-    once per (C, B) pair."""
+    """Every length of an ideal pair in a coeffs run goes through the
+    pair-length memo, so the staircase count runs once per (C, B) pair."""
     runs = Counter()
     gap = jmult.lengths._gap
 
